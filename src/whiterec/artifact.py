@@ -1,0 +1,90 @@
+"""The binary layout shared by model and embedding files.
+
+An artifact is an 8-byte magic, a little-endian uint32 version and header,
+a row-major float64 payload, and one length-prefixed UTF-8 vocabulary
+entry per payload column. Header fields are struct codes ("I", "d") or
+"s", a uint32 byte length followed by UTF-8.
+
+Reading rejects what no writer produces: wrong magic or version,
+truncation, trailing bytes, non-finite payload values, undecodable text.
+Writing goes through a temporary file and ``os.replace``.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from .errors import ParseError
+
+
+@dataclass(frozen=True)
+class Layout:
+    """One artifact type; ``shape`` maps a header to the payload shape."""
+
+    magic: bytes
+    version: int
+    fields: str
+    shape: Callable[[tuple], tuple[int, int]]
+
+    def write(self, path: str | Path, header: tuple, values: np.ndarray,
+              vocab: list[str]) -> None:
+        if len(vocab) != self.shape(header)[1]:
+            raise ValueError(f"vocabulary has {len(vocab)} entries for "
+                             f"{self.shape(header)[1]} payload columns")
+        parts = [self.magic, struct.pack("<I", self.version)]
+        for code, value in zip(self.fields, header):
+            parts.append(_text(value) if code == "s" else struct.pack("<" + code, value))
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+            fh.write(b"".join(_text(item) for item in vocab))
+        os.replace(tmp, path)
+
+    def read(self, path: str | Path) -> tuple[tuple, np.ndarray, list[str]]:
+        """Return (header, values, vocab), copying the payload out once."""
+        buf = memoryview(Path(path).read_bytes())
+        if buf[:8] != self.magic:
+            raise ParseError(f"{path}: bad magic {bytes(buf[:8])!r}, expected {self.magic!r}")
+        offset = 8
+
+        def take(n: int) -> memoryview:
+            nonlocal offset
+            if offset + n > len(buf):
+                raise ParseError(f"{path}: truncated file (wanted {n} bytes at "
+                                 f"offset {offset} of {len(buf)})")
+            offset += n
+            return buf[offset - n:offset]
+
+        def unpack(code: str):
+            if code != "s":
+                return struct.unpack("<" + code, take(struct.calcsize(code)))[0]
+            try:
+                return str(take(unpack("I")), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: invalid UTF-8 before offset {offset}") from exc
+
+        version = unpack("I")
+        if version != self.version:
+            raise ParseError(f"{path}: unsupported version {version}")
+        header = tuple(unpack(code) for code in self.fields)
+        rows, cols = self.shape(header)
+        values = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}: payload contains non-finite values")
+        vocab = [unpack("s") for _ in range(cols)]
+        if offset != len(buf):
+            raise ParseError(f"{path}: {len(buf) - offset} trailing bytes after the vocabulary")
+        return header, values, vocab
+
+
+def _text(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw

@@ -16,8 +16,6 @@ from . import linalg
 from .errors import NumericalError
 from .ingest import InteractionMatrix
 
-SIMILARITY_KINDS = ("ridge", "ease", "zca", "embed_dot", "embed_ridge", "embed_ease")
-
 
 @dataclass(frozen=True)
 class RidgeConfig:
@@ -75,6 +73,8 @@ def ridge_primal(X: InteractionMatrix, cfg: RidgeConfig) -> SimilarityMatrix:
 
 def ridge_dual(X: InteractionMatrix, cfg: RidgeConfig) -> SimilarityMatrix:
     """B = X^T (X X^T + lam I)^{-1} X via the user-side Gram."""
+    linalg.check_capacity(X.n_users, X.n_items, "dense interaction matrix")
+    linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")
     k = linalg.gram(X, side="users")
     m = linalg.spd_solve(_shifted(k, cfg.lam), X.toarray())
     b = X.matrix.T @ m
@@ -115,18 +115,16 @@ def _ease_from_gram(g: np.ndarray, lam: float) -> EaseSolution:
     return EaseSolution(sim, alpha, p_hat)
 
 
-def ease_decompose(sol: EaseSolution, X: InteractionMatrix,
-                   lam: float) -> tuple[SimilarityMatrix, np.ndarray]:
+def ease_decompose(sol: EaseSolution) -> tuple[SimilarityMatrix, np.ndarray]:
     """Split an EASE solution into its regularization and diagonal parts.
 
-    Returns (whitening_term, diagonal_term) with
-    whitening_term = (X^T X + lam I)^{-1} X^T X, the plain ridge solution,
-    and diagonal_term = (X^T X + lam I)^{-1} diagMat(alpha), so that
-    sol.B = whitening_term - diagonal_term.
+    Both come from sol.p_hat: whitening_term = I - lam P_hat, which is the
+    plain ridge solution (X^T X + lam I)^{-1} X^T X, and diagonal_term =
+    P_hat diagMat(alpha), so that sol.B = whitening_term - diagonal_term.
     """
-    g = linalg.gram(X, side="items")
-    w = linalg.symmetrize(linalg.spd_solve(_shifted(g, lam), g))
-    whitening_term = SimilarityMatrix(w, "zca", {"eps": lam, "source": "ease_decompose"})
+    lam = sol.B.config["lambda"]
+    w = np.eye(sol.p_hat.shape[0]) - lam * sol.p_hat
+    whitening_term = SimilarityMatrix(w, "zca", {"lambda": lam, "source": "ease_decompose"})
     diagonal_term = sol.p_hat * sol.alpha[np.newaxis, :]
     return whitening_term, diagonal_term
 

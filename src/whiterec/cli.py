@@ -15,23 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import struct
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
-import numpy as np
-
+from . import artifact, linalg
 from . import embedding as embedding_mod
-from . import linalg
-from .autoencoder import (
-    RidgeConfig,
-    SIMILARITY_KINDS,
-    SimilarityMatrix,
-    ease,
-    ridge,
-)
+from .autoencoder import RidgeConfig, SimilarityMatrix, ease, ridge
 from .errors import (
     CapacityError,
     ConfigError,
@@ -41,6 +33,7 @@ from .errors import (
 )
 from .evalmetrics import evaluate, export_per_user_csv
 from .ingest import (
+    InteractionMatrix,
     SplitSpec,
     load_interactions,
     load_split,
@@ -48,17 +41,41 @@ from .ingest import (
     save_split,
     split_strong_generalization,
 )
-from .recommend import RankedList, export_ranked_csv, score_user, top_n
+from .recommend import batch_recommend, export_ranked_csv
 from .whitening import zca_similarity
-
-MODEL_MAGIC = b"WREC-SIM"
-MODEL_VERSION = 1
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
 EXIT_IO = 2
 EXIT_CAPACITY = 3
 EXIT_COMPAT = 4
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """Builder and hyperparameters of one model kind.
+
+    ``build(source, lam)`` gets the train matrix, or its SVD embeddings for
+    kinds that read ``embedding_dim``. Builders look their solver up at
+    call time, so a solver wrapped after import is the one that runs.
+    """
+
+    build: Callable[..., SimilarityMatrix]
+    uses_lambda: bool = True
+    uses_embedding_dim: bool = False
+
+
+KINDS = {
+    "ridge": ModelKind(lambda X, lam: ridge(X, RidgeConfig(lam, "auto"))),
+    "ease": ModelKind(lambda X, lam: ease(X, lam).B),
+    "zca": ModelKind(lambda X, lam: zca_similarity(X, lam)),
+    "embed_dot": ModelKind(lambda e, lam: embedding_mod.embed_dot(e),
+                           uses_lambda=False, uses_embedding_dim=True),
+    "embed_ridge": ModelKind(lambda e, lam: embedding_mod.embed_ridge(e, lam),
+                             uses_embedding_dim=True),
+    "embed_ease": ModelKind(lambda e, lam: embedding_mod.embed_ease(e, lam),
+                            uses_embedding_dim=True),
+}
 
 
 @dataclass
@@ -78,7 +95,7 @@ class PipelineConfig:
     embedding_dim: int | None = None
     cutoffs: tuple[int, ...] = (20, 50, 100)
     output_dir: str = "out"
-    threads: int = 1
+    threads: int = 1  # accepted and ignored; BLAS threads follow OPENBLAS_NUM_THREADS
     gram_byte_cap: int | None = None
 
     def split_spec(self) -> SplitSpec:
@@ -92,19 +109,16 @@ class PipelineConfig:
         )
 
     def validate(self) -> None:
-        if self.kind not in SIMILARITY_KINDS:
-            raise ConfigError(
-                f"unknown kind {self.kind!r}; choose one of {', '.join(SIMILARITY_KINDS)}"
-            )
-        needs_lambda = self.kind != "embed_dot"
-        if needs_lambda and self.lam <= 0.0:
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ConfigError(f"unknown kind {self.kind!r}; choose one of {', '.join(KINDS)}")
+        if kind.uses_lambda and self.lam <= 0.0:
             raise ConfigError(f"kind {self.kind!r} needs lambda > 0, got {self.lam}")
-        is_embed = self.kind.startswith("embed_")
-        if is_embed and self.embedding_dim is None:
+        if kind.uses_embedding_dim and self.embedding_dim is None:
             raise ConfigError(f"kind {self.kind!r} requires embedding_dim")
-        if not is_embed and self.embedding_dim is not None:
+        if not kind.uses_embedding_dim and self.embedding_dim is not None:
             raise ConfigError(f"embedding_dim is only valid for embed_* kinds, not {self.kind!r}")
-        if is_embed and self.embedding_dim is not None and self.embedding_dim < 1:
+        if kind.uses_embedding_dim and self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if not 0.0 < self.heldout_user_fraction < 1.0:
             raise ConfigError("heldout_user_fraction must be in (0, 1)")
@@ -112,8 +126,6 @@ class PipelineConfig:
             raise ConfigError("foldin_fraction must be in (0, 1)")
         if not self.cutoffs or any(r < 1 for r in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive, got {list(self.cutoffs)}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.data_format not in ("csv", "tsv"):
             raise ConfigError(f"data_format must be csv or tsv, got {self.data_format!r}")
 
@@ -177,66 +189,35 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             overrides[name] = value
     if overrides:
         config = replace(config, **overrides)
-    if config.gram_byte_cap is not None:
-        linalg.GRAM_BYTE_CAP = config.gram_byte_cap
     return config
 
 
 # ---------------------------------------------------------------------------
-# Model persistence (versioned little-endian binary).
+# Model persistence: header (kind, dim, lambda, embedding_dim), dim x dim
+# values, item vocabulary. Lambda is NaN and embedding_dim 0 when unused.
 # ---------------------------------------------------------------------------
 
+MODEL_FILE = artifact.Layout(b"WREC-SIM", 1, "sIdI", lambda header: (header[1], header[1]))
+
+
 def save_model(sim: SimilarityMatrix, item_ids: list[str], path: str | Path) -> None:
-    """Write magic, version, kind, dim, lambda, embedding_dim, values, vocab."""
-    if sim.kind not in SIMILARITY_KINDS:
+    """Write a model file (see artifact for the shared layout)."""
+    if sim.kind not in KINDS:
         raise ValueError(f"cannot persist similarity of kind {sim.kind!r}")
-    if len(item_ids) != sim.dim:
-        raise ValueError(f"vocabulary has {len(item_ids)} entries for dim {sim.dim}")
-    lam = sim.config.get("lambda", sim.config.get("eps"))
-    embedding_dim = sim.config.get("embedding_dim", 0) or 0
-    kind_raw = sim.kind.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(struct.pack("<I", len(kind_raw)))
-        fh.write(kind_raw)
-        fh.write(struct.pack("<I", sim.dim))
-        fh.write(struct.pack("<d", math.nan if lam is None else float(lam)))
-        fh.write(struct.pack("<I", int(embedding_dim)))
-        fh.write(np.ascontiguousarray(sim.values, dtype="<f8").tobytes())
-        for item in item_ids:
-            raw = item.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    header = (sim.kind, sim.dim, float(sim.config.get("lambda", math.nan)),
+              int(sim.config.get("embedding_dim") or 0))
+    MODEL_FILE.write(path, header, sim.values, item_ids)
 
 
 def load_model(path: str | Path) -> tuple[SimilarityMatrix, list[str]]:
     """Inverse of save_model; bit-exact on the matrix payload."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MODEL_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        (version,) = struct.unpack("<I", embedding_mod._read_exact(fh, 4, path))
-        if version != MODEL_VERSION:
-            raise ParseError(f"{path}: unsupported version {version}")
-        (kind_len,) = struct.unpack("<I", embedding_mod._read_exact(fh, 4, path))
-        kind = embedding_mod._read_exact(fh, kind_len, path).decode("utf-8")
-        if kind not in SIMILARITY_KINDS:
-            raise ParseError(f"{path}: unknown model kind {kind!r}")
-        (dim,) = struct.unpack("<I", embedding_mod._read_exact(fh, 4, path))
-        (lam,) = struct.unpack("<d", embedding_mod._read_exact(fh, 8, path))
-        (embedding_dim,) = struct.unpack("<I", embedding_mod._read_exact(fh, 4, path))
-        payload = embedding_mod._read_exact(fh, dim * dim * 8, path)
-        values = np.frombuffer(payload, dtype="<f8").reshape(dim, dim).copy()
-        item_ids = []
-        for _ in range(dim):
-            (length,) = struct.unpack("<I", embedding_mod._read_exact(fh, 4, path))
-            item_ids.append(embedding_mod._read_exact(fh, length, path).decode("utf-8"))
+    (kind, _, lam, embedding_dim), values, item_ids = MODEL_FILE.read(path)
+    if kind not in KINDS:
+        raise ParseError(f"{path}: unknown model kind {kind!r}")
     config = {}
-    if not math.isnan(lam):
-        config["eps" if kind == "zca" else "lambda"] = lam
-    if embedding_dim:
+    if KINDS[kind].uses_lambda:
+        config["lambda"] = lam
+    if KINDS[kind].uses_embedding_dim:
         config["embedding_dim"] = embedding_dim
     return SimilarityMatrix(values, kind, config), item_ids
 
@@ -282,13 +263,9 @@ def cmd_preprocess(config: PipelineConfig) -> int:
 
 def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
     """Build the configured similarity kind from a training matrix."""
-    kind = config.kind
-    if kind == "ridge":
-        return ridge(train, RidgeConfig(config.lam, "auto"))
-    if kind == "ease":
-        return ease(train, config.lam).B
-    if kind == "zca":
-        return zca_similarity(train, config.lam)
+    kind = KINDS[config.kind]
+    if not kind.uses_embedding_dim:
+        return kind.build(train, config.lam)
     # Embedding kinds share the factorization step.
     d = min(train.n_items - 1, config.embedding_dim) if train.n_items > 1 else 1
     d = min(d, train.n_users)
@@ -296,11 +273,7 @@ def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
     embedding_mod.save_embeddings(
         emb, train.item_ids, Path(config.output_dir) / "embeddings.bin"
     )
-    if kind == "embed_dot":
-        return embedding_mod.embed_dot(emb)
-    if kind == "embed_ridge":
-        return embedding_mod.embed_ridge(emb, config.lam)
-    return embedding_mod.embed_ease(emb, config.lam)
+    return kind.build(emb, config.lam)
 
 
 def cmd_train(config: PipelineConfig) -> int:
@@ -331,7 +304,7 @@ def cmd_evaluate(config: PipelineConfig, model_path: str | Path,
             f"model vocabulary ({len(model_items)} items) does not match the "
             f"{split_name} split ({heldout.n_items} items)"
         )
-    report = evaluate(heldout, sim, list(config.cutoffs), threads=config.threads)
+    report = evaluate(heldout, sim, list(config.cutoffs))
     report_path = outdir / f"eval_{split_name}_{sim.kind}.json"
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     export_per_user_csv(report, heldout.foldin.user_ids,
@@ -355,35 +328,35 @@ def cmd_recommend(config: PipelineConfig, model_path: str | Path,
     item_index = {item: j for j, item in enumerate(item_ids)}
     raw = load_interactions(users_path, config.data_format)
 
-    foldins: dict[str, list[int]] = {}
+    # Fold-in rows in order of each user's first known item; users whose
+    # items are all unknown get no row and no recommendations.
+    user_index: dict[str, int] = {}
+    rows, cols = [], []
     unknown = 0
     for record in raw:
         j = item_index.get(record.item_id)
         if j is None:
             unknown += 1
             continue
-        foldins.setdefault(record.user_id, []).append(j)
+        rows.append(user_index.setdefault(record.user_id, len(user_index)))
+        cols.append(j)
     if unknown:
         print(f"warning: skipped {unknown} interactions with unknown item ids",
               file=sys.stderr)
+    foldin = InteractionMatrix.from_pairs(rows, cols, len(user_index), len(item_ids),
+                                          list(user_index), item_ids)
 
-    ranked = []
-    user_order = list(foldins)
-    for u, user in enumerate(user_order):
-        seen = np.unique(np.array(foldins[user], dtype=np.int64))
-        if seen.size == 0:
-            ranked.append(RankedList(user=u, entries=[]))
-            continue
-        scores = score_user(seen, sim)
-        ranked.append(RankedList(user=u, entries=top_n(scores, seen, n)))
-    empty = sum(1 for rl in ranked if not rl.entries)
+    ranked = batch_recommend(foldin, sim, n)
+    all_unknown = len({record.user_id for record in raw}) - len(user_index)
+    empty = sum(1 for rl in ranked if not rl.entries) + all_unknown
     if empty:
-        print(f"warning: {empty} users have no recommendations", file=sys.stderr)
+        print(f"warning: {empty} users have no recommendations "
+              f"({all_unknown} with only unknown item ids)", file=sys.stderr)
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "recommendations.csv"
-    export_ranked_csv(ranked, user_order, item_ids, out_path)
+    export_ranked_csv(ranked, foldin.user_ids, item_ids, out_path)
     print(f"wrote {sum(len(rl.entries) for rl in ranked)} rows -> {out_path}")
     return EXIT_OK
 
@@ -401,14 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--kind", choices=SIMILARITY_KINDS, help="similarity model kind")
+        p.add_argument("--kind", choices=tuple(KINDS), help="similarity model kind")
         p.add_argument("--lambda", dest="lam", type=float,
                        help="regularization weight (also the whitening shift)")
         p.add_argument("--embedding-dim", dest="embedding_dim", type=int)
         p.add_argument("--cutoffs", type=_parse_cutoffs,
                        help="comma-separated ranking cutoffs, e.g. 20,50,100")
         p.add_argument("--seed", type=int, help="seed for every random choice")
-        p.add_argument("--threads", type=int, help="worker thread cap")
+        p.add_argument("--threads", type=int,
+                       help="accepted and ignored; BLAS threads follow OPENBLAS_NUM_THREADS")
         p.add_argument("--output", help="artifact directory")
 
     p = sub.add_parser("preprocess", help="filter raw data and write splits")
@@ -439,9 +413,12 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    default_cap = linalg.GRAM_BYTE_CAP
     try:
         config = resolve_config(args)
         config.validate()
+        if config.gram_byte_cap is not None:
+            linalg.GRAM_BYTE_CAP = config.gram_byte_cap
         if args.command == "preprocess":
             return cmd_preprocess(config)
         if args.command == "train":
@@ -461,6 +438,8 @@ def main(argv=None) -> int:
     except (WhiterecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERIC
+    finally:
+        linalg.GRAM_BYTE_CAP = default_cap
 
 
 if __name__ == "__main__":

@@ -10,20 +10,15 @@ variant has no such shortcut and goes through the |I| x |I| inverse.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import artifact, linalg
 from .autoencoder import SimilarityMatrix, _ease_from_gram, _shifted
-from .errors import ParseError
 from .ingest import InteractionMatrix
-
-EMBED_MAGIC = b"WREC-EMB"
-EMBED_VERSION = 1
 
 
 @dataclass
@@ -87,6 +82,7 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
 
 def embed_dot(e: EmbeddingMatrix) -> SimilarityMatrix:
     """Plain inner-product similarity E^T E, the no-whitening baseline."""
+    linalg.check_capacity(e.n_items, e.n_items, "item similarity matrix")
     b = linalg.symmetrize(e.values.T @ e.values)
     return SimilarityMatrix(b, "embed_dot", {"embedding_dim": e.dim})
 
@@ -99,6 +95,7 @@ def embed_ridge(e: EmbeddingMatrix, lam: float, center: bool = False) -> Similar
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
+    linalg.check_capacity(e.n_items, e.n_items, "item similarity matrix")
     v = _maybe_center(e.values, center)
     k = linalg.symmetrize(v @ v.T)
     m = linalg.spd_solve(_shifted(k, lam), v)
@@ -115,7 +112,7 @@ def embed_ease(e: EmbeddingMatrix, lam: float, center: bool = False) -> Similari
     if lam <= 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
     v = _maybe_center(e.values, center)
-    linalg.check_capacity(v.shape[1], "embedding-side Gram matrix")
+    linalg.check_capacity(v.shape[1], v.shape[1], "embedding-side Gram matrix")
     g = linalg.symmetrize(v.T @ v)
     sol = _ease_from_gram(g, lam)
     return SimilarityMatrix(sol.B.values, "embed_ease",
@@ -129,46 +126,18 @@ def _maybe_center(values: np.ndarray, center: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: versioned little-endian binary with the item vocabulary.
+# Persistence: header (D, |I|), D x |I| values, item vocabulary.
 # ---------------------------------------------------------------------------
 
+EMBEDDING_FILE = artifact.Layout(b"WREC-EMB", 1, "II", lambda header: header)
+
+
 def save_embeddings(e: EmbeddingMatrix, item_ids: list[str], path: str | Path) -> None:
-    """Write header (magic, version, D, |I|), row-major f64 values, vocab."""
-    if len(item_ids) != e.n_items:
-        raise ValueError(
-            f"vocabulary has {len(item_ids)} entries for {e.n_items} items"
-        )
-    with open(path, "wb") as fh:
-        fh.write(EMBED_MAGIC)
-        fh.write(struct.pack("<III", EMBED_VERSION, e.dim, e.n_items))
-        fh.write(np.ascontiguousarray(e.values, dtype="<f8").tobytes())
-        for item in item_ids:
-            raw = item.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    """Write an embedding file (see artifact for the shared layout)."""
+    EMBEDDING_FILE.write(path, (e.dim, e.n_items), e.values, item_ids)
 
 
 def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
     """Read a file written by save_embeddings; singular values are not stored."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != EMBED_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}, expected {EMBED_MAGIC!r}")
-        version, d, n_items = struct.unpack("<III", _read_exact(fh, 12, path))
-        if version != EMBED_VERSION:
-            raise ParseError(f"{path}: unsupported version {version}")
-        payload = _read_exact(fh, d * n_items * 8, path)
-        values = np.frombuffer(payload, dtype="<f8").reshape(d, n_items).copy()
-        item_ids = []
-        for _ in range(n_items):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            item_ids.append(_read_exact(fh, length, path).decode("utf-8"))
+    _, values, item_ids = EMBEDDING_FILE.read(path)
     return EmbeddingMatrix(values=values, singular_values=None), item_ids
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ParseError(f"{path}: truncated file (wanted {n} bytes, got {len(data)})")
-    return data

@@ -83,8 +83,7 @@ def _target_set(targets) -> set[int]:
     return target_set
 
 
-def evaluate(H: HeldOutSet, B: SimilarityMatrix, cutoffs: list[int],
-             threads: int = 1) -> EvalReport:
+def evaluate(H: HeldOutSet, B: SimilarityMatrix, cutoffs: list[int]) -> EvalReport:
     """Rank once at the largest cutoff, then score every (metric, R) pair.
 
     Users with empty target sets are excluded from the averages and
@@ -94,7 +93,7 @@ def evaluate(H: HeldOutSet, B: SimilarityMatrix, cutoffs: list[int],
         raise ValueError("cutoffs must be non-empty")
     if any(r < 1 for r in cutoffs):
         raise ValueError(f"cutoffs must all be >= 1, got {cutoffs}")
-    ranked = batch_recommend(H, B, max(cutoffs), threads=threads)
+    ranked = batch_recommend(H.foldin, B, max(cutoffs))
 
     evaluable = [u for u in range(H.n_users) if len(H.target_items(u)) > 0]
     excluded = H.n_users - len(evaluable)

@@ -17,6 +17,7 @@ so models and splits can be checked for compatibility later.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,7 +195,8 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> list[RawInteraction
 
     Expected columns: user, item[, rating[, timestamp]]. A header line is
     optional and detected by name. Raises ParseError with the offending
-    line number on malformed rows and EmptyDatasetError on empty input.
+    line number on malformed rows or non-finite ratings and
+    EmptyDatasetError on empty input.
     """
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"format must be 'csv' or 'tsv', got {fmt!r}")
@@ -221,6 +223,8 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> list[RawInteraction
             try:
                 if len(fields) >= 3 and fields[2] != "":
                     rating = float(fields[2])
+                    if not math.isfinite(rating):
+                        raise ValueError(f"rating {fields[2]!r} is not finite")
                 if len(fields) == 4 and fields[3] != "":
                     timestamp = int(fields[3])
             except ValueError as exc:

@@ -14,9 +14,10 @@ import scipy.linalg
 
 from .errors import CapacityError, NotSPDError, NumericalError, SingularMatrixError
 
-# Dense Gram matrices larger than this many bytes are refused. The user-side
-# Gram is |U| x |U| and real datasets have |U| >> |I|, so this cap is what
-# keeps an accidental dual-form call from exhausting memory.
+# Dense arrays (Gram matrices, densified interactions, similarity matrices)
+# larger than this many bytes are refused. The user-side Gram is |U| x |U|
+# and real datasets have |U| >> |I|, so this cap is what keeps an accidental
+# dual-form call from exhausting memory.
 GRAM_BYTE_CAP: int = 1 << 30
 
 # Eigenvalues below RANK_RTOL * largest are treated as zero rank.
@@ -25,12 +26,12 @@ RANK_RTOL = 1e-10
 _SIGN_TOL = 1e-12
 
 
-def check_capacity(dim: int, what: str = "Gram matrix") -> None:
-    """Raise CapacityError if a dense dim x dim float64 array exceeds the cap."""
-    needed = dim * dim * 8
+def check_capacity(rows: int, cols: int, what: str = "Gram matrix") -> None:
+    """Raise CapacityError if a dense rows x cols float64 array exceeds the cap."""
+    needed = rows * cols * 8
     if needed > GRAM_BYTE_CAP:
         raise CapacityError(
-            f"{what} of dimension {dim} needs {needed} bytes, "
+            f"{what} of shape {rows}x{cols} needs {needed} bytes, "
             f"exceeding the cap of {GRAM_BYTE_CAP} bytes"
         )
 
@@ -73,7 +74,7 @@ def gram(X, side: str = "items") -> np.ndarray:
         raise ValueError(f"side must be 'items' or 'users', got {side!r}")
     m = X.matrix
     dim = m.shape[1] if side == "items" else m.shape[0]
-    check_capacity(dim, f"{side}-side Gram matrix")
+    check_capacity(dim, dim, f"{side}-side Gram matrix")
     g = (m.T @ m) if side == "items" else (m @ m.T)
     out = np.asarray(g.todense(), dtype=np.float64)
     # Sums of 0/1 products are exact integers, so out is already symmetric.
@@ -85,6 +86,8 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError("matrix is empty (shape 0x0)")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(a).max())):

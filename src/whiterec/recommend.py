@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autoencoder import SimilarityMatrix
-from .ingest import HeldOutSet
+from .ingest import InteractionMatrix
 
 
 @dataclass
@@ -56,28 +55,18 @@ def top_n(scores: np.ndarray, seen: np.ndarray, n: int) -> list[tuple[int, float
     return [(int(i), float(scores[i])) for i in picked]
 
 
-def batch_recommend(H: HeldOutSet, B: SimilarityMatrix, n: int,
-                    threads: int = 1) -> list[RankedList]:
-    """Ranked lists for every held-out user, in the set's user order.
-
-    B is shared read-only across workers; results are gathered in input
-    order so the output is deterministic regardless of thread count.
-    """
-    if H.n_items != B.dim:
+def batch_recommend(foldin: InteractionMatrix, B: SimilarityMatrix,
+                    n: int) -> list[RankedList]:
+    """Ranked lists for every fold-in user, in the matrix's row order."""
+    if foldin.n_items != B.dim:
         raise ValueError(
-            f"held-out set has {H.n_items} items but the model covers {B.dim}"
+            f"fold-in matrix has {foldin.n_items} items but the model covers {B.dim}"
         )
-
-    def recommend_one(u: int) -> RankedList:
-        seen = H.foldin.row_items(u)
-        scores = score_user(seen, B)
-        return RankedList(user=u, entries=top_n(scores, seen, n))
-
-    users = range(H.n_users)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(recommend_one, users))
-    return [recommend_one(u) for u in users]
+    ranked = []
+    for u in range(foldin.n_users):
+        seen = foldin.row_items(u)
+        ranked.append(RankedList(user=u, entries=top_n(score_user(seen, B), seen, n)))
+    return ranked
 
 
 def export_ranked_csv(ranked: list[RankedList], user_ids: list[str],

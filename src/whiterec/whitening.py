@@ -90,9 +90,11 @@ def zca_similarity(X: InteractionMatrix, eps: float) -> SimilarityMatrix:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0 for interaction data, got {eps}")
-    linalg.check_capacity(X.n_users, "user-side covariance")
+    linalg.check_capacity(X.n_users, X.n_users, "user-side covariance")
+    linalg.check_capacity(X.n_users, X.n_items, "dense (and whitened) interaction matrix")
+    linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")
     dense = X.toarray()
     t = fit_zca(dense, eps)
     w = whiten(t, dense)
     b = linalg.symmetrize(w.T @ w)
-    return SimilarityMatrix(b, "zca", {"eps": eps})
+    return SimilarityMatrix(b, "zca", {"lambda": eps})

@@ -127,7 +127,7 @@ def test_criterion_05_ease_decomposition():
         p_hat = np.linalg.inv(g + lam * np.eye(n_i))
         alpha = 1.0 / np.diag(p_hat) - lam
         assert fro(sol.B.values - (b_zca - p_hat * alpha[np.newaxis, :])) <= 1e-10
-        whitening_term, diagonal_term = ease_decompose(sol, X, lam)
+        whitening_term, diagonal_term = ease_decompose(sol)
         assert fro(sol.B.values - (whitening_term.values - diagonal_term)) <= 1e-10
 
 

@@ -103,6 +103,14 @@ class TestRidgeDual:
             ridge_dual(X, RidgeConfig(1.0))
         ridge_primal(X, RidgeConfig(1.0))  # item Gram is 3x3, still fine
 
+    def test_capacity_error_on_dense_interactions(self, rng, monkeypatch):
+        # The 4x4 user Gram fits in 128 bytes; the dense 4x50 X and the
+        # 50x50 result do not.
+        X = random_interactions(rng, 4, 50)
+        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 128)
+        with pytest.raises(CapacityError):
+            ridge(X, RidgeConfig(1.0, "auto"))
+
 
 class TestRidgeDispatch:
     def test_auto_picks_smaller_gram(self, rng):
@@ -189,7 +197,7 @@ class TestEaseDecompose:
     def test_identity_data(self):
         X = InteractionMatrix.from_dense(np.eye(2))
         sol = ease(X, 1.0)
-        w, d = ease_decompose(sol, X, 1.0)
+        w, d = ease_decompose(sol)
         np.testing.assert_allclose(w.values, 0.5 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(d, 0.5 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(w.values - d, np.zeros((2, 2)), atol=1e-14)
@@ -199,7 +207,7 @@ class TestEaseDecompose:
         # is P diagMat(alpha) = (1/12)[[4,-2],[-2,4]] with alpha = 1.
         X = InteractionMatrix.from_dense([[1, 1], [1, 1]])
         sol = ease(X, 2.0)
-        w, d = ease_decompose(sol, X, 2.0)
+        w, d = ease_decompose(sol)
         np.testing.assert_allclose(w.values, np.full((2, 2), 1.0 / 3.0), atol=1e-12)
         np.testing.assert_allclose(d, [[1.0 / 3.0, -1.0 / 6.0],
                                        [-1.0 / 6.0, 1.0 / 3.0]], atol=1e-12)
@@ -208,14 +216,14 @@ class TestEaseDecompose:
         X = random_interactions(rng, 8, 5)
         lam = 1.7
         sol = ease(X, lam)
-        w, d = ease_decompose(sol, X, lam)
+        w, d = ease_decompose(sol)
         assert fro(sol.B.values - (w.values - d)) < 1e-10
 
     def test_whitening_term_is_ridge_solution(self, rng):
         X = random_interactions(rng, 9, 4)
         lam = 0.9
         sol = ease(X, lam)
-        w, _ = ease_decompose(sol, X, lam)
+        w, _ = ease_decompose(sol)
         b = ridge_primal(X, RidgeConfig(lam)).values
         assert fro(w.values - b) < 1e-12
 

@@ -11,6 +11,7 @@ from whiterec.cli import (
     EXIT_GENERIC,
     EXIT_IO,
     EXIT_OK,
+    KINDS,
     PipelineConfig,
     cmd_evaluate,
     cmd_preprocess,
@@ -188,7 +189,7 @@ class TestPreprocessCommand:
 
 
 class TestTrainCommand:
-    @pytest.mark.parametrize("kind", ["ridge", "ease", "zca"])
+    @pytest.mark.parametrize("kind", [k for k in KINDS if not KINDS[k].uses_embedding_dim])
     def test_plain_kinds(self, pipeline, kind):
         tmp_path, config = pipeline
         config = base_config(tmp_path, kind=kind)
@@ -197,7 +198,7 @@ class TestTrainCommand:
         assert sim.kind == kind
         assert len(items) == sim.dim
 
-    @pytest.mark.parametrize("kind", ["embed_dot", "embed_ridge", "embed_ease"])
+    @pytest.mark.parametrize("kind", [k for k in KINDS if KINDS[k].uses_embedding_dim])
     def test_embed_kinds(self, pipeline, kind):
         tmp_path, config = pipeline
         config = base_config(tmp_path, kind=kind, embedding_dim=4)
@@ -236,6 +237,21 @@ class TestTrainCommand:
         assert main(["preprocess", "--config", str(cfg_file)]) == EXIT_OK
         code = main(["train", "--config", str(cfg_file), "--kind", "ridge"])
         assert code == EXIT_CAPACITY
+
+    def test_byte_cap_restored_after_main(self, tmp_path):
+        write_dataset(tmp_path / "data.csv")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"data_path = {tmp_path / 'data.csv'}\n"
+            f"output = {tmp_path / 'out'}\n"
+            "min_user_interactions = 2\n"
+            "heldout_user_fraction = 0.2\n"
+            "foldin_fraction = 0.5\n"
+            "gram_byte_cap = 64\n"
+        )
+        assert main(["preprocess", "--config", str(cfg_file)]) == EXIT_OK
+        assert main(["train", "--config", str(cfg_file), "--kind", "ridge"]) == EXIT_CAPACITY
+        assert linalg.GRAM_BYTE_CAP == 1 << 30
 
     def test_ridge_equals_zca_end_to_end(self, pipeline):
         tmp_path, _ = pipeline
@@ -349,6 +365,16 @@ class TestRecommendCommand:
         assert "2" in err and "unknown" in err
         lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
         assert len(lines) == 2  # header + alice only; bob had nothing usable
+
+    def test_users_with_only_unknown_items_counted(self, tmp_path, capsys):
+        model = self.make_model(tmp_path)
+        users = tmp_path / "users.csv"
+        users.write_text("bob,mystery\nalice,item0\ncarol,enigma\ncarol,mystery\n")
+        assert cmd_recommend(base_config(tmp_path), model, users, 1) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "2 users have no recommendations (2 with only unknown item ids)" in err
+        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
+        assert lines[1:] == ["alice,1,item1,1.0"]
 
     def test_topn_zero_is_usage_error(self, tmp_path):
         model = self.make_model(tmp_path)

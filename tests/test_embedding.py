@@ -211,6 +211,16 @@ class TestEmbedEase:
             embed_ease(e, 1.0)
 
 
+class TestItemSimilarityCapacity:
+    @pytest.mark.parametrize("build", [embed_dot, lambda e: embed_ridge(e, 1.0)],
+                             ids=["embed_dot", "embed_ridge"])
+    def test_capacity_error_on_item_similarity(self, rng, monkeypatch, build):
+        from whiterec.errors import CapacityError
+        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 128)
+        with pytest.raises(CapacityError):
+            build(EmbeddingMatrix(rng.normal(size=(2, 50))))
+
+
 class TestSpectrumProperty:
     def test_embed_dot_spectrum_matches_gram_sqrt(self, rng):
         X = random_interactions(rng, 9, 5)

@@ -56,6 +56,15 @@ class TestLoadInteractions:
         with pytest.raises(ParseError, match="line 1"):
             load_interactions(p)
 
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_rating_rejected(self, tmp_path, rating):
+        # nan < 4 is False, so a non-finite rating would pass the threshold
+        # and be kept as a positive interaction.
+        p = tmp_path / "bad.csv"
+        p.write_text(f"u1,i1,5\nu1,i2,{rating}\n")
+        with pytest.raises(ParseError, match="line 2.*not finite"):
+            load_interactions(p)
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("u1,i1,5,100,extra\n")

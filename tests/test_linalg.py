@@ -60,6 +60,10 @@ class TestGram:
 
 
 class TestEigh:
+    def test_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty"):
+            linalg.eigh(np.zeros((0, 0)))
+
     def test_diagonal_input(self):
         eig = linalg.eigh(np.diag([2.0, 1.0]))
         np.testing.assert_allclose(eig.eigenvalues, [2.0, 1.0])

@@ -91,13 +91,13 @@ class TestTopN:
 class TestBatchRecommend:
     def test_identity_recommends_unseen(self):
         H = heldout([[0]], [[1]], 2)
-        ranked = batch_recommend(H, sim(np.eye(2)), 1)
+        ranked = batch_recommend(H.foldin, sim(np.eye(2)), 1)
         assert ranked[0].items() == [1]
 
     def test_identical_users_identical_lists(self, rng):
         b = sim(rng.normal(size=(6, 6)))
         H = heldout([[0, 2], [0, 2]], [[1], [3]], 6)
-        ranked = batch_recommend(H, b, 3)
+        ranked = batch_recommend(H.foldin, b, 3)
         assert ranked[0].entries == ranked[1].entries
 
     def test_matches_naive_oracle(self, rng):
@@ -110,7 +110,7 @@ class TestBatchRecommend:
             if set(f) & set(t):
                 t[0] = (t[0] + 1) % n_items
         H = heldout(folds, targets, n_items)
-        ranked = batch_recommend(H, b, 4)
+        ranked = batch_recommend(H.foldin, b, 4)
         for u, fold in enumerate(folds):
             dense = np.zeros(n_items)
             dense[fold] = 1.0
@@ -124,28 +124,19 @@ class TestBatchRecommend:
         folds = [[0, 1, 2], [3, 4], [5]]
         targs = [[9], [9], [9]]
         H = heldout(folds, targs, 10)
-        for rl, fold in zip(batch_recommend(H, b, 10), folds):
+        for rl, fold in zip(batch_recommend(H.foldin, b, 10), folds):
             assert not set(rl.items()) & set(fold)
-
-    def test_threaded_matches_serial(self, rng):
-        b = sim(rng.normal(size=(9, 9)))
-        folds = [[i % 9, (i + 1) % 9] for i in range(6)]
-        targs = [[(i + 4) % 9] for i in range(6)]
-        H = heldout(folds, targs, 9)
-        serial = batch_recommend(H, b, 5, threads=1)
-        threaded = batch_recommend(H, b, 5, threads=4)
-        assert [rl.entries for rl in serial] == [rl.entries for rl in threaded]
 
     def test_dimension_mismatch(self, rng):
         H = heldout([[0]], [[1]], 2)
         with pytest.raises(ValueError):
-            batch_recommend(H, sim(np.eye(3)), 1)
+            batch_recommend(H.foldin, sim(np.eye(3)), 1)
 
 
 class TestExport:
     def test_csv_contents(self, tmp_path):
         H = heldout([[0]], [[1]], 2)
-        ranked = batch_recommend(H, sim([[0, 1], [1, 0]]), 1)
+        ranked = batch_recommend(H.foldin, sim([[0, 1], [1, 0]]), 1)
         path = tmp_path / "recs.csv"
         export_ranked_csv(ranked, ["alice"], ["apple", "pear"], path)
         lines = path.read_text().strip().splitlines()

@@ -137,3 +137,9 @@ class TestZcaSimilarity:
         monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 10 * 10 * 8 - 1)
         with pytest.raises(CapacityError):
             zca_similarity(X, 1.0)
+
+    def test_capacity_error_on_dense_interactions(self, rng, monkeypatch):
+        X = random_interactions(rng, 4, 50)
+        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 128)
+        with pytest.raises(CapacityError):
+            zca_similarity(X, 1.0)
