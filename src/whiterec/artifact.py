@@ -7,20 +7,40 @@ entry per payload column. Header fields are struct codes ("I", "d") or
 
 Reading rejects what no writer produces: wrong magic or version,
 truncation, trailing bytes, non-finite payload values, undecodable text.
-Writing goes through a temporary file and ``os.replace``.
+Writing goes through :func:`atomic_open`, which every whiterec file writer
+uses: a reader sees the old file or the complete new one, never a part.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, IO
 
 import numpy as np
 
 from .errors import ParseError
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open ``<path>.tmp`` for writing and ``os.replace`` it onto ``path`` on success.
+
+    If the body raises, the temporary file is removed and ``path`` keeps
+    its previous contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -40,13 +60,10 @@ class Layout:
         parts = [self.magic, struct.pack("<I", self.version)]
         for code, value in zip(self.fields, header):
             parts.append(_text(value) if code == "s" else struct.pack("<" + code, value))
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(b"".join(parts))
             fh.write(np.ascontiguousarray(values, dtype="<f8").data)
             fh.write(b"".join(_text(item) for item in vocab))
-        os.replace(tmp, path)
 
     def read(self, path: str | Path) -> tuple[tuple, np.ndarray, list[str]]:
         """Return (header, values, vocab), copying the payload out once."""

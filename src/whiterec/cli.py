@@ -253,9 +253,8 @@ def cmd_preprocess(config: PipelineConfig) -> int:
         },
         "rng_seed": config.rng_seed,
     }
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with artifact.atomic_open(outdir / "summary.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote split to {outdir} "
           f"(train {train.n_users}x{train.n_items}, nnz {train.nnz})")
     return EXIT_OK
@@ -306,7 +305,8 @@ def cmd_evaluate(config: PipelineConfig, model_path: str | Path,
         )
     report = evaluate(heldout, sim, list(config.cutoffs))
     report_path = outdir / f"eval_{split_name}_{sim.kind}.json"
-    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    with artifact.atomic_open(report_path, encoding="utf-8") as fh:
+        fh.write(report.to_json() + "\n")
     export_per_user_csv(report, heldout.foldin.user_ids,
                         outdir / f"eval_{split_name}_{sim.kind}_per_user.csv")
     print(f"{'metric':<8}{'R':>6}{'mean':>12}")

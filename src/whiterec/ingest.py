@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .artifact import atomic_open
 from .errors import EmptyDatasetError, ParseError, SplitError
 
 _HEADER_NAMES = {
@@ -428,7 +429,8 @@ def write_triplets(m: InteractionMatrix, path: str | Path) -> None:
     order = np.lexsort((coo.col, coo.row))
     for u, i in zip(coo.row[order], coo.col[order]):
         lines.append(f"{u} {i}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> InteractionMatrix:
@@ -455,7 +457,8 @@ def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> Interaction
 
 
 def _write_lines(path: Path, lines) -> None:
-    path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write("".join(f"{x}\n" for x in lines))
 
 
 def _read_lines(path: Path) -> list[str]:

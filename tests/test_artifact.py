@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from whiterec.artifact import Layout
+from whiterec.artifact import Layout, atomic_open
 from whiterec.cli import EXIT_IO, EXIT_OK, PipelineConfig, cmd_preprocess, cmd_train, main
 from whiterec.embedding import load_embeddings
 from whiterec.errors import ParseError
@@ -115,3 +115,15 @@ def test_corrupt_embeddings_rejected(trained, data):
     bad.write_bytes(corrupt(good, n_values, vocab, how))
     with pytest.raises(ParseError):
         load_embeddings(bad)
+
+
+def test_atomic_open_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, encoding="utf-8") as fh:
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

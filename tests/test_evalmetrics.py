@@ -12,9 +12,10 @@ from whiterec.evalmetrics import (
     ndcg_at_r,
     recall_at_r,
 )
+from whiterec import recommend
 from whiterec.recommend import RankedList
 
-from test_recommend import heldout, sim
+from test_recommend import heldout, naive_rank, sim
 
 
 def ranked(items):
@@ -167,6 +168,33 @@ class TestEvaluate:
             assert report.mean("recall", r) == pytest.approx(np.mean(recalls), abs=1e-12)
             assert report.mean("ndcg", r) == pytest.approx(np.mean(ndcgs), abs=1e-12)
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 1000])
+    def test_blocked_per_user_values_match_oracle(self, rng, monkeypatch, block_rows):
+        n_items = 11
+        values = np.round(rng.normal(size=(n_items, n_items)), 1)
+        folds, targs = [], []
+        for u in range(9):
+            items = rng.permutation(n_items)
+            folds.append(sorted(items[:u % 4 + 1].tolist()))
+            targs.append([] if u % 3 == 1 else sorted(items[5:5 + u % 5 + 1].tolist()))
+        H = heldout(folds, targs, n_items)
+        cutoffs = [1, 3, 8, 20]
+        monkeypatch.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * block_rows)
+        report = evaluate(H, sim(values), cutoffs)
+        evaluable = [u for u, t in enumerate(targs) if t]
+        assert report.evaluated_rows == evaluable
+        assert report.excluded_users == {"empty_targets": 3}
+        lists = naive_rank(folds, values, max(cutoffs))
+        for r in cutoffs:
+            for k, u in enumerate(evaluable):
+                items = [i for i, _ in lists[u]]
+                assert report.per_user[("recall", r)][k] == naive_recall(items, set(targs[u]), r)
+                assert report.per_user[("ndcg", r)][k] == pytest.approx(
+                    naive_ndcg(items, set(targs[u]), r), abs=1e-12)
+                rl = RankedList(u, lists[u])
+                assert report.per_user[("recall", r)][k] == recall_at_r(rl, targs[u], r)
+                assert report.per_user[("ndcg", r)][k] == ndcg_at_r(rl, targs[u], r)
+
     def test_values_in_unit_interval(self, rng):
         b = sim(rng.normal(size=(8, 8)))
         H = heldout([[0, 1], [2, 3]], [[4], [5, 6]], 8)
@@ -201,3 +229,14 @@ class TestEvaluate:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "user_id,metric,cutoff,value"
         assert len(lines) == 3  # header + (recall, ndcg) x 1 cutoff
+
+    def test_failed_per_user_export_keeps_previous_file(self, tmp_path):
+        H = heldout([[0], [1]], [[1], [2]], 3)
+        report = evaluate(H, sim(np.eye(3)), [1])
+        path = tmp_path / "per_user.csv"
+        export_per_user_csv(report, ["u0", "u1"], path)
+        before = path.read_bytes()
+        with pytest.raises(IndexError):
+            export_per_user_csv(report, ["u0"], path)  # no id for row 1
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["per_user.csv"]

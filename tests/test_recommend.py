@@ -1,11 +1,20 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whiterec import recommend
 from whiterec.autoencoder import SimilarityMatrix
 from whiterec.ingest import HeldOutSet, InteractionMatrix
-from whiterec.recommend import batch_recommend, export_ranked_csv, score_user, top_n
+from whiterec.recommend import (
+    RankedList,
+    batch_recommend,
+    export_ranked_csv,
+    score_user,
+    top_n,
+)
 
 
 def sim(values, kind="ridge"):
@@ -18,6 +27,24 @@ def heldout(foldin_rows, target_rows, n_items):
         ii = [i for items in rows for i in items]
         return InteractionMatrix.from_pairs(ui, ii, len(rows), n_items)
     return HeldOutSet(mat(foldin_rows), mat(target_rows))
+
+
+def naive_rank(foldin_rows, values, n):
+    """The reference ranking: scores summed row by row from zero, then
+    sorted(key=(-score, index)) over the unseen items, cut at n."""
+    n_items = values.shape[0]
+    lists = []
+    for row in foldin_rows:
+        scores = sum((values[j] for j in row), np.zeros(n_items))
+        unseen = [i for i in range(n_items) if i not in set(row)]
+        order = sorted(unseen, key=lambda i: (-scores[i], i))[:n]
+        lists.append([(i, float(scores[i])) for i in order])
+    return lists
+
+
+def as_text(entries):
+    """(item, repr(score)) pairs: compares signed zeros, which == does not."""
+    return [(i, repr(s)) for i, s in entries]
 
 
 class TestScoreUser:
@@ -132,6 +159,76 @@ class TestBatchRecommend:
         with pytest.raises(ValueError):
             batch_recommend(H.foldin, sim(np.eye(3)), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_rejected(self, bad):
+        values = np.eye(3)
+        values[1, 2] = bad
+        H = heldout([[0]], [[1]], 3)
+        with pytest.raises(ValueError, match="ease similarity matrix has non-finite"):
+            batch_recommend(H.foldin, sim(values, kind="ease"), 2)
+
+    def test_overflowing_scores_rejected(self):
+        values = np.full((3, 3), 1e308)
+        H = heldout([[0, 1]], [[2]], 3)
+        with pytest.raises(ValueError, match="finite"):
+            batch_recommend(H.foldin, sim(values), 1)
+
+    def test_returns_one_ranked_list_per_foldin_row(self, rng):
+        H = heldout([[0], [], [1, 2], [0, 1, 2, 3]], [[1], [2], [3], []], 4)
+        ranked = batch_recommend(H.foldin, sim(rng.normal(size=(4, 4))), 2)
+        assert isinstance(ranked, list) and len(ranked) == H.foldin.n_users
+        assert all(isinstance(rl, RankedList) for rl in ranked)
+        assert [rl.user for rl in ranked] == [0, 1, 2, 3]
+        assert [len(rl.entries) for rl in ranked] == [2, 2, 2, 0]
+
+    def test_tie_straddling_the_cut(self):
+        # Items 0, 2, 3 tie at 0.5 behind item 1; only the lowest indices make the cut.
+        values = np.zeros((5, 5))
+        values[4] = [0.5, 0.9, 0.5, 0.5, 0.0]
+        H = heldout([[4]], [[0]], 5)
+        for n, expected in ((1, [1]), (2, [1, 0]), (3, [1, 0, 2]), (4, [1, 0, 2, 3])):
+            assert batch_recommend(H.foldin, sim(values), n)[0].items() == expected
+
+    def test_tie_with_seen_item_straddling_the_cut(self):
+        values = np.zeros((4, 4))
+        values[1] = [0.5, 0.5, 0.5, 0.5]
+        H = heldout([[1]], [[0]], 4)
+        assert batch_recommend(H.foldin, sim(values), 2)[0].items() == [0, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 12),
+           n_users=st.integers(0, 9), n=st.integers(1, 15),
+           block_rows=st.integers(1, 4), block_diagonal=st.booleans())
+    def test_kernel_matches_naive_oracle(self, seed, n_items, n_users, n,
+                                         block_rows, block_diagonal):
+        gen = np.random.default_rng(seed)
+        values = np.round(gen.normal(size=(n_items, n_items)), 1)  # rounding forces ties
+        half = n_items // 2
+        if block_diagonal:
+            # Cross-block entries are signed zeros, as EASE produces for
+            # disconnected item groups; their summed scores must print as 0.0.
+            values[:half, half:] = -0.0
+            values[half:, :half] = -0.0
+        rows = []
+        for _ in range(n_users):
+            shape = gen.integers(4)
+            if shape == 0:
+                rows.append([])
+            elif shape == 1:
+                rows.append(list(range(n_items)))
+            else:
+                pool = half if shape == 2 and half else n_items
+                rows.append(np.flatnonzero(gen.random(pool) < 0.4).tolist())
+        foldin = heldout(rows, [[] for _ in rows], n_items).foldin
+        with pytest.MonkeyPatch.context() as mp:
+            # Blocks of block_rows users, so most cases span several blocks.
+            mp.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * block_rows)
+            ranked = batch_recommend(foldin, sim(values), n)
+        assert [rl.user for rl in ranked] == list(range(n_users))
+        for rl, row, expected in zip(ranked, rows, naive_rank(rows, values, n)):
+            assert as_text(rl.entries) == as_text(expected)
+            assert len(rl.entries) == min(n, n_items - len(row))
+
 
 class TestExport:
     def test_csv_contents(self, tmp_path):
@@ -142,3 +239,38 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "user_id,rank,item_id,score"
         assert lines[1] == "alice,1,pear,1.0"
+
+    def test_bytes_match_csv_writer(self, tmp_path, rng):
+        user_ids = ["plain", "a,b", 'say "hi"', " spaced out ", 'mix, "all" ', "", "line\nbreak"]
+        item_ids = ["i0", "x,y", '"q"', "two words", 'both, "kinds"', "cr\rlf"]
+        values = rng.normal(size=(6, 6))
+        values[0, 1] = -0.0
+        rows = [[0], [1, 2], [], [3], [0, 5], [4], [2]]
+        foldin = heldout(rows, [[] for _ in rows], 6).foldin
+        ranked = batch_recommend(foldin, sim(values), 4)
+        path = tmp_path / "recs.csv"
+        export_ranked_csv(ranked, user_ids, item_ids, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["user_id", "rank", "item_id", "score"])
+            for rl in ranked:
+                for rank, (item, score) in enumerate(rl.entries, start=1):
+                    writer.writerow([user_ids[rl.user], rank, item_ids[item], repr(score)])
+        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes().count(b"\r\n") >= 1 + sum(len(rl.entries) for rl in ranked)
+
+    def test_positional_signature(self, tmp_path):
+        ranked = [RankedList(0, [(1, 0.25)])]
+        export_ranked_csv(ranked, ["u"], ["a", "b"], tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == b"user_id,rank,item_id,score\r\nu,1,b,0.25\r\n"
+
+    def test_failed_export_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "recs.csv"
+        export_ranked_csv([RankedList(0, [(0, 1.0)])], ["u"], ["a"], path)
+        before = path.read_bytes()
+        ranked = [RankedList(0, [(0, 2.0)]), RankedList(1, [(0, 1.0), (5, 0.5)])]
+        with pytest.raises(IndexError):
+            export_ranked_csv(ranked, ["u", "v"], ["a"], path)  # item 5 has no id
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["recs.csv"]
