@@ -29,6 +29,7 @@ from .embedding import (
 from .evalmetrics import EvalReport, evaluate, ndcg_at_r, recall_at_r
 from .ingest import (
     HeldOutSet,
+    InteractionLog,
     InteractionMatrix,
     RawInteraction,
     SplitSpec,
@@ -55,6 +56,7 @@ __all__ = [
     "EmbeddingMatrix",
     "EvalReport",
     "HeldOutSet",
+    "InteractionLog",
     "InteractionMatrix",
     "RankedList",
     "RawInteraction",

@@ -21,6 +21,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import artifact, linalg
 from . import embedding as embedding_mod
 from .autoencoder import RidgeConfig, SimilarityMatrix, ease, ridge
@@ -229,8 +231,8 @@ def load_model(path: str | Path) -> tuple[SimilarityMatrix, list[str]]:
 def cmd_preprocess(config: PipelineConfig) -> int:
     if not config.data_path:
         raise ConfigError("preprocess needs a data path (config data_path or --data)")
-    raw = load_interactions(config.data_path, config.data_format)
-    X = preprocess(raw, config.split_spec())
+    log = load_interactions(config.data_path, config.data_format)
+    X = preprocess(log, config.split_spec())
     train, validation, test = split_strong_generalization(X, config.split_spec())
     outdir = Path(config.output_dir)
     save_split(outdir, train, validation, test)
@@ -325,29 +327,29 @@ def cmd_recommend(config: PipelineConfig, model_path: str | Path,
     if not model_path.exists():
         raise FileNotFoundError(f"model file not found: {model_path}")
     sim, item_ids = load_model(model_path)
-    item_index = {item: j for j, item in enumerate(item_ids)}
-    raw = load_interactions(users_path, config.data_format)
+    log = load_interactions(users_path, config.data_format)
 
     # Fold-in rows in order of each user's first known item; users whose
     # items are all unknown get no row and no recommendations.
-    user_index: dict[str, int] = {}
-    rows, cols = [], []
-    unknown = 0
-    for record in raw:
-        j = item_index.get(record.item_id)
-        if j is None:
-            unknown += 1
-            continue
-        rows.append(user_index.setdefault(record.user_id, len(user_index)))
-        cols.append(j)
+    item_index = {item: j for j, item in enumerate(item_ids)}
+    cols = np.array([item_index.get(item, -1) for item in log.item_ids],
+                    dtype=np.int64)[log.items]
+    known = cols >= 0
+    unknown = len(log) - int(known.sum())
     if unknown:
         print(f"warning: skipped {unknown} interactions with unknown item ids",
               file=sys.stderr)
-    foldin = InteractionMatrix.from_pairs(rows, cols, len(user_index), len(item_ids),
-                                          list(user_index), item_ids)
+    users = log.users[known]
+    seen, first = np.unique(users, return_index=True)
+    row_users = seen[np.argsort(first)]
+    row_of = np.empty(len(log.user_ids), dtype=np.int64)
+    row_of[row_users] = np.arange(len(row_users))
+    foldin = InteractionMatrix.from_pairs(
+        row_of[users], cols[known], len(row_users), len(item_ids),
+        [log.user_ids[u] for u in row_users.tolist()], item_ids)
 
     ranked = batch_recommend(foldin, sim, n)
-    all_unknown = len({record.user_id for record in raw}) - len(user_index)
+    all_unknown = len(log.user_ids) - len(row_users)
     empty = sum(1 for rl in ranked if not rl.entries) + all_unknown
     if empty:
         print(f"warning: {empty} users have no recommendations "

@@ -7,6 +7,10 @@ split in which whole users are held out and each held-out user's items are
 divided into a fold-in part (given to the model) and a target part (what
 the model is scored against).
 
+A raw log is parsed into an :class:`InteractionLog`: integer user and item
+codes plus ratings, one array element per event. Filtering works on those
+arrays only; id strings are looked at again just to sort the survivors.
+
 Split artifacts are persisted in a sparse-triplet text format: a one-line
 header ``n_users n_items nnz`` followed by one ``user_index item_index``
 pair per line. A held-out set is stored as two such files (fold-in and
@@ -17,6 +21,7 @@ so models and splits can be checked for compatibility later.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,6 +52,53 @@ class RawInteraction:
     def __post_init__(self):
         if not self.user_id or not self.item_id:
             raise ValueError("user_id and item_id must be non-empty")
+
+
+@dataclass(frozen=True, eq=False)
+class InteractionLog:
+    """A raw interaction log as columns, one element per event.
+
+    Event ``k`` is user ``user_ids[users[k]]`` with item
+    ``item_ids[items[k]]``; ``ratings[k]`` is its rating, NaN when the event
+    has none. Codes are int64, assigned in order of first appearance.
+    Timestamps are validated by :func:`load_interactions` but not kept,
+    because nothing downstream reads them.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray
+    user_ids: list[str]
+    item_ids: list[str]
+
+    def __post_init__(self):
+        if not len(self.users) == len(self.items) == len(self.ratings):
+            raise ValueError("users, items and ratings must have one entry per event")
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    @classmethod
+    def from_records(cls, records) -> "InteractionLog":
+        """Build a log from RawInteraction records; a rating of None becomes NaN."""
+        return cls._from_strings(
+            [r.user_id for r in records], [r.item_id for r in records],
+            [math.nan if r.rating is None else r.rating for r in records],
+        )
+
+    @classmethod
+    def _from_strings(cls, users: list[str], items: list[str],
+                      ratings: list[float]) -> "InteractionLog":
+        user_codes, user_ids = _encode(users)
+        item_codes, item_ids = _encode(items)
+        return cls(user_codes, item_codes, np.array(ratings, dtype=np.float64),
+                   user_ids, item_ids)
+
+
+def _encode(ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Codes of ``ids`` in order of first appearance, and the vocabulary."""
+    index = dict(zip(dict.fromkeys(ids), itertools.count()))
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), list(index)
 
 
 @dataclass(frozen=True)
@@ -191,114 +243,106 @@ class HeldOutSet:
         return self.targets.row_items(u)
 
 
-def load_interactions(path: str | Path, fmt: str = "csv") -> list[RawInteraction]:
-    """Parse a CSV/TSV interaction log into RawInteraction records.
+def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
+    """Parse a CSV/TSV interaction log into an InteractionLog.
 
     Expected columns: user, item[, rating[, timestamp]]. A header line is
-    optional and detected by name. Raises ParseError with the offending
-    line number on malformed rows or non-finite ratings and
+    optional and detected by name. Fields are stripped; an empty rating
+    means no rating. Raises ParseError with the offending physical line
+    number on a wrong column count, an empty id, a rating that is not a
+    finite float or a timestamp that is not an integer, and
     EmptyDatasetError on empty input.
     """
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"format must be 'csv' or 'tsv', got {fmt!r}")
     delimiter = "," if fmt == "csv" else "\t"
     path = Path(path)
-    records: list[RawInteraction] = []
+    users: list[str] = []
+    items: list[str] = []
+    ratings: list[float] = []
+    nan, isfinite, strip = math.nan, math.isfinite, str.strip
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        for n, row in enumerate(reader):
+            fields = list(map(strip, row))
+            if not fields or fields == [""]:
                 continue
-            fields = [f.strip() for f in row]
-            if lineno == 1 and _looks_like_header(fields):
+            if n == 0 and _looks_like_header(fields):
                 continue
             if len(fields) < 2 or len(fields) > 4:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 2-4 columns, got {len(fields)}"
-                )
-            user, item = fields[0], fields[1]
+                raise ParseError(f"{path}: line {reader.line_num}: "
+                                 f"expected 2-4 columns, got {len(fields)}")
+            user, item, rating, timestamp = fields + [""] * (4 - len(fields))
             if not user or not item:
-                raise ParseError(f"{path}: line {lineno}: empty user or item id")
-            rating = None
-            timestamp = None
+                raise ParseError(f"{path}: line {reader.line_num}: empty user or item id")
             try:
-                if len(fields) >= 3 and fields[2] != "":
-                    rating = float(fields[2])
-                    if not math.isfinite(rating):
-                        raise ValueError(f"rating {fields[2]!r} is not finite")
-                if len(fields) == 4 and fields[3] != "":
-                    timestamp = int(fields[3])
+                if rating:
+                    value = float(rating)
+                    if not isfinite(value):
+                        raise ValueError(f"rating {rating!r} is not finite")
+                else:
+                    value = nan
+                if timestamp:
+                    int(timestamp)
             except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(RawInteraction(user, item, rating, timestamp))
-    if not records:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+            users.append(user)
+            items.append(item)
+            ratings.append(value)
+    if not users:
         raise EmptyDatasetError(f"{path}: no interaction records found")
-    return records
+    return InteractionLog._from_strings(users, items, ratings)
 
 
 def _looks_like_header(fields: list[str]) -> bool:
     return all(f.lower() in _HEADER_NAMES for f in fields) and len(fields) >= 2
 
 
-def preprocess(raw: list[RawInteraction], spec: SplitSpec) -> InteractionMatrix:
-    """Threshold, binarize, deduplicate, and min-count filter raw events.
+def preprocess(log: InteractionLog, spec: SplitSpec) -> InteractionMatrix:
+    """Threshold, binarize, deduplicate, and min-count filter a raw log.
 
-    Filtering alternates between dropping users with too few items and
-    items with too few users until a fixed point, because each drop can
-    invalidate counts on the other side. Surviving ids are indexed densely
-    in sorted order.
+    Events rated below ``spec.rating_threshold`` are dropped; unrated
+    events are kept. Filtering drops users with too few items and items
+    with too few users until a fixed point, because each drop can
+    invalidate counts on the other side; the result is the largest
+    sub-log meeting both minimums, whatever the order of drops. Surviving
+    ids are indexed densely in sorted order.
     """
-    if not raw:
+    if not len(log):
         raise EmptyDatasetError("no raw interactions given")
-    pairs = set()
-    for r in raw:
-        if spec.rating_threshold is not None and r.rating is not None:
-            if r.rating < spec.rating_threshold:
-                continue
-        pairs.add((r.user_id, r.item_id))
-    if not pairs:
+    users, items = log.users, log.items
+    if spec.rating_threshold is not None:
+        # NaN compares False, so events without a rating pass.
+        keep = ~(log.ratings < spec.rating_threshold)
+        users, items = users[keep], items[keep]
+    n_items = len(log.item_ids)
+    users, items = np.divmod(np.unique(users * n_items + items), n_items)
+    if not len(users):
         raise EmptyDatasetError("all interactions removed by the rating threshold")
 
-    user_items: dict[str, set[str]] = {}
-    item_users: dict[str, set[str]] = {}
-    for u, it in pairs:
-        user_items.setdefault(u, set()).add(it)
-        item_users.setdefault(it, set()).add(u)
-
-    changed = True
-    while changed:
-        changed = False
-        weak_users = [u for u, its in user_items.items() if len(its) < spec.min_user_interactions]
-        for u in weak_users:
-            for it in user_items.pop(u):
-                item_users[it].discard(u)
-            changed = True
-        weak_items = [it for it, us in item_users.items() if len(us) < spec.min_item_interactions]
-        for it in weak_items:
-            for u in item_users.pop(it):
-                user_items[u].discard(it)
-            changed = True
-        # Removing items can empty a user's set entirely.
-        empty_users = [u for u, its in user_items.items() if not its]
-        for u in empty_users:
-            del user_items[u]
-            changed = True
-
-    if not user_items:
+    while True:
+        keep = ((np.bincount(users)[users] >= spec.min_user_interactions)
+                & (np.bincount(items)[items] >= spec.min_item_interactions))
+        if keep.all():
+            break
+        users, items = users[keep], items[keep]
+    if not len(users):
         raise EmptyDatasetError("no users or items survive the minimum-count filters")
 
-    user_ids = sorted(user_items)
-    item_ids = sorted(item_users)
-    uidx = {u: i for i, u in enumerate(user_ids)}
-    iidx = {it: j for j, it in enumerate(item_ids)}
-    rows = []
-    cols = []
-    for u, its in user_items.items():
-        for it in its:
-            rows.append(uidx[u])
-            cols.append(iidx[it])
+    rows, user_ids = _reindex_sorted(users, log.user_ids)
+    cols, item_ids = _reindex_sorted(items, log.item_ids)
     return InteractionMatrix.from_pairs(rows, cols, len(user_ids), len(item_ids),
                                         user_ids, item_ids)
+
+
+def _reindex_sorted(codes: np.ndarray, vocab: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Dense indices of ``codes`` in sorted order of their ids, and those ids."""
+    present = np.unique(codes)
+    ids = [vocab[c] for c in present.tolist()]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    dense = np.empty(int(present[-1]) + 1, dtype=np.int64)
+    dense[present[order]] = np.arange(len(order))
+    return dense[codes], [ids[k] for k in order]
 
 
 def split_strong_generalization(
@@ -423,37 +467,67 @@ def split_strong_generalization(
 # ---------------------------------------------------------------------------
 
 def write_triplets(m: InteractionMatrix, path: str | Path) -> None:
-    """Write a matrix as 'n_users n_items nnz' header plus index pairs."""
-    lines = [f"{m.n_users} {m.n_items} {m.nnz}"]
-    coo = m.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for u, i in zip(coo.row[order], coo.col[order]):
-        lines.append(f"{u} {i}")
+    """Write a matrix as 'n_users n_items nnz' header plus index pairs.
+
+    Pairs come in row-major order (user, then item ascending).
+    """
+    rows = np.repeat(np.arange(m.n_users), np.diff(m.matrix.indptr))
     with atomic_open(path, encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{m.n_users} {m.n_items} {m.nnz}\n")
+        fh.write("".join(map("{} {}\n".format, rows.tolist(), m.matrix.indices.tolist())))
 
 
 def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> InteractionMatrix:
-    """Read a sparse-triplet text file back into an InteractionMatrix."""
+    """Read a sparse-triplet text file back into an InteractionMatrix.
+
+    Raises ParseError naming the file, and the line where there is one,
+    on a bad header, a pair count that differs from the header, a line
+    that is not two integers, an index outside the matrix, or a pair
+    given twice.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8").strip().splitlines()
-    if not text:
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    if not lines:
         raise ParseError(f"{path}: empty triplet file")
     try:
-        n_users, n_items, nnz = (int(t) for t in text[0].split())
+        n_users, n_items, nnz = (int(t) for t in lines[0].split())
     except ValueError as exc:
-        raise ParseError(f"{path}: bad header line {text[0]!r}") from exc
-    if len(text) - 1 != nnz:
-        raise ParseError(f"{path}: header promises {nnz} pairs, found {len(text) - 1}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    for k, line in enumerate(text[1:]):
+        raise ParseError(f"{path}: bad header line {lines[0]!r}") from exc
+    if min(n_users, n_items, nnz) < 0:
+        raise ParseError(f"{path}: bad header line {lines[0]!r}")
+    if len(lines) - 1 != nnz:
+        raise ParseError(f"{path}: header promises {nnz} pairs, found {len(lines) - 1}")
+    pairs = np.empty((0, 2), dtype=np.int64)
+    if nnz:
         try:
-            u, i = (int(t) for t in line.split())
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {k + 2}: bad pair {line!r}") from exc
-        rows[k], cols[k] = u, i
+            pairs = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pairs = None
+    if pairs is None or pairs.shape != (nnz, 2):
+        raise _bad_pair(path, lines)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    outside = (rows < 0) | (rows >= n_users) | (cols < 0) | (cols >= n_items)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ParseError(f"{path}: line {k + 2}: pair {lines[k + 1]!r} is outside "
+                         f"the {n_users} x {n_items} matrix")
+    keys = rows * n_items + cols
+    order = np.argsort(keys, kind="stable")
+    repeated = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if len(repeated):
+        k = int(repeated.min())
+        raise ParseError(f"{path}: line {k + 2}: pair {lines[k + 1]!r} is given twice")
     return InteractionMatrix.from_pairs(rows, cols, n_users, n_items, user_ids, item_ids)
+
+
+def _bad_pair(path: Path, lines: list[str]) -> ParseError:
+    """The error for the first body line that is not two integers."""
+    for k, line in enumerate(lines[1:], start=2):
+        try:
+            _, _ = map(int, line.split())
+        except ValueError:
+            return ParseError(f"{path}: line {k}: bad pair {line!r}")
+    return ParseError(f"{path}: pairs are not two int64 columns")
 
 
 def _write_lines(path: Path, lines) -> None:

@@ -219,6 +219,19 @@ class TestTrainCommand:
         with pytest.raises(FileNotFoundError):
             cmd_train(config)
 
+    @pytest.mark.parametrize("corrupt", ["index outside", "duplicate pair"])
+    def test_corrupt_split_exit_2(self, pipeline, capsys, corrupt):
+        tmp_path, _ = pipeline
+        train = tmp_path / "out" / "train.txt"
+        header, first, *rest = train.read_text().splitlines()
+        n_users, n_items, _ = header.split()
+        bad = f"{n_users} 0" if corrupt == "index outside" else first
+        train.write_text("\n".join([header, first, bad, *rest[1:]]) + "\n")
+        code = main(["train", "--output", str(tmp_path / "out"), "--lambda", "5"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "train.txt: line 3" in err and "Traceback" not in err
+
     def test_capacity_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", linalg.GRAM_BYTE_CAP)
         write_dataset(tmp_path / "data.csv")
@@ -375,6 +388,14 @@ class TestRecommendCommand:
         assert "2 users have no recommendations (2 with only unknown item ids)" in err
         lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
         assert lines[1:] == ["alice,1,item1,1.0"]
+
+    def test_rows_in_order_of_first_known_item(self, tmp_path):
+        model = self.make_model(tmp_path)
+        users = tmp_path / "users.csv"
+        users.write_text("bob,mystery\nalice,item0\nbob,item1\n")
+        assert cmd_recommend(base_config(tmp_path), model, users, 1) == EXIT_OK
+        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
+        assert lines[1:] == ["alice,1,item1,1.0", "bob,1,item0,1.0"]
 
     def test_topn_zero_is_usage_error(self, tmp_path):
         model = self.make_model(tmp_path)

@@ -1,9 +1,11 @@
 """Golden outputs of a seeded tiny pipeline.
 
-The SHA-256 digests below pin the exact bytes of the recommendation CSV and
-of both evaluation reports for ``ridge`` and ``ease``. Any change to
-ranking order, tie-breaking, score formatting, CSV quoting or metric
-arithmetic shows up here. Digests assume IEEE float64 with the bundled
+The SHA-256 digests below pin the exact bytes of the nine split files and
+``summary.json`` written by ``preprocess``, and of the recommendation CSV
+and both evaluation reports for ``ridge`` and ``ease``. Any change to
+parsing, filtering, id order, the split, split-file formatting, ranking
+order, tie-breaking, score formatting, CSV quoting or metric arithmetic
+shows up here. Digests assume IEEE float64 with the bundled
 LAPACK; a new digest must come with a reason.
 """
 
@@ -14,6 +16,29 @@ import numpy as np
 import pytest
 
 from whiterec.cli import EXIT_OK, main
+
+GOLDEN_SPLIT = {
+    "train.txt":
+        "44976da1e63d5620fa407bb686f5f03db25dd59c185bb04e32ff991f0372c5ae",
+    "validation_foldin.txt":
+        "0a6c7b52ec29c86963cee4c11fe663c8fea62b9fa238d6b0c8f0ee7df4cbc41f",
+    "validation_targets.txt":
+        "755ab0f6b2d0bf19eefc41c50ed58e06af1187dd0670343b245713958a4b4b6c",
+    "test_foldin.txt":
+        "fe6114f7d659ad2206224406ba025e02782a1486a0f58d7729f04a7570b25ae9",
+    "test_targets.txt":
+        "918272123a2e1b3884b3902bacd15d2702c9f3bb9944c050cc9c0f0db8ced1e1",
+    "items.txt":
+        "4f8344a558d19166ccd18db41531696227a9a87bc57989bec497127d11f03514",
+    "train_users.txt":
+        "3445095699a2190c51c9c3dc91927d7e2dcf468b343b0de443a6b2c77c56ed84",
+    "validation_users.txt":
+        "adb2667c06d40b07f8ac2e14949b7fc031b2865a02db6d8378f3a88c835326aa",
+    "test_users.txt":
+        "62e1c43ec4e205f02eb8d43d3f87558552da3232af359a0eec1f8071341bd449",
+    "summary.json":
+        "1f09bd125e03f6c12c5a7badecd894e56f9f2ee8bc21b5cae6b0e4df51073992",
+}
 
 GOLDEN = {
     "ridge": {
@@ -82,3 +107,12 @@ def test_golden_outputs(tmp_path, kind):
                  "-N", "7", *common]) == EXIT_OK
     got = {name: _digest(out / name) for name in GOLDEN[kind]}
     assert got == GOLDEN[kind]
+
+
+def test_golden_split(tmp_path):
+    write_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["preprocess", "--data", str(tmp_path / "data.csv"), "--output", str(out),
+                 "--seed", "3"]) == EXIT_OK
+    got = {name: _digest(out / name) for name in GOLDEN_SPLIT}
+    assert got == GOLDEN_SPLIT

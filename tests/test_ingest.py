@@ -1,11 +1,15 @@
+import csv
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whiterec.errors import EmptyDatasetError, ParseError, SplitError
 from whiterec.ingest import (
     HeldOutSet,
+    InteractionLog,
     InteractionMatrix,
     RawInteraction,
     SplitSpec,
@@ -35,14 +39,70 @@ def all_pairs(n_users, n_items):
     return raw
 
 
+def naive_preprocess(raw: list[RawInteraction], spec: SplitSpec) -> InteractionMatrix:
+    """The reference filter on records, with sets: threshold, dedupe, then
+    drop weak users, weak items and emptied users until nothing changes."""
+    if not raw:
+        raise EmptyDatasetError("no raw interactions given")
+    pairs = set()
+    for r in raw:
+        if spec.rating_threshold is not None and r.rating is not None:
+            if r.rating < spec.rating_threshold:
+                continue
+        pairs.add((r.user_id, r.item_id))
+    if not pairs:
+        raise EmptyDatasetError("all interactions removed by the rating threshold")
+    user_items: dict[str, set[str]] = {}
+    item_users: dict[str, set[str]] = {}
+    for u, it in pairs:
+        user_items.setdefault(u, set()).add(it)
+        item_users.setdefault(it, set()).add(u)
+    changed = True
+    while changed:
+        changed = False
+        for u in [u for u, its in user_items.items() if len(its) < spec.min_user_interactions]:
+            for it in user_items.pop(u):
+                item_users[it].discard(u)
+            changed = True
+        for it in [it for it, us in item_users.items() if len(us) < spec.min_item_interactions]:
+            for u in item_users.pop(it):
+                user_items[u].discard(it)
+            changed = True
+        for u in [u for u, its in user_items.items() if not its]:
+            del user_items[u]
+            changed = True
+    if not user_items:
+        raise EmptyDatasetError("no users or items survive the minimum-count filters")
+    user_ids, item_ids = sorted(user_items), sorted(item_users)
+    uidx = {u: i for i, u in enumerate(user_ids)}
+    iidx = {it: j for j, it in enumerate(item_ids)}
+    rows = [uidx[u] for u, its in user_items.items() for _ in its]
+    cols = [iidx[it] for its in user_items.values() for it in its]
+    return InteractionMatrix.from_pairs(rows, cols, len(user_ids), len(item_ids),
+                                        user_ids, item_ids)
+
+
+# Ids whose string order differs from first appearance ("u10" < "u9").
+_USERS = st.sampled_from(["u9", "u10", "u1", "u100", "U2", "a b"])
+_ITEMS = st.sampled_from(["i9", "i10", "i2", "x", "i,1", 'two\n"lines"'])
+_RATINGS = st.one_of(st.none(), st.sampled_from([1.0, 3.0, 3.5, 4.0, 5.0]))
+_RECORDS = st.lists(st.builds(RawInteraction, _USERS, _ITEMS, _RATINGS), max_size=40)
+
+
+def _log_columns(log):
+    return (log.users.tolist(), log.items.tolist(), log.ratings.tolist(),
+            log.user_ids, log.item_ids)
+
+
 class TestLoadInteractions:
     def test_two_records_with_ratings(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("u1,i1,5,100\nu1,i2,3,101\n")
-        records = load_interactions(p)
-        assert len(records) == 2
-        assert records[0] == RawInteraction("u1", "i1", 5.0, 100)
-        assert records[1].rating == 3.0 and records[1].timestamp == 101
+        log = load_interactions(p)
+        assert len(log) == 2
+        assert (log.user_ids, log.item_ids) == (["u1"], ["i1", "i2"])
+        assert log.users.tolist() == [0, 0] and log.items.tolist() == [0, 1]
+        assert log.ratings.tolist() == [5.0, 3.0]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -65,6 +125,19 @@ class TestLoadInteractions:
         with pytest.raises(ParseError, match="line 2.*not finite"):
             load_interactions(p)
 
+    def test_physical_line_numbers(self, tmp_path):
+        # The quoted id on lines 2-3 is one record; the bad rating is on line 4.
+        p = tmp_path / "bad.csv"
+        p.write_text('u1,i1,5\n"multi\nline",i1,5\nu3,i1,abc\n')
+        with pytest.raises(ParseError, match="line 4"):
+            load_interactions(p)
+
+    def test_bad_timestamp_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("u1,i1,5,100\nu1,i2,3,soon\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_interactions(p)
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("u1,i1,5,100,extra\n")
@@ -74,8 +147,8 @@ class TestLoadInteractions:
     def test_tsv(self, tmp_path):
         p = tmp_path / "data.tsv"
         p.write_text("u1\ti1\t4\n")
-        records = load_interactions(p, "tsv")
-        assert records == [RawInteraction("u1", "i1", 4.0)]
+        log = load_interactions(p, "tsv")
+        assert (log.user_ids, log.item_ids, log.ratings.tolist()) == (["u1"], ["i1"], [4.0])
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -85,47 +158,64 @@ class TestLoadInteractions:
     def test_two_columns_only(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("u1,i1\nu2,i1\n")
-        records = load_interactions(p)
-        assert all(r.rating is None for r in records)
+        log = load_interactions(p)
+        assert np.isnan(log.ratings).all()
 
     def test_records_in_file_order(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("b,i2\na,i1\n")
-        records = load_interactions(p)
-        assert [r.user_id for r in records] == ["b", "a"]
+        log = load_interactions(p)
+        assert log.user_ids == ["b", "a"]
+        assert log.users.tolist() == [0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=_RECORDS.filter(bool),
+           timestamps=st.lists(st.one_of(st.none(), st.integers(0, 2**40)),
+                               min_size=40, max_size=40))
+    def test_columns_match_from_records(self, tmp_path_factory, records, timestamps):
+        p = tmp_path_factory.mktemp("log") / "log.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            for r, ts in zip(records, timestamps):
+                rating = "" if r.rating is None else repr(r.rating)
+                writer.writerow([r.user_id, r.item_id, rating] + ([] if ts is None else [ts]))
+        expected = _log_columns(InteractionLog.from_records(records))
+        got = _log_columns(load_interactions(p))
+        assert got[:2] == expected[:2] and got[3:] == expected[3:]
+        np.testing.assert_array_equal(got[2], expected[2])
 
 
 class TestPreprocess:
     def test_all_pairs_nothing_filtered(self):
-        X = preprocess(all_pairs(3, 3), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(3, 3)), spec())
         assert (X.n_users, X.n_items, X.nnz) == (3, 3, 9)
 
     def test_user_drop_cascades_to_item(self):
         raw = all_pairs(3, 3) + [RawInteraction("lone", "only")]
-        X = preprocess(raw, spec(min_user_interactions=2))
+        X = preprocess(InteractionLog.from_records(raw), spec(min_user_interactions=2))
         assert "lone" not in X.user_index
         assert "only" not in X.item_index
 
     def test_rating_threshold(self):
         raw = [RawInteraction("u", "a", 5.0), RawInteraction("u", "b", 3.0)]
-        X = preprocess(raw, spec(rating_threshold=4.0))
+        X = preprocess(InteractionLog.from_records(raw), spec(rating_threshold=4.0))
         assert X.item_ids == ["a"]
 
     def test_missing_rating_passes_threshold(self):
         raw = [RawInteraction("u", "a"), RawInteraction("u", "b", 5.0)]
-        X = preprocess(raw, spec(rating_threshold=4.0))
+        X = preprocess(InteractionLog.from_records(raw), spec(rating_threshold=4.0))
         assert X.n_items == 2
 
     def test_deduplication(self):
         raw = [RawInteraction("u", "a"), RawInteraction("u", "a"),
                RawInteraction("v", "a")]
-        X = preprocess(raw, spec())
+        X = preprocess(InteractionLog.from_records(raw), spec())
         assert X.nnz == 2
 
     def test_all_filtered_out(self):
         raw = [RawInteraction("u", "a", 1.0)]
         with pytest.raises(EmptyDatasetError):
-            preprocess(raw, spec(rating_threshold=4.0))
+            preprocess(InteractionLog.from_records(raw), spec(rating_threshold=4.0))
 
     def test_fixed_point_reached(self):
         # Chain where dropping u2 leaves item c below threshold, which then
@@ -134,7 +224,8 @@ class TestPreprocess:
             RawInteraction("u9", "c0"), RawInteraction("u9", "c1"),
             RawInteraction("u8", "c1"), RawInteraction("u8", "c2"),
         ]
-        X = preprocess(raw, spec(min_user_interactions=2, min_item_interactions=2))
+        X = preprocess(InteractionLog.from_records(raw),
+                       spec(min_user_interactions=2, min_item_interactions=2))
         for u in range(X.n_users):
             assert len(X.row_items(u)) >= 2
         cols = np.asarray(X.matrix.sum(axis=0)).ravel()
@@ -142,27 +233,44 @@ class TestPreprocess:
 
     def test_deterministic(self):
         raw = all_pairs(4, 5)
-        a = preprocess(raw, spec())
-        b = preprocess(list(reversed(raw)), spec())
+        a = preprocess(InteractionLog.from_records(raw), spec())
+        b = preprocess(InteractionLog.from_records(list(reversed(raw))), spec())
         assert a == b
 
     def test_every_row_and_column_nonempty(self):
         raw = all_pairs(3, 3)
-        X = preprocess(raw, spec(min_user_interactions=2, min_item_interactions=2))
+        X = preprocess(InteractionLog.from_records(raw),
+                       spec(min_user_interactions=2, min_item_interactions=2))
         assert np.asarray(X.matrix.sum(axis=1)).min() >= 1
         assert np.asarray(X.matrix.sum(axis=0)).min() >= 1
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(records=_RECORDS,
+           threshold=st.sampled_from([None, 3.5, 4.0]),
+           min_user=st.integers(1, 4), min_item=st.integers(1, 4))
+    def test_matches_naive_oracle(self, records, threshold, min_user, min_item):
+        s = spec(rating_threshold=threshold, min_user_interactions=min_user,
+                 min_item_interactions=min_item)
+        try:
+            expected = naive_preprocess(records, s)
+        except EmptyDatasetError as exc:
+            with pytest.raises(EmptyDatasetError, match=str(exc)):
+                preprocess(InteractionLog.from_records(records), s)
+            return
+        assert preprocess(InteractionLog.from_records(records), s) == expected
+
+
 class TestSplit:
     def test_user_partition_arithmetic(self):
-        X = preprocess(all_pairs(10, 6), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
         train, val, test = split_strong_generalization(X, spec(heldout_user_fraction=0.2))
         assert train.n_users == 6
         assert val.n_users == 2
         assert test.n_users == 2
 
     def test_foldin_fraction_arithmetic(self):
-        X = preprocess(all_pairs(10, 5), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(10, 5)), spec())
         _, val, test = split_strong_generalization(
             X, spec(heldout_user_fraction=0.2, foldin_fraction=0.8))
         for hs in (val, test):
@@ -171,7 +279,7 @@ class TestSplit:
                 assert len(hs.target_items(u)) == 1
 
     def test_same_seed_identical(self, tmp_path):
-        X = preprocess(all_pairs(10, 6), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             train, val, test = split_strong_generalization(X, spec(rng_seed=3))
@@ -181,13 +289,13 @@ class TestSplit:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_different_seed_differs(self):
-        X = preprocess(all_pairs(20, 8), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(20, 8)), spec())
         t1, _, _ = split_strong_generalization(X, spec(rng_seed=1))
         t2, _, _ = split_strong_generalization(X, spec(rng_seed=2))
         assert t1.user_ids != t2.user_ids
 
     def test_foldin_target_disjoint_union_subset(self):
-        X = preprocess(all_pairs(10, 8), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(10, 8)), spec())
         _, val, test = split_strong_generalization(X, spec())
         for hs in (val, test):
             for u in range(hs.n_users):
@@ -199,12 +307,12 @@ class TestSplit:
 
     def test_user_below_two_interactions_rejected(self):
         raw = all_pairs(9, 4) + [RawInteraction("single", "i0")]
-        X = preprocess(raw, spec())
+        X = preprocess(InteractionLog.from_records(raw), spec())
         with pytest.raises(SplitError, match="single"):
             split_strong_generalization(X, spec())
 
     def test_zero_heldout_users_rejected(self):
-        X = preprocess(all_pairs(4, 4), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(4, 4)), spec())
         with pytest.raises(SplitError):
             split_strong_generalization(X, spec(heldout_user_fraction=0.1))
 
@@ -212,12 +320,12 @@ class TestSplit:
         # Item "rare" is interacted with only by the two users that land in
         # validation/test under this seed, so it must vanish everywhere.
         raw = all_pairs(10, 6)
-        X = preprocess(raw, spec())
+        X = preprocess(InteractionLog.from_records(raw), spec())
         train, val, test = split_strong_generalization(X, spec(rng_seed=5))
         heldout_ids = set(val.foldin.user_ids) | set(test.foldin.user_ids)
         rare_owners = list(heldout_ids)[:2]
         raw2 = all_pairs(10, 6) + [RawInteraction(u, "rare") for u in rare_owners]
-        X2 = preprocess(raw2, spec())
+        X2 = preprocess(InteractionLog.from_records(raw2), spec())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             train2, val2, test2 = split_strong_generalization(X2, spec(rng_seed=5))
@@ -226,7 +334,7 @@ class TestSplit:
         assert train2.item_ids == train.item_ids
 
     def test_vocabularies_consistent(self):
-        X = preprocess(all_pairs(10, 6), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
         train, val, test = split_strong_generalization(X, spec())
         assert train.item_ids == val.foldin.item_ids == test.targets.item_ids
         assert set(train.user_ids).isdisjoint(val.foldin.user_ids)
@@ -269,8 +377,42 @@ class TestTripletFiles:
         with pytest.raises(ParseError):
             read_triplets(p)
 
+    def test_writes_sorted_pairs(self, tmp_path):
+        m = InteractionMatrix.from_pairs([2, 0, 2, 0], [1, 3, 0, 0], 3, 4)
+        write_triplets(m, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_text() == "3 4 4\n0 0\n0 3\n2 0\n2 1\n"
+
+    @pytest.mark.parametrize("body, line, what", [
+        ("0 0\n5 1\n", 3, "outside the 2 x 2 matrix"),
+        ("0 0\n1 2\n", 3, "outside the 2 x 2 matrix"),
+        ("-1 0\n1 1\n", 2, "outside the 2 x 2 matrix"),
+        ("0 -1\n1 1\n", 2, "outside the 2 x 2 matrix"),
+        ("0 0\n0 0\n", 3, "given twice"),
+        ("1 1\n0 1\n1 1\n", 4, "given twice"),
+        ("0 0\n1 x\n", 3, "bad pair"),
+        ("0 0\n1 1 1\n", 3, "bad pair"),
+        ("0 0\n\n1 1\n", 3, "bad pair"),
+        ("0 0\n1.0 1\n", 3, "bad pair"),
+    ])
+    def test_corrupt_body_rejected(self, tmp_path, body, line, what):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"2 2 {body.count(chr(10))}\n{body}")
+        with pytest.raises(ParseError, match=f"bad.txt: line {line}: .*{what}"):
+            read_triplets(p)
+
+    def test_negative_header_rejected(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("-1 2 0\n")
+        with pytest.raises(ParseError, match="bad header"):
+            read_triplets(p)
+
+    def test_empty_matrix_round_trip(self, tmp_path):
+        m = InteractionMatrix.from_pairs([], [], 2, 3)
+        write_triplets(m, tmp_path / "m.txt")
+        assert read_triplets(tmp_path / "m.txt") == m
+
     def test_save_load_split_round_trip(self, tmp_path):
-        X = preprocess(all_pairs(10, 6), spec())
+        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
         train, val, test = split_strong_generalization(X, spec())
         save_split(tmp_path, train, val, test)
         train2, val2, test2 = load_split(tmp_path)
