@@ -9,13 +9,13 @@ Recall@R and NDCG@R under a strong-generalization split.
 
 from .autoencoder import (
     EaseSolution,
-    RidgeConfig,
     SimilarityMatrix,
     ease,
     ease_decompose,
     ridge,
     ridge_dual,
     ridge_primal,
+    whitened_gram,
 )
 from .embedding import (
     EmbeddingMatrix,
@@ -41,9 +41,7 @@ from .ingest import (
 )
 from .recommend import RankedList, batch_recommend, score_user, top_n
 from .whitening import (
-    CovarianceMatrix,
     WhiteningTransform,
-    covariance,
     fit_zca,
     whiten,
     zca_similarity,
@@ -60,13 +58,10 @@ __all__ = [
     "InteractionMatrix",
     "RankedList",
     "RawInteraction",
-    "RidgeConfig",
     "SimilarityMatrix",
     "SplitSpec",
     "WhiteningTransform",
-    "CovarianceMatrix",
     "batch_recommend",
-    "covariance",
     "ease",
     "ease_decompose",
     "embed_dot",
@@ -90,5 +85,6 @@ __all__ = [
     "svd_embed",
     "top_n",
     "whiten",
+    "whitened_gram",
     "zca_similarity",
 ]

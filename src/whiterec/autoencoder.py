@@ -1,40 +1,25 @@
 """Closed-form linear autoencoder solvers for item-item similarity.
 
-Both solvers reconstruct the interaction matrix as X @ B under a squared
-Frobenius penalty on B. The ridge solver leaves the diagonal free (seen
-items are suppressed later, at ranking time); EASE constrains diag(B) = 0
-via Lagrange multipliers and stays closed form.
-"""
+Both solvers reconstruct a feature matrix whose columns are items (the
+interactions X, or item embeddings E) as M @ B under a squared Frobenius
+penalty on B. The ridge solver leaves the diagonal free (seen items are
+suppressed later, at ranking time); EASE constrains diag(B) = 0 via
+Lagrange multipliers and stays closed form. The dual ridge form
+M^T (M M^T + lam I)^{-1} M is the item Gram of the ZCA-whitened features,
+so one function (:func:`whitened_gram`) serves interactions and
+embeddings alike. Every lam I shift, and so every lam > 0 check, is in
+:func:`_shifted`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .errors import NumericalError
 from .ingest import InteractionMatrix
-
-
-@dataclass(frozen=True)
-class RidgeConfig:
-    """Ridge solver settings.
-
-    ``lam`` is the L2 regularization weight (also reused as the whitening
-    shift elsewhere). ``form`` selects the closed form: "primal" inverts
-    the |I| x |I| item Gram, "dual" the |U| x |U| user Gram, and "auto"
-    picks whichever is smaller.
-    """
-
-    lam: float
-    form: str = "auto"
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.form not in ("primal", "dual", "auto"):
-            raise ValueError(f"form must be primal, dual, or auto, got {self.form!r}")
 
 
 @dataclass
@@ -55,7 +40,7 @@ class EaseSolution:
     """EASE output: the similarity matrix, multipliers, and the inverse Gram.
 
     ``alpha`` holds the per-item Lagrange multipliers enforcing the zero
-    diagonal; ``p_hat`` is (X^T X + lam I)^{-1}.
+    diagonal; ``p_hat`` is (M^T M + lam I)^{-1}.
     """
 
     B: SimilarityMatrix
@@ -63,44 +48,48 @@ class EaseSolution:
     p_hat: np.ndarray
 
 
-def ridge_primal(X: InteractionMatrix, cfg: RidgeConfig) -> SimilarityMatrix:
+def ridge_primal(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
     """B = (X^T X + lam I)^{-1} X^T X via the item-side Gram."""
     g = linalg.gram(X, side="items")
-    b = linalg.spd_solve(_shifted(g, cfg.lam), g)
-    return SimilarityMatrix(linalg.symmetrize(b), "ridge",
-                            {"lambda": cfg.lam, "form": "primal"})
+    b = linalg.spd_solve(_shifted(g, lam), g)
+    return SimilarityMatrix(linalg.symmetrize(b), "ridge", {"lambda": lam, "form": "primal"})
 
 
-def ridge_dual(X: InteractionMatrix, cfg: RidgeConfig) -> SimilarityMatrix:
+def ridge_dual(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
     """B = X^T (X X^T + lam I)^{-1} X via the user-side Gram."""
-    linalg.check_capacity(X.n_users, X.n_items, "dense interaction matrix")
-    linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")
-    k = linalg.gram(X, side="users")
-    m = linalg.spd_solve(_shifted(k, cfg.lam), X.toarray())
-    b = X.matrix.T @ m
-    return SimilarityMatrix(linalg.symmetrize(b), "ridge",
-                            {"lambda": cfg.lam, "form": "dual"})
+    b = whitened_gram(X, lam)
+    return SimilarityMatrix(linalg.symmetrize(b), "ridge", {"lambda": lam, "form": "dual"})
 
 
-def ridge(X: InteractionMatrix, cfg: RidgeConfig) -> SimilarityMatrix:
-    """Dispatch on cfg.form; "auto" inverts the smaller Gram matrix."""
-    form = cfg.form
-    if form == "auto":
-        form = "primal" if X.n_items <= X.n_users else "dual"
-    if form == "primal":
-        return ridge_primal(X, RidgeConfig(cfg.lam, "primal"))
-    return ridge_dual(X, RidgeConfig(cfg.lam, "dual"))
+def ridge(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
+    """The ridge closed form that inverts the smaller Gram matrix."""
+    return ridge_primal(X, lam) if X.n_items <= X.n_users else ridge_dual(X, lam)
 
 
-def ease(X: InteractionMatrix, lam: float) -> EaseSolution:
-    """Zero-diagonal closed form B = I - P_hat diagMat(1 / diag(P_hat))."""
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    g = linalg.gram(X, side="items")
-    return _ease_from_gram(g, lam)
+def whitened_gram(M, lam: float) -> np.ndarray:
+    """M^T (M M^T + lam I)^{-1} M for a feature matrix M (see linalg.features).
+
+    This is the item Gram of the ZCA-whitened features and the dual ridge
+    closed form, for interactions X as for D x |I| embeddings E. Only the
+    row-side Gram is inverted; the one |I| x |I| array created is the
+    result, which is not symmetrized.
+    """
+    m = linalg.features(M)
+    rows, items = m.shape
+    linalg.check_capacity(rows, items, "dense feature matrix")
+    linalg.check_capacity(items, items, "item similarity matrix")
+    k = linalg.gram(M, side="users")
+    z = linalg.spd_solve(_shifted(k, lam), m.toarray() if sp.issparse(m) else m)
+    return m.T @ z
 
 
-def _ease_from_gram(g: np.ndarray, lam: float) -> EaseSolution:
+def ease(M, lam: float) -> EaseSolution:
+    """Zero-diagonal closed form B = I - P_hat diagMat(1 / diag(P_hat)).
+
+    M is any feature matrix (see linalg.features): interactions X, or
+    embeddings E with E^T E in place of X^T X.
+    """
+    g = linalg.gram(M, side="items")
     p_hat = linalg.spd_inverse(_shifted(g, lam))
     d = np.diag(p_hat).copy()
     if np.any(d <= 0.0):
@@ -137,6 +126,9 @@ def reconstruction_objective(X: InteractionMatrix, b: np.ndarray, lam: float) ->
 
 
 def _shifted(g: np.ndarray, lam: float) -> np.ndarray:
+    """g + lam I; every ridge and EASE solve goes through here."""
+    if lam <= 0.0:
+        raise ValueError(f"lam must be > 0, got {lam}")
     out = g.copy()
     out[np.diag_indices_from(out)] += lam
     return out

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import artifact, linalg
 from . import embedding as embedding_mod
-from .autoencoder import RidgeConfig, SimilarityMatrix, ease, ridge
+from .autoencoder import SimilarityMatrix, ease, ridge
 from .errors import (
     CapacityError,
     ConfigError,
@@ -68,7 +68,7 @@ class ModelKind:
 
 
 KINDS = {
-    "ridge": ModelKind(lambda X, lam: ridge(X, RidgeConfig(lam, "auto"))),
+    "ridge": ModelKind(lambda X, lam: ridge(X, lam)),
     "ease": ModelKind(lambda X, lam: ease(X, lam).B),
     "zca": ModelKind(lambda X, lam: zca_similarity(X, lam)),
     "embed_dot": ModelKind(lambda e, lam: embedding_mod.embed_dot(e),
@@ -97,7 +97,6 @@ class PipelineConfig:
     embedding_dim: int | None = None
     cutoffs: tuple[int, ...] = (20, 50, 100)
     output_dir: str = "out"
-    threads: int = 1  # accepted and ignored; BLAS threads follow OPENBLAS_NUM_THREADS
     gram_byte_cap: int | None = None
 
     def split_spec(self) -> SplitSpec:
@@ -122,10 +121,10 @@ class PipelineConfig:
             raise ConfigError(f"embedding_dim is only valid for embed_* kinds, not {self.kind!r}")
         if kind.uses_embedding_dim and self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if not 0.0 < self.heldout_user_fraction < 1.0:
-            raise ConfigError("heldout_user_fraction must be in (0, 1)")
-        if not 0.0 < self.foldin_fraction < 1.0:
-            raise ConfigError("foldin_fraction must be in (0, 1)")
+        try:
+            self.split_spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.cutoffs or any(r < 1 for r in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive, got {list(self.cutoffs)}")
         if self.data_format not in ("csv", "tsv"):
@@ -133,7 +132,7 @@ class PipelineConfig:
 
 
 _INT_KEYS = {"min_user_interactions", "min_item_interactions", "rng_seed",
-             "embedding_dim", "threads", "gram_byte_cap"}
+             "embedding_dim", "gram_byte_cap"}
 _FLOAT_KEYS = {"rating_threshold", "heldout_user_fraction", "foldin_fraction", "lam"}
 _KEY_ALIASES = {"lambda": "lam", "seed": "rng_seed", "output": "output_dir"}
 
@@ -180,18 +179,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             if key not in known:
                 raise ConfigError(f"{args.config}: unknown config key {key!r}")
         config = replace(config, **file_values)
-    overrides = {}
-    for flag, name in (("data", "data_path"), ("format", "data_format"),
-                       ("kind", "kind"), ("lam", "lam"),
-                       ("embedding_dim", "embedding_dim"), ("cutoffs", "cutoffs"),
-                       ("seed", "rng_seed"), ("threads", "threads"),
-                       ("output", "output_dir")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    # Flags share their dest with the PipelineConfig field they set.
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
+    return replace(config, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +320,31 @@ def cmd_recommend(config: PipelineConfig, model_path: str | Path,
     sim, item_ids = load_model(model_path)
     log = load_interactions(users_path, config.data_format)
 
-    # Fold-in rows in order of each user's first known item; users whose
-    # items are all unknown get no row and no recommendations.
+    # Fold-in rows hold each user's known items that count as positive
+    # (the rating threshold of preprocess applies), in order of the user's
+    # first such item; users left with none get no row.
     item_index = {item: j for j, item in enumerate(item_ids)}
     cols = np.array([item_index.get(item, -1) for item in log.item_ids],
                     dtype=np.int64)[log.items]
     known = cols >= 0
-    unknown = len(log) - int(known.sum())
-    if unknown:
-        print(f"warning: skipped {unknown} interactions with unknown item ids",
-              file=sys.stderr)
-    users = log.users[known]
+    kept = known & log.positives(config.rating_threshold)
+    skipped = len(log) - int(kept.sum())
+    if skipped:
+        unknown = len(log) - int(known.sum())
+        print(f"warning: skipped {skipped} interactions ({unknown} with unknown item ids, "
+              f"{skipped - unknown} rated below the threshold)", file=sys.stderr)
+    users = log.users[kept]
     seen, first = np.unique(users, return_index=True)
     row_users = seen[np.argsort(first)]
     row_of = np.empty(len(log.user_ids), dtype=np.int64)
     row_of[row_users] = np.arange(len(row_users))
     foldin = InteractionMatrix.from_pairs(
-        row_of[users], cols[known], len(row_users), len(item_ids),
+        row_of[users], cols[kept], len(row_users), len(item_ids),
         [log.user_ids[u] for u in row_users.tolist()], item_ids)
 
     ranked = batch_recommend(foldin, sim, n)
-    all_unknown = len(log.user_ids) - len(row_users)
-    empty = sum(1 for rl in ranked if not rl.entries) + all_unknown
+    all_unknown = len(log.user_ids) - len(np.unique(log.users[known]))
+    empty = sum(1 for rl in ranked if not rl.entries) + len(log.user_ids) - len(row_users)
     if empty:
         print(f"warning: {empty} users have no recommendations "
               f"({all_unknown} with only unknown item ids)", file=sys.stderr)
@@ -382,14 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--embedding-dim", dest="embedding_dim", type=int)
         p.add_argument("--cutoffs", type=_parse_cutoffs,
                        help="comma-separated ranking cutoffs, e.g. 20,50,100")
-        p.add_argument("--seed", type=int, help="seed for every random choice")
-        p.add_argument("--threads", type=int,
-                       help="accepted and ignored; BLAS threads follow OPENBLAS_NUM_THREADS")
-        p.add_argument("--output", help="artifact directory")
+        p.add_argument("--seed", dest="rng_seed", type=int,
+                       help="seed for every random choice")
+        p.add_argument("--output", dest="output_dir", help="artifact directory")
 
     p = sub.add_parser("preprocess", help="filter raw data and write splits")
-    p.add_argument("--data", help="raw interaction CSV/TSV path")
-    p.add_argument("--format", choices=("csv", "tsv"))
+    p.add_argument("--data", dest="data_path", help="raw interaction CSV/TSV path")
+    p.add_argument("--format", dest="data_format", choices=("csv", "tsv"))
     add_common(p)
 
     p = sub.add_parser("train", help="fit a similarity model on the train split")
@@ -404,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--users", required=True, help="fold-in interactions CSV/TSV")
     p.add_argument("-N", "--topn", type=int, default=10, help="list length")
-    p.add_argument("--format", choices=("csv", "tsv"))
+    p.add_argument("--format", dest="data_format", choices=("csv", "tsv"))
     add_common(p)
     return parser
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifact, linalg
-from .autoencoder import SimilarityMatrix, _ease_from_gram, _shifted
+from .autoencoder import SimilarityMatrix, ease, whitened_gram
 from .ingest import InteractionMatrix
 
 
@@ -82,47 +82,28 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
 
 def embed_dot(e: EmbeddingMatrix) -> SimilarityMatrix:
     """Plain inner-product similarity E^T E, the no-whitening baseline."""
-    linalg.check_capacity(e.n_items, e.n_items, "item similarity matrix")
-    b = linalg.symmetrize(e.values.T @ e.values)
+    b = linalg.gram(e.values, side="items")
     return SimilarityMatrix(b, "embed_dot", {"embedding_dim": e.dim})
 
 
-def embed_ridge(e: EmbeddingMatrix, lam: float, center: bool = False) -> SimilarityMatrix:
+def embed_ridge(e: EmbeddingMatrix, lam: float) -> SimilarityMatrix:
     """Ridge autoencoder on embeddings via the dual form E^T (E E^T + lam I)^{-1} E.
 
     Only the D x D Gram is ever inverted; the single |I| x |I| array this
     function creates is the returned similarity matrix itself.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    linalg.check_capacity(e.n_items, e.n_items, "item similarity matrix")
-    v = _maybe_center(e.values, center)
-    k = linalg.symmetrize(v @ v.T)
-    m = linalg.spd_solve(_shifted(k, lam), v)
-    b = v.T @ m
+    b = whitened_gram(e.values, lam)
     return SimilarityMatrix(b, "embed_ridge", {"lambda": lam, "embedding_dim": e.dim})
 
 
-def embed_ease(e: EmbeddingMatrix, lam: float, center: bool = False) -> SimilarityMatrix:
+def embed_ease(e: EmbeddingMatrix, lam: float) -> SimilarityMatrix:
     """EASE on embeddings: the usual closed form with Gram E^T E.
 
     The zero-diagonal constraint forces the |I| x |I| inverse, so unlike
     embed_ridge this is the expensive path.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    v = _maybe_center(e.values, center)
-    linalg.check_capacity(v.shape[1], v.shape[1], "embedding-side Gram matrix")
-    g = linalg.symmetrize(v.T @ v)
-    sol = _ease_from_gram(g, lam)
-    return SimilarityMatrix(sol.B.values, "embed_ease",
-                            {"lambda": lam, "embedding_dim": e.dim})
-
-
-def _maybe_center(values: np.ndarray, center: bool) -> np.ndarray:
-    if not center:
-        return values
-    return values - values.mean(axis=1, keepdims=True)
+    b = ease(e.values, lam).B.values
+    return SimilarityMatrix(b, "embed_ease", {"lambda": lam, "embedding_dim": e.dim})
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,17 @@ class InteractionLog:
     def __len__(self) -> int:
         return len(self.users)
 
+    def positives(self, threshold: float | None) -> np.ndarray:
+        """Mask of the events that count as positive interactions.
+
+        An event is positive when it has no rating or is rated at least
+        ``threshold``; every event is when ``threshold`` is None.
+        """
+        if threshold is None:
+            return np.ones(len(self), dtype=bool)
+        # NaN compares False, so events without a rating pass.
+        return ~(self.ratings < threshold)
+
     @classmethod
     def from_records(cls, records) -> "InteractionLog":
         """Build a log from RawInteraction records; a rating of None becomes NaN."""
@@ -310,11 +321,8 @@ def preprocess(log: InteractionLog, spec: SplitSpec) -> InteractionMatrix:
     """
     if not len(log):
         raise EmptyDatasetError("no raw interactions given")
-    users, items = log.users, log.items
-    if spec.rating_threshold is not None:
-        # NaN compares False, so events without a rating pass.
-        keep = ~(log.ratings < spec.rating_threshold)
-        users, items = users[keep], items[keep]
+    keep = log.positives(spec.rating_threshold)
+    users, items = log.users[keep], log.items[keep]
     n_items = len(log.item_ids)
     users, items = np.divmod(np.unique(users * n_items + items), n_items)
     if not len(users):

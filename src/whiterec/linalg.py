@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import CapacityError, NotSPDError, NumericalError, SingularMatrixError
+from .ingest import InteractionMatrix
 
 # Dense arrays (Gram matrices, densified interactions, similarity matrices)
 # larger than this many bytes are refused. The user-side Gram is |U| x |U|
@@ -63,22 +65,36 @@ class EigenDecomposition:
         return symmetrize((u * self.eigenvalues) @ u.T)
 
 
-def gram(X, side: str = "items") -> np.ndarray:
-    """Dense Gram matrix of an interaction matrix.
+def features(M) -> sp.csr_matrix | np.ndarray:
+    """The matrix behind a feature matrix whose columns are items.
 
-    side="items" returns X^T X (|I| x |I|); side="users" returns X X^T
-    (|U| x |U|). The product is accumulated from the sparse rows; X itself
+    An InteractionMatrix gives its sparse users x items matrix; anything
+    else (for instance D x |I| item embeddings) is taken as a dense
+    float64 array.
+    """
+    if isinstance(M, InteractionMatrix):
+        return M.matrix
+    return np.asarray(M, dtype=np.float64)
+
+
+def gram(M, side: str = "items") -> np.ndarray:
+    """Dense Gram matrix of a feature matrix (see :func:`features`).
+
+    side="items" returns M^T M (|I| x |I|); side="users" returns M M^T,
+    the Gram of the rows (|U| x |U| for interactions, D x D for
+    embeddings). This is the one place a Gram matrix is formed. Sparse M
     is never densified.
     """
     if side not in ("items", "users"):
         raise ValueError(f"side must be 'items' or 'users', got {side!r}")
-    m = X.matrix
+    m = features(M)
     dim = m.shape[1] if side == "items" else m.shape[0]
     check_capacity(dim, dim, f"{side}-side Gram matrix")
     g = (m.T @ m) if side == "items" else (m @ m.T)
-    out = np.asarray(g.todense(), dtype=np.float64)
-    # Sums of 0/1 products are exact integers, so out is already symmetric.
-    return out
+    # Sums of 0/1 products are exact integers, and a dense A^T A pairs the
+    # same products in the same order for (i, j) and (j, i) (BLAS syrk
+    # fills one triangle and copies it), so g is already exactly symmetric.
+    return g.toarray() if sp.issparse(g) else g
 
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
@@ -134,15 +150,11 @@ def inv_sqrt(a: np.ndarray, eps: float = 0.0) -> np.ndarray:
     """
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    return inv_sqrt_from_eig(eigh(a), eps)
-
-
-def inv_sqrt_from_eig(eig: EigenDecomposition, eps: float) -> np.ndarray:
-    """inv_sqrt computed from an existing eigendecomposition."""
+    eig = eigh(a)
     w = np.maximum(eig.eigenvalues, 0.0)
     if eps == 0.0:
-        tol = RANK_RTOL * (w[0] if w.size else 0.0)
-        if w.size == 0 or w[-1] <= tol:
+        tol = RANK_RTOL * w[0]
+        if w[-1] <= tol:
             raise SingularMatrixError(
                 f"matrix is rank deficient (smallest eigenvalue {w[-1]:.3e} <= "
                 f"tolerance {tol:.3e}); pass eps > 0"

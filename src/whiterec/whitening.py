@@ -20,39 +20,13 @@ from .autoencoder import SimilarityMatrix
 from .ingest import InteractionMatrix
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Feature covariance M M^T, optionally divided by the sample count."""
-
-    values: np.ndarray
-    normalization: str  # "mean" (1/N factor) or "raw"
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass
 class WhiteningTransform:
-    """Symmetric whitening matrix plus the eigendecomposition it came from."""
+    """Symmetric whitening matrix P fitted on source_dim feature dimensions."""
 
     P: np.ndarray
     eps: float
     source_dim: int
-    eig: linalg.EigenDecomposition
-
-
-def covariance(m: np.ndarray, normalization: str = "raw") -> CovarianceMatrix:
-    """Covariance of the rows of m across its columns (samples)."""
-    if normalization not in ("mean", "raw"):
-        raise ValueError(f"normalization must be 'mean' or 'raw', got {normalization!r}")
-    m = np.asarray(m, dtype=np.float64)
-    if m.size == 0:
-        raise ValueError("input matrix is empty")
-    c = linalg.symmetrize(m @ m.T)
-    if normalization == "mean":
-        c = c / m.shape[1]
-    return CovarianceMatrix(c, normalization)
 
 
 def fit_zca(m: np.ndarray, eps: float) -> WhiteningTransform:
@@ -62,12 +36,8 @@ def fit_zca(m: np.ndarray, eps: float) -> WhiteningTransform:
     whitened Gram coincide exactly with the ridge closed forms. With eps=0
     the rows of m must be linearly independent.
     """
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    m = np.asarray(m, dtype=np.float64)
-    eig = linalg.eigh(covariance(m, "raw").values)
-    p = linalg.inv_sqrt_from_eig(eig, eps)
-    return WhiteningTransform(P=p, eps=eps, source_dim=m.shape[0], eig=eig)
+    p = linalg.inv_sqrt(linalg.gram(m, side="users"), eps)
+    return WhiteningTransform(P=p, eps=eps, source_dim=p.shape[0])
 
 
 def whiten(t: WhiteningTransform, m: np.ndarray) -> np.ndarray:
@@ -95,6 +65,5 @@ def zca_similarity(X: InteractionMatrix, eps: float) -> SimilarityMatrix:
     linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")
     dense = X.toarray()
     t = fit_zca(dense, eps)
-    w = whiten(t, dense)
-    b = linalg.symmetrize(w.T @ w)
+    b = linalg.gram(whiten(t, dense), side="items")
     return SimilarityMatrix(b, "zca", {"lambda": eps})

@@ -13,13 +13,13 @@ import warnings
 import numpy as np
 
 from whiterec import linalg
-from whiterec.autoencoder import RidgeConfig, SimilarityMatrix, ease, ease_decompose, ridge_dual, ridge_primal
+from whiterec.autoencoder import SimilarityMatrix, ease, ease_decompose, ridge_dual, ridge_primal
 from whiterec.cli import cmd_evaluate, cmd_preprocess, cmd_train, PipelineConfig
 from whiterec.embedding import EmbeddingMatrix, embed_dot, embed_ridge, svd_embed
 from whiterec.evalmetrics import evaluate, ndcg_at_r, recall_at_r
 from whiterec.ingest import InteractionMatrix, SplitSpec, split_strong_generalization
 from whiterec.recommend import RankedList
-from whiterec.whitening import covariance, fit_zca, whiten, zca_similarity
+from whiterec.whitening import fit_zca, whiten, zca_similarity
 
 LAMBDAS = (0.1, 1.0, 10.0, 200.0)
 
@@ -52,8 +52,8 @@ def test_criterion_01_primal_dual_equivalence():
                 else "tall" if X.n_users > X.n_items else "wide")
         shapes[kind] += 1
         for lam in LAMBDAS:
-            p = ridge_primal(X, RidgeConfig(lam)).values
-            d = ridge_dual(X, RidgeConfig(lam)).values
+            p = ridge_primal(X, lam).values
+            d = ridge_dual(X, lam).values
             assert fro(p - d) <= 1e-8 * max(fro(p), 1e-30), \
                 f"primal/dual mismatch at shape {(X.n_users, X.n_items)}, lam={lam}"
     assert len(family) >= 200
@@ -67,8 +67,8 @@ def test_criterion_02_zca_identity_chain():
     for k, X in enumerate(family):
         eps = LAMBDAS[k % len(LAMBDAS)]
         z = zca_similarity(X, eps).values
-        p = ridge_primal(X, RidgeConfig(eps)).values
-        d = ridge_dual(X, RidgeConfig(eps)).values
+        p = ridge_primal(X, eps).values
+        d = ridge_dual(X, eps).values
         scale = max(fro(p), 1e-30)
         assert fro(z - p) <= 1e-8 * scale
         assert fro(z - d) <= 1e-8 * scale
@@ -82,7 +82,8 @@ def test_criterion_03_exact_whitening():
         n = int(rng.integers(2 * d, 2 * d + 21))
         m = rng.normal(size=(d, n))
         t = fit_zca(m, eps=0.0)
-        c = covariance(whiten(t, m), "raw").values
+        w = whiten(t, m)
+        c = w @ w.T
         assert np.abs(c - np.eye(d)).max() <= 1e-8
 
 
@@ -178,7 +179,7 @@ def test_criterion_07_ridge_spectrum():
         dense = (rng.random((n_u, n_i)) < rng.uniform(0.2, 0.8)).astype(float)
         X = InteractionMatrix.from_dense(dense)
         lam = float(rng.choice(LAMBDAS))
-        b = ridge_primal(X, RidgeConfig(lam)).values
+        b = ridge_primal(X, lam).values
         sigma = linalg.eigh(linalg.gram(X, "items")).eigenvalues
         expected = np.sort(sigma / (sigma + lam))
         got = np.sort(np.linalg.eigvalsh(b))

@@ -3,7 +3,6 @@ import pytest
 
 from whiterec import linalg
 from whiterec.autoencoder import (
-    RidgeConfig,
     ease,
     ease_decompose,
     reconstruction_objective,
@@ -21,22 +20,17 @@ def fro(a):
     return np.linalg.norm(a, "fro")
 
 
-class TestRidgeConfig:
-    def test_lambda_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RidgeConfig(0.0)
-        with pytest.raises(ValueError):
-            RidgeConfig(-1.0)
-
-    def test_bad_form(self):
-        with pytest.raises(ValueError):
-            RidgeConfig(1.0, "banana")
-
-
 class TestRidgePrimal:
+    @pytest.mark.parametrize("solve", [ridge_primal, ridge_dual, ridge])
+    def test_lambda_must_be_positive(self, rng, solve):
+        X = random_interactions(rng, 3, 3)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="lam must be > 0"):
+                solve(X, lam)
+
     def test_identity_data(self):
         X = InteractionMatrix.from_dense(np.eye(2))
-        b = ridge_primal(X, RidgeConfig(1.0))
+        b = ridge_primal(X, 1.0)
         np.testing.assert_allclose(b.values, 0.5 * np.eye(2), atol=1e-14)
         assert b.kind == "ridge"
 
@@ -44,13 +38,13 @@ class TestRidgePrimal:
         # G = [[2,2],[2,2]], (G+2I)^[-1] = (1/12)[[4,-2],[-2,4]],
         # B = (1/12)[[4,-2],[-2,4]] @ [[2,2],[2,2]] = (1/3) ones
         X = InteractionMatrix.from_dense([[1, 1], [1, 1]])
-        b = ridge_primal(X, RidgeConfig(2.0))
+        b = ridge_primal(X, 2.0)
         np.testing.assert_allclose(b.values, np.full((2, 2), 1.0 / 3.0), atol=1e-14)
 
     def test_eigenvalue_oracle(self, rng):
         X = random_interactions(rng, 7, 4)
         lam = 1.5
-        b = ridge_primal(X, RidgeConfig(lam))
+        b = ridge_primal(X, lam)
         sigma = linalg.eigh(linalg.gram(X, "items")).eigenvalues
         expected = np.sort(sigma / (sigma + lam))[::-1]
         got = np.sort(np.linalg.eigvalsh(b.values))[::-1]
@@ -59,39 +53,39 @@ class TestRidgePrimal:
     def test_eigenvalues_in_unit_interval(self, rng):
         for _ in range(5):
             X = random_interactions(rng, 8, 5)
-            b = ridge_primal(X, RidgeConfig(0.5))
+            b = ridge_primal(X, 0.5)
             evals = np.linalg.eigvalsh(b.values)
             assert evals.min() >= -1e-10
             assert evals.max() < 1.0
 
     def test_symmetric(self, rng):
         X = random_interactions(rng, 9, 6)
-        b = ridge_primal(X, RidgeConfig(1.0)).values
+        b = ridge_primal(X, 1.0).values
         assert np.array_equal(b, b.T)
 
 
 class TestRidgeDual:
     def test_identity_data(self):
         X = InteractionMatrix.from_dense(np.eye(2))
-        b = ridge_dual(X, RidgeConfig(1.0))
+        b = ridge_dual(X, 1.0)
         np.testing.assert_allclose(b.values, 0.5 * np.eye(2), atol=1e-14)
 
     def test_equals_primal_tall(self, rng):
         X = random_interactions(rng, 5, 3)
-        p = ridge_primal(X, RidgeConfig(1.0)).values
-        d = ridge_dual(X, RidgeConfig(1.0)).values
+        p = ridge_primal(X, 1.0).values
+        d = ridge_dual(X, 1.0).values
         assert fro(p - d) <= 1e-8 * fro(p)
 
     def test_equals_primal_wide(self, rng):
         X = random_interactions(rng, 3, 5)
-        p = ridge_primal(X, RidgeConfig(1.0)).values
-        d = ridge_dual(X, RidgeConfig(1.0)).values
+        p = ridge_primal(X, 1.0).values
+        d = ridge_dual(X, 1.0).values
         assert fro(p - d) <= 1e-8 * fro(p)
 
     def test_metadata_matches_primal_except_form(self, rng):
         X = random_interactions(rng, 4, 4)
-        p = ridge_primal(X, RidgeConfig(2.0))
-        d = ridge_dual(X, RidgeConfig(2.0))
+        p = ridge_primal(X, 2.0)
+        d = ridge_dual(X, 2.0)
         assert p.kind == d.kind == "ridge"
         assert p.config["lambda"] == d.config["lambda"]
         assert (p.config["form"], d.config["form"]) == ("primal", "dual")
@@ -100,8 +94,8 @@ class TestRidgeDual:
         X = random_interactions(rng, 10, 3)
         monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 10 * 10 * 8 - 1)
         with pytest.raises(CapacityError):
-            ridge_dual(X, RidgeConfig(1.0))
-        ridge_primal(X, RidgeConfig(1.0))  # item Gram is 3x3, still fine
+            ridge_dual(X, 1.0)
+        ridge_primal(X, 1.0)  # item Gram is 3x3, still fine
 
     def test_capacity_error_on_dense_interactions(self, rng, monkeypatch):
         # The 4x4 user Gram fits in 128 bytes; the dense 4x50 X and the
@@ -109,26 +103,23 @@ class TestRidgeDual:
         X = random_interactions(rng, 4, 50)
         monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 128)
         with pytest.raises(CapacityError):
-            ridge(X, RidgeConfig(1.0, "auto"))
+            ridge(X, 1.0)
 
 
 class TestRidgeDispatch:
     def test_auto_picks_smaller_gram(self, rng):
         tall = random_interactions(rng, 8, 4)
         wide = random_interactions(rng, 4, 8)
-        assert ridge(tall, RidgeConfig(1.0, "auto")).config["form"] == "primal"
-        assert ridge(wide, RidgeConfig(1.0, "auto")).config["form"] == "dual"
+        assert ridge(tall, 1.0).config["form"] == "primal"
+        assert ridge(wide, 1.0).config["form"] == "dual"
 
-    def test_explicit_form_respected(self, rng):
-        X = random_interactions(rng, 6, 4)
-        assert ridge(X, RidgeConfig(1.0, "dual")).config["form"] == "dual"
 
 
 class TestRidgeLimits:
     def test_shrinks_to_zero_as_lambda_grows(self, rng):
         X = random_interactions(rng, 8, 5)
         g = linalg.gram(X, "items")
-        b = ridge_primal(X, RidgeConfig(1e6)).values
+        b = ridge_primal(X, 1e6).values
         assert fro(b) <= fro(g) / 1e6 + 1e-15
         assert fro(b) < 1e-3
 
@@ -139,13 +130,13 @@ class TestRidgeLimits:
             X = random_interactions(rng, 10, 4)
             if np.linalg.matrix_rank(X.toarray()) == 4:
                 break
-        b = ridge_primal(X, RidgeConfig(1e-10)).values
+        b = ridge_primal(X, 1e-10).values
         np.testing.assert_allclose(np.linalg.eigvalsh(b), np.ones(4), atol=1e-6)
 
     def test_objective_beats_identity_and_zero(self, rng):
         X = random_interactions(rng, 8, 5)
         lam = 2.0
-        b_hat = ridge_primal(X, RidgeConfig(lam)).values
+        b_hat = ridge_primal(X, lam).values
         at_hat = reconstruction_objective(X, b_hat, lam)
         at_identity = reconstruction_objective(X, np.eye(5), lam)
         at_zero = reconstruction_objective(X, np.zeros((5, 5)), lam)
@@ -224,7 +215,7 @@ class TestEaseDecompose:
         lam = 0.9
         sol = ease(X, lam)
         w, _ = ease_decompose(sol)
-        b = ridge_primal(X, RidgeConfig(lam)).values
+        b = ridge_primal(X, lam).values
         assert fro(w.values - b) < 1e-12
 
 
@@ -233,6 +224,6 @@ class TestPrimalDualSweep:
     def test_equivalence_across_shapes(self, lam, rng):
         for shape in [(6, 3), (3, 6), (5, 5), (12, 4), (4, 12)]:
             X = random_interactions(rng, *shape)
-            p = ridge_primal(X, RidgeConfig(lam)).values
-            d = ridge_dual(X, RidgeConfig(lam)).values
+            p = ridge_primal(X, lam).values
+            d = ridge_dual(X, lam).values
             assert fro(p - d) <= 1e-8 * fro(p)

@@ -13,6 +13,7 @@ from whiterec.cli import (
     EXIT_OK,
     KINDS,
     PipelineConfig,
+    build_parser,
     cmd_evaluate,
     cmd_preprocess,
     cmd_recommend,
@@ -93,6 +94,33 @@ class TestConfig:
         args = argparse.Namespace(config=str(p))
         with pytest.raises(ConfigError, match="bogus"):
             resolve_config(args)
+
+    def test_threads_key_rejected(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("threads = 2\n")
+        assert main(["train", "--config", str(p), "--output", str(tmp_path)]) == EXIT_GENERIC
+        assert "unknown config key 'threads'" in capsys.readouterr().err
+
+    def test_min_count_zero_rejected_before_reading(self, tmp_path, capsys):
+        # The data file does not exist: a late check would exit 2 on it.
+        p = tmp_path / "run.cfg"
+        p.write_text(f"data_path = {tmp_path / 'missing.csv'}\nmin_user_interactions = 0\n")
+        with pytest.raises(ConfigError, match="minimum interaction counts"):
+            PipelineConfig(min_user_interactions=0).validate()
+        assert main(["preprocess", "--config", str(p), "--output", str(tmp_path)]) == EXIT_GENERIC
+        assert "minimum interaction counts must be >= 1" in capsys.readouterr().err
+
+    def test_every_flag_sets_its_field(self):
+        args = build_parser().parse_args([
+            "recommend", "--model", "m.bin", "--users", "u.csv", "--format", "tsv",
+            "--kind", "embed_ridge", "--lambda", "3", "--embedding-dim", "4",
+            "--cutoffs", "1,2", "--seed", "9", "--output", "o"])
+        config = resolve_config(args)
+        assert (config.data_format, config.kind, config.lam, config.embedding_dim,
+                config.cutoffs, config.rng_seed, config.output_dir) == (
+                "tsv", "embed_ridge", 3.0, 4, (1, 2), 9, "o")
+        args = build_parser().parse_args(["preprocess", "--data", "d.csv"])
+        assert resolve_config(args).data_path == "d.csv"
 
     def test_cli_overrides_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -396,6 +424,26 @@ class TestRecommendCommand:
         assert cmd_recommend(base_config(tmp_path), model, users, 1) == EXIT_OK
         lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
         assert lines[1:] == ["alice,1,item1,1.0", "bob,1,item0,1.0"]
+
+    def test_rating_threshold_applies_to_foldin(self, tmp_path, capsys):
+        # alice rated item0 below the threshold: it is neither history nor
+        # seen, so it can be recommended, and it is what item1 points to.
+        values = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        model = tmp_path / "model.bin"
+        save_model(SimilarityMatrix(values, "ridge", {"lambda": 1.0}),
+                   ["item0", "item1", "item2"], model)
+        users = tmp_path / "users.csv"
+        users.write_text("alice,item0,1\nalice,item1,5\nbob,item2,2\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rating_threshold = 4\n")
+        code = main(["recommend", "--config", str(cfg), "--model", str(model),
+                     "--users", str(users), "-N", "1", "--output", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
+        assert lines[1:] == ["alice,1,item0,1.0"]
+        err = capsys.readouterr().err
+        assert "skipped 2 interactions (0 with unknown item ids, 2 rated below" in err
+        assert "1 users have no recommendations (0 with only unknown item ids)" in err
 
     def test_topn_zero_is_usage_error(self, tmp_path):
         model = self.make_model(tmp_path)

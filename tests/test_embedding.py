@@ -164,14 +164,6 @@ class TestEmbedRidge:
         # item-sized intermediate would roughly double the peak.
         assert peak - before < 1.5 * output_bytes
 
-    def test_center_flag(self, rng):
-        e = EmbeddingMatrix(rng.normal(size=(3, 12)))
-        centered_values = e.values - e.values.mean(axis=1, keepdims=True)
-        expected = embed_ridge(EmbeddingMatrix(centered_values), 1.0).values
-        got = embed_ridge(e, 1.0, center=True).values
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-        assert not np.allclose(got, embed_ridge(e, 1.0).values)
-
     def test_lambda_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             embed_ridge(EmbeddingMatrix(rng.normal(size=(2, 5))), 0.0)

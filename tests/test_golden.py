@@ -1,8 +1,9 @@
 """Golden outputs of a seeded tiny pipeline.
 
 The SHA-256 digests below pin the exact bytes of the nine split files and
-``summary.json`` written by ``preprocess``, and of the recommendation CSV
-and both evaluation reports for ``ridge`` and ``ease``. Any change to
+``summary.json`` written by ``preprocess``, and, for every model kind, of
+the model file, the recommendation CSV and both evaluation reports (plus
+``embeddings.bin`` for the embedding kinds). Any change to the solvers,
 parsing, filtering, id order, the split, split-file formatting, ranking
 order, tie-breaking, score formatting, CSV quoting or metric arithmetic
 shows up here. Digests assume IEEE float64 with the bundled
@@ -40,6 +41,9 @@ GOLDEN_SPLIT = {
         "1f09bd125e03f6c12c5a7badecd894e56f9f2ee8bc21b5cae6b0e4df51073992",
 }
 
+# All embedding kinds share one SVD of the same train split (D = 8).
+EMBEDDINGS = "7bf45c19a1f8ae831445f509e19bcd4f785e00630562e9117f1340bd55ed5d83"
+
 GOLDEN = {
     "ridge": {
         "recommendations.csv":
@@ -48,6 +52,8 @@ GOLDEN = {
             "e445f55b3097a8db04753ce9e51cf5d13f238bf29046206349f9aee0beb44686",
         "eval_test_ridge_per_user.csv":
             "36cfa30595a4bc74ed904c4e843a71dcf18e95d2fd5cd6871dc0d0f84c5ca165",
+        "model_ridge.bin":
+            "2f8767443efc087f45e1df3f09f692609821fdfe88520782df3922876f840ac9",
     },
     "ease": {
         "recommendations.csv":
@@ -56,6 +62,51 @@ GOLDEN = {
             "225920e80175431906d1a7bcaffd3a2c3c23a3138dfc13cc36d23b025e21b7b9",
         "eval_test_ease_per_user.csv":
             "200ed95716fe38d8288bca8b68c1efed28a11bc000f5bdbbee9ae7a053504597",
+        "model_ease.bin":
+            "66ce392a12e40dfb0b2a74d11861aa2e5e4ddc8565aa9f6d11639eb74856e08d",
+    },
+    "zca": {
+        "recommendations.csv":
+            "ff316e8c2836af3e840c42a6ffe46d6c68e68b66438dcad1747d06eca83b1141",
+        "eval_test_zca.json":
+            "e445f55b3097a8db04753ce9e51cf5d13f238bf29046206349f9aee0beb44686",
+        "eval_test_zca_per_user.csv":
+            "36cfa30595a4bc74ed904c4e843a71dcf18e95d2fd5cd6871dc0d0f84c5ca165",
+        "model_zca.bin":
+            "dda233b192ad1d2b757e8abd30abff66a8abf71611d93a5d35ed9e318a485159",
+    },
+    "embed_dot": {
+        "recommendations.csv":
+            "23c12fbee2c21f080e8d28cd5fbc447927d51f5ed13dca43b5f7288aad868f1f",
+        "eval_test_embed_dot.json":
+            "2d13d6f6da7ff736a575f4e18c5b43d4751e66a8b94278df0c59fb8d1ec25832",
+        "eval_test_embed_dot_per_user.csv":
+            "1e0d0048b916281340ae9fac1a26af2bc3c07e6906ccd59f66ac80d3c62f8c13",
+        "model_embed_dot.bin":
+            "1e7a901f99279979bee152bc37c6a1e6d557c653c1f9370cb8bf8658dd7ce308",
+        "embeddings.bin": EMBEDDINGS,
+    },
+    "embed_ridge": {
+        "recommendations.csv":
+            "6470d5856d5573e6a3b33263dd5cdb4066aeb3f9a4d7c7a6fd46a889b738563a",
+        "eval_test_embed_ridge.json":
+            "52938cbc760be69990cece00f17b0fa636da218d50972ff5708d23a69bbd1fe5",
+        "eval_test_embed_ridge_per_user.csv":
+            "284aaafee8185834940a045346e8d5bff3179e0f12c050af34a57b3f45206fee",
+        "model_embed_ridge.bin":
+            "3b9df8427602172ffcf18cd717321fd8fbe0cbf433414fa513f31ad4c542c4f9",
+        "embeddings.bin": EMBEDDINGS,
+    },
+    "embed_ease": {
+        "recommendations.csv":
+            "7c3e3bcdb6ff8f0a4238a2650de4061e35491669f11ae84979d95cd7fa65362c",
+        "eval_test_embed_ease.json":
+            "0b3928f5dc1f43bfa9fb21b667c838cc11d7eeee95b3aef243b6bd6399c7c1cb",
+        "eval_test_embed_ease_per_user.csv":
+            "c154df9085d10ae51812e70d13ea637198c3ea4c8e560c73bddda56de2981152",
+        "model_embed_ease.bin":
+            "cffadf05aef3c867a6e4ad5c05e995e431db1a83f5600fb2bd85a72bdd6492a6",
+        "embeddings.bin": EMBEDDINGS,
     },
 }
 
@@ -99,6 +150,8 @@ def test_golden_outputs(tmp_path, kind):
     out = tmp_path / "out"
     common = ["--output", str(out), "--seed", "3", "--lambda", "4.0", "--kind", kind,
               "--cutoffs", "3,5,10"]
+    if kind.startswith("embed_"):
+        common += ["--embedding-dim", "8"]
     assert main(["preprocess", "--data", str(tmp_path / "data.csv"), *common]) == EXIT_OK
     assert main(["train", *common]) == EXIT_OK
     model = str(out / f"model_{kind}.bin")

@@ -48,6 +48,14 @@ class TestGram:
             evals = np.linalg.eigvalsh(g)
             assert evals.min() >= -1e-10 * np.trace(g)
 
+    def test_dense_features_exactly_symmetric(self, rng):
+        base = rng.normal(size=(7, 24))
+        for m in (base, np.asfortranarray(base), base[:, ::2], base[::2, :]):
+            for side, expected in (("items", m.T @ m), ("users", m @ m.T)):
+                g = linalg.gram(m, side)
+                assert np.array_equal(g, g.T)
+                np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12)
+
     def test_capacity_error(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 100)
         X = random_interactions(rng, 8, 8)

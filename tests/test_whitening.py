@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from whiterec import linalg
-from whiterec.autoencoder import RidgeConfig, ridge_dual, ridge_primal
+from whiterec.autoencoder import ridge_dual, ridge_primal
 from whiterec.errors import CapacityError, SingularMatrixError
 from whiterec.ingest import InteractionMatrix
-from whiterec.whitening import covariance, fit_zca, whiten, zca_similarity
+from whiterec.whitening import fit_zca, whiten, zca_similarity
 
 from conftest import random_interactions
 
@@ -15,26 +15,17 @@ def fro(a):
 
 
 class TestCovariance:
-    def test_identity_mean(self):
-        c = covariance(np.eye(2), "mean")
-        np.testing.assert_allclose(c.values, 0.5 * np.eye(2))
-        assert c.normalization == "mean"
+    """The raw covariance M M^T that fit_zca whitens is gram(M, "users")."""
 
     def test_hand_raw(self):
         m = np.array([[1.0, 1.0], [1.0, -1.0]])
-        np.testing.assert_allclose(covariance(m, "raw").values, 2.0 * np.eye(2))
-
-    def test_hand_mean(self):
-        m = np.array([[1.0, 1.0], [1.0, -1.0]])
-        np.testing.assert_allclose(covariance(m, "mean").values, np.eye(2))
-
-    def test_bad_normalization(self):
-        with pytest.raises(ValueError):
-            covariance(np.eye(2), "unit")
+        np.testing.assert_allclose(linalg.gram(m, "users"), 2.0 * np.eye(2))
 
     def test_psd(self, rng):
         m = rng.normal(size=(5, 9))
-        evals = np.linalg.eigvalsh(covariance(m, "mean").values)
+        c = linalg.gram(m, "users")
+        assert np.array_equal(c, c.T)
+        evals = np.linalg.eigvalsh(c)
         assert evals.min() >= -1e-10 * max(evals.max(), 1.0)
 
 
@@ -60,7 +51,8 @@ class TestFitZca:
         m = rng.normal(size=(6, 10))
         eps = 0.4
         t = fit_zca(m, eps)
-        rebuilt = linalg.inv_sqrt_from_eig(t.eig, eps)
+        w, u = np.linalg.eigh(m @ m.T)
+        rebuilt = (u / np.sqrt(w + eps)) @ u.T
         assert fro(t.P - rebuilt) < 1e-10
 
     def test_column_permutation_invariant(self, rng):
@@ -82,8 +74,8 @@ class TestWhiten:
     def test_raw_covariance_becomes_identity(self, rng):
         m = rng.normal(size=(6, 20))
         t = fit_zca(m, eps=0.0)
-        c = covariance(whiten(t, m), "raw")
-        np.testing.assert_allclose(c.values, np.eye(6), atol=1e-8)
+        w = whiten(t, m)
+        np.testing.assert_allclose(w @ w.T, np.eye(6), atol=1e-8)
 
     def test_eigenvalue_oracle_with_eps(self, rng):
         m = rng.normal(size=(5, 11))
@@ -109,13 +101,13 @@ class TestZcaSimilarity:
     def test_matches_ridge_primal(self, rng):
         X = random_interactions(rng, 6, 4)
         z = zca_similarity(X, eps=1.0).values
-        p = ridge_primal(X, RidgeConfig(1.0)).values
+        p = ridge_primal(X, 1.0).values
         assert fro(z - p) <= 1e-8 * fro(p)
 
     def test_matches_ridge_dual(self, rng):
         X = random_interactions(rng, 6, 4)
         z = zca_similarity(X, eps=1.0).values
-        d = ridge_dual(X, RidgeConfig(1.0)).values
+        d = ridge_dual(X, 1.0).values
         assert fro(z - d) <= 1e-8 * fro(d)
 
     def test_identity_chain_both_aspect_ratios(self, rng):
@@ -123,8 +115,8 @@ class TestZcaSimilarity:
             for eps in (0.1, 1.0, 10.0):
                 X = random_interactions(rng, *shape)
                 z = zca_similarity(X, eps).values
-                p = ridge_primal(X, RidgeConfig(eps)).values
-                d = ridge_dual(X, RidgeConfig(eps)).values
+                p = ridge_primal(X, eps).values
+                d = ridge_dual(X, eps).values
                 assert fro(z - p) <= 1e-8 * fro(p)
                 assert fro(z - d) <= 1e-8 * fro(p)
 
