@@ -125,6 +125,8 @@ class PipelineConfig:
             self.split_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.gram_byte_cap is not None and self.gram_byte_cap < 1:
+            raise ConfigError(f"gram_byte_cap must be >= 1, got {self.gram_byte_cap}")
         if not self.cutoffs or any(r < 1 for r in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive, got {list(self.cutoffs)}")
         if self.data_format not in ("csv", "tsv"):
@@ -222,30 +224,21 @@ def load_model(path: str | Path) -> tuple[SimilarityMatrix, list[str]]:
 def cmd_preprocess(config: PipelineConfig) -> int:
     if not config.data_path:
         raise ConfigError("preprocess needs a data path (config data_path or --data)")
-    log = load_interactions(config.data_path, config.data_format)
-    X = preprocess(log, config.split_spec())
-    train, validation, test = split_strong_generalization(X, config.split_spec())
+    spec = config.split_spec()
+    X = preprocess(load_interactions(config.data_path, config.data_format), spec)
+    train, validation, test = split_strong_generalization(X, spec)
+    n_drawn = spec.n_heldout_users(X.n_users)
     outdir = Path(config.output_dir)
     save_split(outdir, train, validation, test)
-    summary = {
-        "n_items": train.n_items,
-        "splits": {
-            "train": {"n_users": train.n_users, "nnz": train.nnz},
-            "validation": {
-                "n_users": validation.n_users,
-                "nnz_foldin": validation.foldin.nnz,
-                "nnz_targets": validation.targets.nnz,
-                "excluded_users": validation.n_excluded_users,
-            },
-            "test": {
-                "n_users": test.n_users,
-                "nnz_foldin": test.foldin.nnz,
-                "nnz_targets": test.targets.nnz,
-                "excluded_users": test.n_excluded_users,
-            },
-        },
-        "rng_seed": config.rng_seed,
-    }
+    splits = {"train": {"n_users": train.n_users, "nnz": train.nnz}}
+    for name, heldout in (("validation", validation), ("test", test)):
+        splits[name] = {
+            "n_users": heldout.n_users,
+            "nnz_foldin": heldout.foldin.nnz,
+            "nnz_targets": heldout.targets.nnz,
+            "excluded_users": n_drawn - heldout.n_users,
+        }
+    summary = {"n_items": train.n_items, "splits": splits, "rng_seed": config.rng_seed}
     with artifact.atomic_open(outdir / "summary.json", encoding="utf-8") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote split to {outdir} "

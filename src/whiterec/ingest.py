@@ -11,6 +11,13 @@ A raw log is parsed into an :class:`InteractionLog`: integer user and item
 codes plus ratings, one array element per event. Filtering works on those
 arrays only; id strings are looked at again just to sort the survivors.
 
+The split draws the validation and test users from one seeded
+permutation, then each held-out user's fold-in items, user by user, into
+one boolean mask over the matrix's entries; train, fold-in and targets
+are row and column slices of the matrix under that mask. Items without
+training interactions are dropped from all three, and a held-out user
+left with no fold-in or no target item is excluded with a warning.
+
 Split artifacts are persisted in a sparse-triplet text format: a one-line
 header ``n_users n_items nnz`` followed by one ``user_index item_index``
 pair per line. A held-out set is stored as two such files (fold-in and
@@ -25,7 +32,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +143,10 @@ class SplitSpec:
         if self.min_user_interactions < 1 or self.min_item_interactions < 1:
             raise ValueError("minimum interaction counts must be >= 1")
 
+    def n_heldout_users(self, n_users: int) -> int:
+        """Users drawn for each of validation and test out of ``n_users``."""
+        return int(n_users * self.heldout_user_fraction + 1e-9)
+
 
 class InteractionMatrix:
     """Sparse binary user-item matrix with id vocabularies.
@@ -170,14 +180,6 @@ class InteractionMatrix:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
-
-    @cached_property
-    def user_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.user_ids)}
-
-    @cached_property
-    def item_index(self) -> dict[str, int]:
-        return {it: i for i, it in enumerate(self.item_ids)}
 
     def row_items(self, u: int) -> np.ndarray:
         """Sorted item indices of user row u."""
@@ -225,13 +227,11 @@ class HeldOutSet:
     """Held-out users: fold-in interactions plus disjoint target item sets.
 
     ``foldin`` and ``targets`` share the same local user order and the same
-    (global) item vocabulary. ``n_excluded_users`` counts users dropped at
-    split time because their fold-in or target part came out empty.
+    (global) item vocabulary.
     """
 
     foldin: InteractionMatrix
     targets: InteractionMatrix
-    n_excluded_users: int = 0
 
     def __post_init__(self):
         if self.foldin.matrix.shape != self.targets.matrix.shape:
@@ -249,9 +249,6 @@ class HeldOutSet:
     @property
     def n_items(self) -> int:
         return self.foldin.n_items
-
-    def target_items(self, u: int) -> np.ndarray:
-        return self.targets.row_items(u)
 
 
 def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
@@ -358,22 +355,24 @@ def split_strong_generalization(
 ) -> tuple[InteractionMatrix, HeldOutSet, HeldOutSet]:
     """Partition users into train/validation/test and split held-out items.
 
-    A ``heldout_user_fraction`` share of users goes to each of validation
-    and test; the rest train. Each held-out user's items are divided
+    ``spec.n_heldout_users(n_users)`` users go to each of validation and
+    test; the rest train. Each held-out user's items are divided
     ``foldin_fraction : rest`` uniformly at random under the spec seed.
-    Items that end up with no training interactions are dropped globally
-    (the remaining items are re-indexed densely), and held-out users whose
-    fold-in or target part becomes empty are excluded with a warning.
+    Items without training interactions are dropped everywhere (the rest
+    keep their order), and held-out users whose fold-in or target part is
+    left empty by that are excluded with a warning. All three parts are
+    row and column slices of ``X`` under one fold-in mask over its entries.
     """
+    m = X.matrix
     n_users = X.n_users
-    row_sizes = np.diff(X.matrix.indptr)
+    row_sizes = np.diff(m.indptr)
     if np.any(row_sizes < 2):
         bad = int(np.argmax(row_sizes < 2))
         raise SplitError(
             f"user {X.user_ids[bad]!r} has fewer than 2 interactions; "
             "the split needs at least one fold-in and one target item per user"
         )
-    n_heldout = int(n_users * spec.heldout_user_fraction + 1e-9)
+    n_heldout = spec.n_heldout_users(n_users)
     if n_heldout < 1:
         raise SplitError(
             f"heldout_user_fraction={spec.heldout_user_fraction} yields zero "
@@ -388,86 +387,46 @@ def split_strong_generalization(
     test_rows = np.sort(perm[n_heldout:2 * n_heldout])
     train_rows = np.sort(perm[2 * n_heldout:])
 
-    def divide(rows):
-        foldins, targets = [], []
-        for u in rows:
-            items = X.row_items(u)
-            k = int(len(items) * spec.foldin_fraction + 1e-9)
-            shuffled = rng.permutation(items)
-            foldins.append(np.sort(shuffled[:k]))
-            targets.append(np.sort(shuffled[k:]))
-        return foldins, targets
+    # One draw per held-out user, validation then test, picks the entries
+    # of X that go to fold-in; the user's other entries are targets.
+    foldin = np.zeros(m.nnz, dtype=bool)
+    for u in np.concatenate([val_rows, test_rows]).tolist():
+        size = int(row_sizes[u])
+        k = int(size * spec.foldin_fraction + 1e-9)
+        foldin[m.indptr[u] + rng.permutation(size)[:k]] = True
 
-    val_fold, val_targ = divide(val_rows)
-    test_fold, test_targ = divide(test_rows)
+    # An item is dropped only when no training row has it, so every
+    # training row keeps all its items.
+    train_matrix = m[train_rows]
+    keep_items = np.bincount(train_matrix.indices, minlength=X.n_items) > 0
+    n_dropped = X.n_items - int(keep_items.sum())
+    if n_dropped:
+        warnings.warn(f"split dropped {n_dropped} items without training interactions",
+                      stacklevel=2)
+    item_ids = [X.item_ids[j] for j in np.flatnonzero(keep_items)]
+    train = InteractionMatrix(train_matrix[:, keep_items],
+                              [X.user_ids[u] for u in train_rows], item_ids)
 
-    # Items must keep at least one training interaction; dropping items can
-    # in turn empty a training row, so iterate to a fixed point.
-    train_sub = X.matrix[train_rows]
-    keep_rows = np.ones(train_sub.shape[0], dtype=bool)
-    while True:
-        col_counts = np.asarray(train_sub[keep_rows].sum(axis=0)).ravel()
-        keep_items = col_counts > 0
-        new_keep_rows = np.asarray(train_sub[:, keep_items].sum(axis=1)).ravel() > 0
-        if np.array_equal(new_keep_rows, keep_rows):
-            break
-        keep_rows = new_keep_rows
-    kept_train_rows = train_rows[keep_rows]
-    n_dropped_items = X.n_items - int(keep_items.sum())
-    n_dropped_train_users = len(train_rows) - len(kept_train_rows)
-    if len(kept_train_rows) == 0:
-        raise SplitError("all training users lost their interactions")
-    if n_dropped_items or n_dropped_train_users:
-        warnings.warn(
-            f"split dropped {n_dropped_items} items without training interactions "
-            f"and {n_dropped_train_users} training users left empty by that",
-            stacklevel=2,
-        )
-
-    old_to_new = -np.ones(X.n_items, dtype=np.int64)
-    old_to_new[keep_items] = np.arange(int(keep_items.sum()))
-    new_item_ids = [X.item_ids[j] for j in np.flatnonzero(keep_items)]
-
-    train_matrix = X.matrix[kept_train_rows][:, keep_items].tocsr()
-    train = InteractionMatrix(
-        train_matrix,
-        [X.user_ids[u] for u in kept_train_rows],
-        new_item_ids,
-    )
-
-    def build_heldout(rows, foldins, targets, name):
-        kept_users, kept_fold, kept_targ = [], [], []
-        n_excluded = 0
-        for u, f, t in zip(rows, foldins, targets):
-            f = old_to_new[f[old_to_new[f] >= 0]]
-            t = old_to_new[t[old_to_new[t] >= 0]]
-            if len(f) == 0 or len(t) == 0:
-                n_excluded += 1
-                continue
-            kept_users.append(X.user_ids[u])
-            kept_fold.append(np.sort(f))
-            kept_targ.append(np.sort(t))
-        if n_excluded:
-            warnings.warn(
-                f"{name} split excluded {n_excluded} users with empty fold-in or targets",
-                stacklevel=3,
-            )
-        if not kept_users:
+    fold, targ = (_entries(m, keep)[:, keep_items] for keep in (foldin, ~foldin))
+    heldout = []
+    for rows, name in ((val_rows, "validation"), (test_rows, "test")):
+        kept = rows[(np.diff(fold.indptr)[rows] > 0) & (np.diff(targ.indptr)[rows] > 0)]
+        if len(kept) < len(rows):
+            warnings.warn(f"{name} split excluded {len(rows) - len(kept)} users "
+                          "with empty fold-in or targets", stacklevel=2)
+        if not len(kept):
             raise SplitError(f"all {name} users were excluded from the split")
-        n_items = len(new_item_ids)
-
-        def matrix_of(rows_items):
-            ui = np.concatenate([np.full(len(r), i) for i, r in enumerate(rows_items)])
-            ii = np.concatenate(rows_items)
-            return InteractionMatrix.from_pairs(
-                ui, ii, len(rows_items), n_items, kept_users, new_item_ids
-            )
-
-        return HeldOutSet(matrix_of(kept_fold), matrix_of(kept_targ), n_excluded)
-
-    validation = build_heldout(val_rows, val_fold, val_targ, "validation")
-    test = build_heldout(test_rows, test_fold, test_targ, "test")
+        users = [X.user_ids[u] for u in kept]
+        heldout.append(HeldOutSet(InteractionMatrix(fold[kept], users, item_ids),
+                                  InteractionMatrix(targ[kept], users, item_ids)))
+    validation, test = heldout
     return train, validation, test
+
+
+def _entries(m: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """A new CSR matrix holding the entries of ``m`` where ``keep`` is True."""
+    ends = np.concatenate(([0], np.cumsum(keep)))
+    return sp.csr_matrix((m.data[keep], m.indices[keep], ends[m.indptr]), shape=m.shape)
 
 
 # ---------------------------------------------------------------------------

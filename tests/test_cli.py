@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,16 @@ class TestConfig:
         assert main(["preprocess", "--config", str(p), "--output", str(tmp_path)]) == EXIT_GENERIC
         assert "minimum interaction counts must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_byte_cap_below_one_rejected_before_reading(self, tmp_path, capsys, cap):
+        # The data file does not exist: a late check would exit 2 on it.
+        p = tmp_path / "run.cfg"
+        p.write_text(f"data_path = {tmp_path / 'missing.csv'}\ngram_byte_cap = {cap}\n")
+        with pytest.raises(ConfigError, match="gram_byte_cap"):
+            PipelineConfig(gram_byte_cap=cap).validate()
+        assert main(["preprocess", "--config", str(p), "--output", str(tmp_path)]) == EXIT_GENERIC
+        assert f"gram_byte_cap must be >= 1, got {cap}" in capsys.readouterr().err
+
     def test_every_flag_sets_its_field(self):
         args = build_parser().parse_args([
             "recommend", "--model", "m.bin", "--users", "u.csv", "--format", "tsv",
@@ -200,6 +211,34 @@ class TestPreprocessCommand:
             assert (out / name).exists(), name
         summary = json.loads((out / "summary.json").read_text())
         assert summary["splits"]["train"]["n_users"] > 0
+
+    def test_excluded_users_in_summary(self, tmp_path):
+        # Odd users hold a and two items of their own; when one is held
+        # out, its own items have no training interactions and are dropped,
+        # which leaves its fold-in or its targets empty. Even users keep
+        # a, b and c and are never excluded.
+        lines = []
+        for u in range(40):
+            own = [f"x{u}", f"y{u}"] if u % 2 else ["b", "c"]
+            lines += [f"u{u},{item}" for item in ["a", *own]]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\nmin_user_interactions = 2\n"
+                       "heldout_user_fraction = 0.2\nfoldin_fraction = 0.5\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["preprocess", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+        messages = [str(w.message) for w in caught]
+        splits = json.loads((out / "summary.json").read_text())["splits"]
+        for name in ("validation", "test"):
+            excluded = splits[name]["excluded_users"]
+            assert excluded > 0
+            assert (f"{name} split excluded {excluded} users with empty fold-in or targets"
+                    in messages)
+            users = (out / f"{name}_users.txt").read_text().split()
+            assert len(users) == 8 - excluded
+            assert all(int(u[1:]) % 2 == 0 for u in users)
 
     def test_missing_input_exit_2(self, tmp_path):
         code = main(["preprocess", "--data", str(tmp_path / "missing.csv"),

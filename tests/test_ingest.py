@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -80,6 +81,118 @@ def naive_preprocess(raw: list[RawInteraction], spec: SplitSpec) -> InteractionM
     cols = [iidx[it] for its in user_items.values() for it in its]
     return InteractionMatrix.from_pairs(rows, cols, len(user_ids), len(item_ids),
                                         user_ids, item_ids)
+
+
+def naive_split(X: InteractionMatrix, spec: SplitSpec):
+    """The reference split, user by user: returns train, validation, test
+    and the number of validation and test users excluded.
+
+    Each held-out user's items are shuffled and cut, items are dropped
+    until every item and every training row has an interaction, and each
+    held-out user is rebuilt from their surviving items.
+    """
+    n_users = X.n_users
+    row_sizes = np.diff(X.matrix.indptr)
+    if np.any(row_sizes < 2):
+        bad = int(np.argmax(row_sizes < 2))
+        raise SplitError(
+            f"user {X.user_ids[bad]!r} has fewer than 2 interactions; "
+            "the split needs at least one fold-in and one target item per user"
+        )
+    n_heldout = int(n_users * spec.heldout_user_fraction + 1e-9)
+    if n_heldout < 1:
+        raise SplitError(
+            f"heldout_user_fraction={spec.heldout_user_fraction} yields zero "
+            f"held-out users for {n_users} users"
+        )
+    if n_users - 2 * n_heldout < 1:
+        raise SplitError("no users left for training after holding out validation and test")
+
+    rng = np.random.default_rng(spec.rng_seed)
+    perm = rng.permutation(n_users)
+    val_rows = np.sort(perm[:n_heldout])
+    test_rows = np.sort(perm[n_heldout:2 * n_heldout])
+    train_rows = np.sort(perm[2 * n_heldout:])
+
+    def divide(rows):
+        foldins, targets = [], []
+        for u in rows:
+            items = X.row_items(u)
+            k = int(len(items) * spec.foldin_fraction + 1e-9)
+            shuffled = rng.permutation(items)
+            foldins.append(np.sort(shuffled[:k]))
+            targets.append(np.sort(shuffled[k:]))
+        return foldins, targets
+
+    val_fold, val_targ = divide(val_rows)
+    test_fold, test_targ = divide(test_rows)
+
+    # Items must keep at least one training interaction; dropping items can
+    # in turn empty a training row, so iterate to a fixed point.
+    train_sub = X.matrix[train_rows]
+    keep_rows = np.ones(train_sub.shape[0], dtype=bool)
+    while True:
+        col_counts = np.asarray(train_sub[keep_rows].sum(axis=0)).ravel()
+        keep_items = col_counts > 0
+        new_keep_rows = np.asarray(train_sub[:, keep_items].sum(axis=1)).ravel() > 0
+        if np.array_equal(new_keep_rows, keep_rows):
+            break
+        keep_rows = new_keep_rows
+    kept_train_rows = train_rows[keep_rows]
+    n_dropped_items = X.n_items - int(keep_items.sum())
+    n_dropped_train_users = len(train_rows) - len(kept_train_rows)
+    # The loop never empties a training row: each has 2+ items, all kept.
+    assert n_dropped_train_users == 0
+    if n_dropped_items:
+        warnings.warn(
+            f"split dropped {n_dropped_items} items without training interactions",
+            stacklevel=2,
+        )
+
+    old_to_new = -np.ones(X.n_items, dtype=np.int64)
+    old_to_new[keep_items] = np.arange(int(keep_items.sum()))
+    new_item_ids = [X.item_ids[j] for j in np.flatnonzero(keep_items)]
+
+    train_matrix = X.matrix[kept_train_rows][:, keep_items].tocsr()
+    train = InteractionMatrix(
+        train_matrix,
+        [X.user_ids[u] for u in kept_train_rows],
+        new_item_ids,
+    )
+
+    def build_heldout(rows, foldins, targets, name):
+        kept_users, kept_fold, kept_targ = [], [], []
+        n_excluded = 0
+        for u, f, t in zip(rows, foldins, targets):
+            f = old_to_new[f[old_to_new[f] >= 0]]
+            t = old_to_new[t[old_to_new[t] >= 0]]
+            if len(f) == 0 or len(t) == 0:
+                n_excluded += 1
+                continue
+            kept_users.append(X.user_ids[u])
+            kept_fold.append(np.sort(f))
+            kept_targ.append(np.sort(t))
+        if n_excluded:
+            warnings.warn(
+                f"{name} split excluded {n_excluded} users with empty fold-in or targets",
+                stacklevel=3,
+            )
+        if not kept_users:
+            raise SplitError(f"all {name} users were excluded from the split")
+        n_items = len(new_item_ids)
+
+        def matrix_of(rows_items):
+            ui = np.concatenate([np.full(len(r), i) for i, r in enumerate(rows_items)])
+            ii = np.concatenate(rows_items)
+            return InteractionMatrix.from_pairs(
+                ui, ii, len(rows_items), n_items, kept_users, new_item_ids
+            )
+
+        return HeldOutSet(matrix_of(kept_fold), matrix_of(kept_targ)), n_excluded
+
+    validation, n_val_excluded = build_heldout(val_rows, val_fold, val_targ, "validation")
+    test, n_test_excluded = build_heldout(test_rows, test_fold, test_targ, "test")
+    return train, validation, test, (n_val_excluded, n_test_excluded)
 
 
 # Ids whose string order differs from first appearance ("u10" < "u9").
@@ -193,8 +306,8 @@ class TestPreprocess:
     def test_user_drop_cascades_to_item(self):
         raw = all_pairs(3, 3) + [RawInteraction("lone", "only")]
         X = preprocess(InteractionLog.from_records(raw), spec(min_user_interactions=2))
-        assert "lone" not in X.user_index
-        assert "only" not in X.item_index
+        assert "lone" not in X.user_ids
+        assert "only" not in X.item_ids
 
     def test_rating_threshold(self):
         raw = [RawInteraction("u", "a", 5.0), RawInteraction("u", "b", 3.0)]
@@ -276,7 +389,7 @@ class TestSplit:
         for hs in (val, test):
             for u in range(hs.n_users):
                 assert len(hs.foldin.row_items(u)) == 4
-                assert len(hs.target_items(u)) == 1
+                assert len(hs.targets.row_items(u)) == 1
 
     def test_same_seed_identical(self, tmp_path):
         X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
@@ -300,9 +413,9 @@ class TestSplit:
         for hs in (val, test):
             for u in range(hs.n_users):
                 fold = set(hs.foldin.row_items(u))
-                targ = set(hs.target_items(u))
+                targ = set(hs.targets.row_items(u))
                 assert not fold & targ
-                original = set(X.row_items(X.user_index[hs.foldin.user_ids[u]]))
+                original = set(X.row_items(X.user_ids.index(hs.foldin.user_ids[u])))
                 assert fold | targ <= original
 
     def test_user_below_two_interactions_rejected(self):
@@ -339,6 +452,44 @@ class TestSplit:
         assert train.item_ids == val.foldin.item_ids == test.targets.item_ids
         assert set(train.user_ids).isdisjoint(val.foldin.user_ids)
         assert set(val.foldin.user_ids).isdisjoint(test.foldin.user_ids)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.sets(st.integers(0, 11), min_size=2, max_size=5),
+                         min_size=5, max_size=25),
+           heldout=st.sampled_from([0.1, 0.2, 0.3, 0.4]),
+           foldin=st.sampled_from([0.2, 0.5, 0.8, 0.9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_split(self, rows, heldout, foldin, seed):
+        # Up to 12 items over 2-5 items per user: some items live only in
+        # held-out rows, which drops them and can exclude their users.
+        X = InteractionMatrix.from_pairs(
+            [u for u, items in enumerate(rows) for _ in items],
+            [i for items in rows for i in sorted(items)], len(rows), 12)
+        before = [a.copy() for a in (X.matrix.indptr, X.matrix.indices, X.matrix.data)]
+        s = spec(heldout_user_fraction=heldout, foldin_fraction=foldin, rng_seed=seed)
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            try:
+                *expected, excluded = naive_split(X, s)
+            except SplitError as exc:
+                with pytest.raises(SplitError, match=re.escape(str(exc))):
+                    split_strong_generalization(X, s)
+                return
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = split_strong_generalization(X, s)
+        for a, b in zip(before, (X.matrix.indptr, X.matrix.indices, X.matrix.data)):
+            np.testing.assert_array_equal(a, b)
+        train, val, test = got
+        assert train == expected[0]
+        for hs, ref in ((val, expected[1]), (test, expected[2])):
+            assert hs.foldin == ref.foldin
+            assert hs.targets == ref.targets
+        assert ([(w.category, str(w.message)) for w in got_warnings]
+                == [(w.category, str(w.message)) for w in expected_warnings])
+        n_drawn = s.n_heldout_users(X.n_users)
+        assert (n_drawn - val.n_users, n_drawn - test.n_users) == excluded
 
 
 class TestHeldOutSetInvariants:
