@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .errors import NumericalError
@@ -79,7 +78,8 @@ def whitened_gram(M, lam: float) -> np.ndarray:
     linalg.check_capacity(rows, items, "dense feature matrix")
     linalg.check_capacity(items, items, "item similarity matrix")
     k = linalg.gram(M, side="users")
-    z = linalg.spd_solve(_shifted(k, lam), m.toarray() if sp.issparse(m) else m)
+    z = linalg.spd_solve(_shifted(k, lam),
+                         m.toarray() if isinstance(M, InteractionMatrix) else m)
     return m.T @ z
 
 

@@ -128,7 +128,7 @@ def evaluate(H: HeldOutSet, B: SimilarityMatrix, cutoffs: list[int]) -> EvalRepo
         raise ValueError("cutoffs must be non-empty")
     if any(r < 1 for r in cutoffs):
         raise ValueError(f"cutoffs must all be >= 1, got {cutoffs}")
-    n_targets = np.diff(H.targets.matrix.indptr)
+    n_targets = np.diff(H.targets.indptr)
     blocks = []
     for start, items, _, _ in ranked_blocks(H.foldin, B, max(cutoffs)):
         stop = start + len(items)

@@ -32,10 +32,10 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .artifact import atomic_open
 from .errors import EmptyDatasetError, ParseError, SplitError
@@ -152,42 +152,78 @@ class InteractionMatrix:
     """Sparse binary user-item matrix with id vocabularies.
 
     Rows are users, columns are items; stored entries are implicitly 1.
-    Row item indices are kept sorted and unique.
+    The matrix is kept as canonical CSR arrays: row ``u``'s item indices
+    are ``indices[indptr[u]:indptr[u + 1]]``, sorted and unique. Both
+    arrays are int32 when every index and ``nnz`` fit, as scipy would pick.
+
+    ``csr`` is the arrays ``(indptr, indices, shape)``. They are copied,
+    and a row whose columns are not strictly ascending is rejected.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, user_ids: list[str], item_ids: list[str]):
-        matrix = matrix.tocsr()
-        matrix.sort_indices()
-        if matrix.shape != (len(user_ids), len(item_ids)):
+    def __init__(self, csr, user_ids: list[str], item_ids: list[str]):
+        indptr, indices, shape = csr
+        shape = tuple(map(int, shape))
+        if shape != (len(user_ids), len(item_ids)):
             raise ValueError(
-                f"matrix shape {matrix.shape} does not match vocab sizes "
+                f"matrix shape {shape} does not match vocab sizes "
                 f"({len(user_ids)}, {len(item_ids)})"
             )
-        if matrix.nnz and not np.all(matrix.data == 1.0):
-            raise ValueError("interaction matrix entries must all be 1")
-        self.matrix = matrix
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        n_users, n_items = shape
+        if (indptr.shape != (n_users + 1,) or indptr[0] != 0
+                or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0)):
+            raise ValueError("CSR row pointers do not match the matrix")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n_items):
+            raise ValueError(f"column index outside the {n_users} x {n_items} matrix")
+        dtype = _index_dtype(len(indices), *shape)
+        self.indptr = indptr.astype(dtype)
+        self.indices = indices.astype(dtype)
+        self.shape = shape
         self.user_ids = list(user_ids)
         self.item_ids = list(item_ids)
+        keys = self._keys()
+        bad = np.flatnonzero(keys[1:] <= keys[:-1])
+        if len(bad):
+            u, j = divmod(int(keys[bad[0] + 1]), n_items)
+            if keys[bad[0] + 1] == keys[bad[0]]:
+                raise ValueError(f"row {u} holds column {j} more than once")
+            raise ValueError(f"row {u} has its columns out of order at column {j}")
 
     @property
     def n_users(self) -> int:
-        return self.matrix.shape[0]
+        return self.shape[0]
 
     @property
     def n_items(self) -> int:
-        return self.matrix.shape[1]
+        return self.shape[1]
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        return len(self.indices)
+
+    @cached_property
+    def matrix(self):
+        """The matrix as a ``scipy.sparse.csr_matrix`` sharing these arrays."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((np.ones(self.nnz), self.indices, self.indptr), shape=self.shape)
 
     def row_items(self, u: int) -> np.ndarray:
         """Sorted item indices of user row u."""
-        m = self.matrix
-        return m.indices[m.indptr[u]:m.indptr[u + 1]]
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+
+    def _keys(self) -> np.ndarray:
+        """``user * n_items + item`` of every entry; ascending when canonical."""
+        return self._entry_rows() * self.n_items + self.indices
 
     def toarray(self) -> np.ndarray:
-        return self.matrix.toarray().astype(np.float64)
+        out = np.zeros(self.shape)
+        out[self._entry_rows(), self.indices] = 1.0
+        return out
 
     @classmethod
     def from_pairs(cls, user_idx, item_idx, n_users: int, n_items: int,
@@ -195,15 +231,24 @@ class InteractionMatrix:
         """Build from parallel index arrays; duplicate pairs collapse to 1."""
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
-        data = np.ones(len(user_idx), dtype=np.float64)
-        m = sp.coo_matrix((data, (user_idx, item_idx)), shape=(n_users, n_items)).tocsr()
-        m.sum_duplicates()
-        m.data[:] = 1.0
+        if user_idx.shape != item_idx.shape:
+            raise ValueError("user and item index arrays differ in length")
+        if len(user_idx) and (min(user_idx.min(), item_idx.min()) < 0
+                              or user_idx.max() >= n_users or item_idx.max() >= n_items):
+            raise ValueError(f"pair index outside the {n_users} x {n_items} matrix")
+        return cls._from_keys(_unique(user_idx * n_items + item_idx), n_users, n_items,
+                              user_ids, item_ids)
+
+    @classmethod
+    def _from_keys(cls, keys, n_users: int, n_items: int,
+                   user_ids=None, item_ids=None) -> "InteractionMatrix":
+        """Build from ascending, distinct ``user * n_items + item`` keys."""
         if user_ids is None:
             user_ids = [f"u{i}" for i in range(n_users)]
         if item_ids is None:
             item_ids = [f"i{j}" for j in range(n_items)]
-        return cls(m, user_ids, item_ids)
+        rows, cols = np.divmod(keys, max(n_items, 1))
+        return cls(_csr(rows, cols, n_users, n_items), user_ids, item_ids)
 
     @classmethod
     def from_dense(cls, arr, user_ids=None, item_ids=None) -> "InteractionMatrix":
@@ -217,9 +262,34 @@ class InteractionMatrix:
         return (
             self.user_ids == other.user_ids
             and self.item_ids == other.item_ids
-            and self.matrix.shape == other.matrix.shape
-            and (self.matrix != other.matrix).nnz == 0
+            and self.shape == other.shape
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, as np.unique gives them.
+
+    np.unique first tries a hash table, which on numpy 2.4 takes about
+    90 ms for 220k int64 keys; sorting and comparing neighbours takes
+    about 2.5 ms.
+    """
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
+def _index_dtype(*sizes: int) -> type:
+    """int32 when every size fits in it, else int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
+    """CSR arrays ``(indptr, indices, shape)`` of entries in row-major order."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    return indptr, cols, (n_rows, n_cols)
 
 
 @dataclass
@@ -234,12 +304,11 @@ class HeldOutSet:
     targets: InteractionMatrix
 
     def __post_init__(self):
-        if self.foldin.matrix.shape != self.targets.matrix.shape:
+        if self.foldin.shape != self.targets.shape:
             raise ValueError("fold-in and target matrices must have identical shape")
         if self.foldin.item_ids != self.targets.item_ids:
             raise ValueError("fold-in and target item vocabularies differ")
-        overlap = self.foldin.matrix.multiply(self.targets.matrix)
-        if overlap.nnz:
+        if np.isin(self.foldin._keys(), self.targets._keys(), assume_unique=True).any():
             raise ValueError("fold-in and target sets overlap for some user")
 
     @property
@@ -321,7 +390,7 @@ def preprocess(log: InteractionLog, spec: SplitSpec) -> InteractionMatrix:
     keep = log.positives(spec.rating_threshold)
     users, items = log.users[keep], log.items[keep]
     n_items = len(log.item_ids)
-    users, items = np.divmod(np.unique(users * n_items + items), n_items)
+    users, items = np.divmod(_unique(users * n_items + items), n_items)
     if not len(users):
         raise EmptyDatasetError("all interactions removed by the rating threshold")
 
@@ -342,7 +411,7 @@ def preprocess(log: InteractionLog, spec: SplitSpec) -> InteractionMatrix:
 
 def _reindex_sorted(codes: np.ndarray, vocab: list[str]) -> tuple[np.ndarray, list[str]]:
     """Dense indices of ``codes`` in sorted order of their ids, and those ids."""
-    present = np.unique(codes)
+    present = _unique(codes)
     ids = [vocab[c] for c in present.tolist()]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     dense = np.empty(int(present[-1]) + 1, dtype=np.int64)
@@ -363,9 +432,8 @@ def split_strong_generalization(
     left empty by that are excluded with a warning. All three parts are
     row and column slices of ``X`` under one fold-in mask over its entries.
     """
-    m = X.matrix
     n_users = X.n_users
-    row_sizes = np.diff(m.indptr)
+    row_sizes = np.diff(X.indptr)
     if np.any(row_sizes < 2):
         bad = int(np.argmax(row_sizes < 2))
         raise SplitError(
@@ -389,44 +457,58 @@ def split_strong_generalization(
 
     # One draw per held-out user, validation then test, picks the entries
     # of X that go to fold-in; the user's other entries are targets.
-    foldin = np.zeros(m.nnz, dtype=bool)
+    foldin = np.zeros(X.nnz, dtype=bool)
     for u in np.concatenate([val_rows, test_rows]).tolist():
         size = int(row_sizes[u])
         k = int(size * spec.foldin_fraction + 1e-9)
-        foldin[m.indptr[u] + rng.permutation(size)[:k]] = True
+        foldin[X.indptr[u] + rng.permutation(size)[:k]] = True
 
     # An item is dropped only when no training row has it, so every
     # training row keeps all its items.
-    train_matrix = m[train_rows]
-    keep_items = np.bincount(train_matrix.indices, minlength=X.n_items) > 0
+    entry_rows = X._entry_rows()
+    in_train = np.zeros(n_users, dtype=bool)
+    in_train[train_rows] = True
+    train_entries = in_train[entry_rows]
+    keep_items = np.bincount(X.indices[train_entries], minlength=X.n_items) > 0
     n_dropped = X.n_items - int(keep_items.sum())
     if n_dropped:
         warnings.warn(f"split dropped {n_dropped} items without training interactions",
                       stacklevel=2)
-    item_ids = [X.item_ids[j] for j in np.flatnonzero(keep_items)]
-    train = InteractionMatrix(train_matrix[:, keep_items],
-                              [X.user_ids[u] for u in train_rows], item_ids)
+    train = _submatrix(X, entry_rows, train_rows, train_entries, keep_items)
 
-    fold, targ = (_entries(m, keep)[:, keep_items] for keep in (foldin, ~foldin))
+    kept_item = keep_items[X.indices]
+    fold, targ = foldin & kept_item, ~foldin & kept_item
+    fold_sizes, targ_sizes = (np.bincount(entry_rows[e], minlength=n_users) for e in (fold, targ))
     heldout = []
     for rows, name in ((val_rows, "validation"), (test_rows, "test")):
-        kept = rows[(np.diff(fold.indptr)[rows] > 0) & (np.diff(targ.indptr)[rows] > 0)]
+        kept = rows[(fold_sizes[rows] > 0) & (targ_sizes[rows] > 0)]
         if len(kept) < len(rows):
             warnings.warn(f"{name} split excluded {len(rows) - len(kept)} users "
                           "with empty fold-in or targets", stacklevel=2)
         if not len(kept):
             raise SplitError(f"all {name} users were excluded from the split")
-        users = [X.user_ids[u] for u in kept]
-        heldout.append(HeldOutSet(InteractionMatrix(fold[kept], users, item_ids),
-                                  InteractionMatrix(targ[kept], users, item_ids)))
+        heldout.append(HeldOutSet(_submatrix(X, entry_rows, kept, fold, keep_items),
+                                  _submatrix(X, entry_rows, kept, targ, keep_items)))
     validation, test = heldout
     return train, validation, test
 
 
-def _entries(m: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
-    """A new CSR matrix holding the entries of ``m`` where ``keep`` is True."""
-    ends = np.concatenate(([0], np.cumsum(keep)))
-    return sp.csr_matrix((m.data[keep], m.indices[keep], ends[m.indptr]), shape=m.shape)
+def _submatrix(X: InteractionMatrix, entry_rows: np.ndarray, rows: np.ndarray,
+               entries: np.ndarray, items: np.ndarray) -> InteractionMatrix:
+    """The entries of ``X`` where ``entries`` is True, in ascending ``rows``
+    and the columns where ``items`` is True; no kept entry may be in a
+    dropped column. ``entry_rows`` is ``X._entry_rows()``; ``X`` is never
+    written.
+    """
+    new_row = np.full(X.n_users, -1, dtype=np.int64)
+    new_row[rows] = np.arange(len(rows))
+    entry_rows = new_row[entry_rows]
+    take = entries & (entry_rows >= 0)
+    new_col = np.cumsum(items) - 1
+    item_ids = [X.item_ids[j] for j in np.flatnonzero(items).tolist()]
+    return InteractionMatrix(
+        _csr(entry_rows[take], new_col[X.indices[take]], len(rows), len(item_ids)),
+        [X.user_ids[u] for u in rows.tolist()], item_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +520,9 @@ def write_triplets(m: InteractionMatrix, path: str | Path) -> None:
 
     Pairs come in row-major order (user, then item ascending).
     """
-    rows = np.repeat(np.arange(m.n_users), np.diff(m.matrix.indptr))
     with atomic_open(path, encoding="utf-8") as fh:
         fh.write(f"{m.n_users} {m.n_items} {m.nnz}\n")
-        fh.write("".join(map("{} {}\n".format, rows.tolist(), m.matrix.indices.tolist())))
+        fh.write("".join(map("{} {}\n".format, m._entry_rows().tolist(), m.indices.tolist())))
 
 
 def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> InteractionMatrix:
@@ -480,11 +561,12 @@ def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> Interaction
                          f"the {n_users} x {n_items} matrix")
     keys = rows * n_items + cols
     order = np.argsort(keys, kind="stable")
-    repeated = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    keys = keys[order]
+    repeated = order[1:][keys[1:] == keys[:-1]]
     if len(repeated):
         k = int(repeated.min())
         raise ParseError(f"{path}: line {k + 2}: pair {lines[k + 1]!r} is given twice")
-    return InteractionMatrix.from_pairs(rows, cols, n_users, n_items, user_ids, item_ids)
+    return InteractionMatrix._from_keys(keys, n_users, n_items, user_ids, item_ids)
 
 
 def _bad_pair(path: Path, lines: list[str]) -> ParseError:
@@ -498,17 +580,35 @@ def _bad_pair(path: Path, lines: list[str]) -> ParseError:
 
 
 def _write_lines(path: Path, lines) -> None:
-    with atomic_open(path, encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
         fh.write("".join(f"{x}\n" for x in lines))
 
 
 def _read_lines(path: Path) -> list[str]:
-    return path.read_text(encoding="utf-8").splitlines()
+    """The lines of a file written by _write_lines; only "\\n" ends a line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def save_split(outdir: str | Path, train: InteractionMatrix,
                validation: HeldOutSet, test: HeldOutSet) -> None:
-    """Persist a split as triplet files plus item/user vocabulary sidecars."""
+    """Persist a split as triplet files plus item/user vocabulary sidecars.
+
+    The sidecars hold one id per line, so an id with a line break in it
+    is a ParseError, raised before anything is written.
+    """
+    vocabularies = {
+        "items.txt": train.item_ids,
+        "train_users.txt": train.user_ids,
+        "validation_users.txt": validation.foldin.user_ids,
+        "test_users.txt": test.foldin.user_ids,
+    }
+    for ids in vocabularies.values():
+        for x in ids:
+            if "\n" in x or "\r" in x:
+                raise ParseError(f"id {x!r} contains a line break; split vocabulary "
+                                 "files hold one id per line")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_triplets(train, outdir / "train.txt")
@@ -516,10 +616,8 @@ def save_split(outdir: str | Path, train: InteractionMatrix,
     write_triplets(validation.targets, outdir / "validation_targets.txt")
     write_triplets(test.foldin, outdir / "test_foldin.txt")
     write_triplets(test.targets, outdir / "test_targets.txt")
-    _write_lines(outdir / "items.txt", train.item_ids)
-    _write_lines(outdir / "train_users.txt", train.user_ids)
-    _write_lines(outdir / "validation_users.txt", validation.foldin.user_ids)
-    _write_lines(outdir / "test_users.txt", test.foldin.user_ids)
+    for name, ids in vocabularies.items():
+        _write_lines(outdir / name, ids)
 
 
 def load_split(outdir: str | Path) -> tuple[InteractionMatrix, HeldOutSet, HeldOutSet]:

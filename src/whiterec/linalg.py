@@ -8,13 +8,15 @@ that satisfy ``a.T == a`` bit-for-bit where symmetry is promised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import CapacityError, NotSPDError, NumericalError, SingularMatrixError
 from .ingest import InteractionMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Dense arrays (Gram matrices, densified interactions, similarity matrices)
 # larger than this many bytes are refused. The user-side Gram is |U| x |U|
@@ -94,7 +96,7 @@ def gram(M, side: str = "items") -> np.ndarray:
     # Sums of 0/1 products are exact integers, and a dense A^T A pairs the
     # same products in the same order for (i, j) and (j, i) (BLAS syrk
     # fills one triangle and copies it), so g is already exactly symmetric.
-    return g.toarray() if sp.issparse(g) else g
+    return g.toarray() if isinstance(M, InteractionMatrix) else g
 
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
@@ -123,6 +125,8 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ z = b for symmetric positive definite a via Cholesky."""
+    import scipy.linalg
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != a.shape[1]:

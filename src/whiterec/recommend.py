@@ -14,15 +14,17 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .artifact import atomic_open
 from .autoencoder import SimilarityMatrix
 from .ingest import InteractionMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Bytes of float64 scores held at once; a block has this many bytes' worth
 # of fold-in rows. Larger blocks are no faster and raise peak memory.
@@ -89,6 +91,8 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix,
 
 def _row(items: np.ndarray, dim: int) -> sp.csr_matrix:
     """One-row binary CSR matrix with the given column indices, in order."""
+    import scipy.sparse as sp
+
     return sp.csr_matrix((np.ones(items.size), items, [0, items.size]), shape=(1, dim))
 
 

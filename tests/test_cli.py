@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -253,6 +254,52 @@ class TestPreprocessCommand:
         for name in ("train.txt", "test_foldin.txt", "test_targets.txt", "summary.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
+
+
+class TestVocabularySidecars:
+    """Ids survive the one-id-per-line sidecars, or preprocess refuses them."""
+
+    def write_data(self, tmp_path, user, item):
+        # u0 and item i3 are renamed; both keep enough interactions to survive.
+        write_dataset(tmp_path / "plain.csv")
+        rename = {"u0": user, "i3": item}
+        with open(tmp_path / "plain.csv", newline="") as src, \
+                open(tmp_path / "data.csv", "w", newline="", encoding="utf-8") as dst:
+            writer = csv.writer(dst)
+            for u, i, r in csv.reader(src):
+                writer.writerow([rename.get(u, u), rename.get(i, i), r])
+
+    def run(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\noutput = {tmp_path / 'out'}\n"
+                       "min_user_interactions = 2\nheldout_user_fraction = 0.2\nlambda = 5\n")
+        return main([command, "--config", str(cfg)])
+
+    @pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                    "\x1c", "\x1d", "\x1e"])
+    def test_unicode_line_separators_round_trip(self, tmp_path, ch):
+        user, item = f"u{ch}0", f"i{ch}3"
+        self.write_data(tmp_path, user, item)
+        assert self.run(tmp_path, "preprocess") == EXIT_OK
+        assert self.run(tmp_path, "train") == EXIT_OK
+        _, model_items = load_model(tmp_path / "out" / "model_ridge.bin")
+        assert item in model_items
+        users = [(tmp_path / "out" / f"{name}_users.txt").read_text(encoding="utf-8")
+                 for name in ("train", "validation", "test")]
+        assert sum(text.split("\n").count(user) for text in users) == 1
+
+    @pytest.mark.parametrize("item", ['two\n"lines"', "cr\rid", "crlf\r\nid"])
+    def test_line_break_in_id_rejected_before_writing(self, tmp_path, capsys, item):
+        self.write_data(tmp_path, "u0", item)
+        assert self.run(tmp_path, "preprocess") == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(item) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_line_break_in_user_id_rejected(self, tmp_path, capsys):
+        self.write_data(tmp_path, "u\n0", "i3")
+        assert self.run(tmp_path, "preprocess") == EXIT_IO
+        assert repr("u\n0") in capsys.readouterr().err
 
 
 class TestTrainCommand:

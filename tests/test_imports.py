@@ -1,0 +1,74 @@
+"""Which commands load scipy.
+
+``preprocess`` only sorts and counts integers, so it must run without
+scipy; ``evaluate`` and ``recommend`` need ``scipy.sparse`` for CSR x dense
+scoring but never factor a matrix, so they must not load ``scipy.linalg``.
+Each check runs in a fresh interpreter, because this test process has
+scipy loaded already (pytest's ``filterwarnings`` imports ``scipy.sparse``).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import json, sys
+from whiterec.cli import main
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+code = main(sys.argv[1:])
+print(json.dumps([code, loaded,
+                  sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def scipy_modules(*argv: str) -> tuple[list[str], list[str]]:
+    """scipy modules loaded after ``import whiterec.cli`` and after ``main(argv)``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, after_import, after_main = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return after_import, after_main
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    lines = [f"u{u},i{j},5" for u in range(30) for j in range(8) if (u + j) % 3]
+    (tmp / "data.csv").write_text("\n".join(lines) + "\n")
+    (tmp / "users.csv").write_text("alice,i1\nalice,i2\nbob,i3\n")
+    (tmp / "run.cfg").write_text(f"data_path = {tmp / 'data.csv'}\noutput = {tmp / 'out'}\n"
+                                 "min_user_interactions = 2\nheldout_user_fraction = 0.2\n"
+                                 "lambda = 5\ncutoffs = 2,5\n")
+    return tmp
+
+
+def test_import_and_preprocess_load_no_scipy(workdir):
+    after_import, after_main = scipy_modules(
+        "preprocess", "--config", str(workdir / "run.cfg"))
+    assert after_import == []
+    assert after_main == []
+    assert (workdir / "out" / "train.txt").exists()
+
+
+def test_evaluate_and_recommend_load_no_scipy_linalg(workdir):
+    cfg = str(workdir / "run.cfg")
+    if not (workdir / "out" / "train.txt").exists():
+        scipy_modules("preprocess", "--config", cfg)
+    _, after_train = scipy_modules("train", "--config", cfg)
+    assert "scipy.linalg" in after_train
+    model = str(workdir / "out" / "model_ridge.bin")
+    for argv in (["evaluate", "--config", cfg, "--model", model],
+                 ["recommend", "--config", cfg, "--model", model,
+                  "--users", str(workdir / "users.csv")]):
+        _, after_main = scipy_modules(*argv)
+        assert [m for m in after_main
+                if m == "scipy.linalg" or m.startswith("scipy.linalg.")] == [], argv[0]

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,7 +156,7 @@ def naive_split(X: InteractionMatrix, spec: SplitSpec):
 
     train_matrix = X.matrix[kept_train_rows][:, keep_items].tocsr()
     train = InteractionMatrix(
-        train_matrix,
+        (train_matrix.indptr, train_matrix.indices, train_matrix.shape),
         [X.user_ids[u] for u in kept_train_rows],
         new_item_ids,
     )
@@ -490,6 +491,103 @@ class TestSplit:
                 == [(w.category, str(w.message)) for w in expected_warnings])
         n_drawn = s.n_heldout_users(X.n_users)
         assert (n_drawn - val.n_users, n_drawn - test.n_users) == excluded
+
+
+def coo_csr(rows, cols, shape) -> sp.csr_matrix:
+    """The canonical CSR that scipy builds from (possibly repeated) pairs."""
+    m = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=shape).tocsr()
+    m.sum_duplicates()
+    return m
+
+
+def assert_same_csr(X: InteractionMatrix, m: sp.csr_matrix):
+    assert X.shape == m.shape
+    for got, expected in ((X.indptr, m.indptr), (X.indices, m.indices)):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def _pairs(draw):
+    """A shape (either side may be 0) and pairs in it, repeats allowed."""
+    n_users, n_items = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    pairs = []
+    if n_users and n_items:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n_users - 1),
+                                        st.integers(0, n_items - 1)), max_size=40))
+    return n_users, n_items, pairs
+
+
+class TestInteractionMatrix:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_pairs())
+    def test_from_pairs_matches_scipy(self, case):
+        n_users, n_items, pairs = case
+        rows, cols = [u for u, _ in pairs], [i for _, i in pairs]
+        X = InteractionMatrix.from_pairs(rows, cols, n_users, n_items)
+        expected = coo_csr(rows, cols, (n_users, n_items))
+        assert_same_csr(X, expected)
+        np.testing.assert_array_equal(X.toarray(), expected.toarray() > 0)
+        assert InteractionMatrix((expected.indptr, expected.indices, expected.shape),
+                                 X.user_ids, X.item_ids) == X
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.sets(st.integers(0, 11), min_size=2, max_size=5),
+                         min_size=5, max_size=25),
+           seed=st.integers(0, 2**32 - 1))
+    def test_split_parts_match_scipy(self, rows, seed):
+        X = InteractionMatrix.from_pairs(
+            [u for u, items in enumerate(rows) for _ in items],
+            [i for items in rows for i in sorted(items)], len(rows), 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                train, val, test = split_strong_generalization(
+                    X, spec(heldout_user_fraction=0.2, rng_seed=seed))
+            except SplitError:
+                return
+        for part in (train, val.foldin, val.targets, test.foldin, test.targets):
+            assert_same_csr(part, coo_csr(*np.nonzero(part.toarray()), part.shape))
+
+    def test_matrix_is_csr_of_the_arrays(self):
+        X = InteractionMatrix.from_pairs([2, 0, 2], [1, 3, 0], 3, 4)
+        assert X.matrix.format == "csr"
+        assert X.matrix.toarray().tolist() == X.toarray().tolist()
+        assert np.shares_memory(X.matrix.indices, X.indices)
+
+    def test_repeated_column_rejected(self):
+        with pytest.raises(ValueError, match="row 1 holds column 2 more than once"):
+            InteractionMatrix((np.array([0, 1, 3]), np.array([1, 2, 2]), (2, 3)),
+                              ["u", "v"], ["a", "b", "c"])
+
+    def test_unsorted_row_rejected_and_caller_arrays_not_written(self):
+        indptr, indices = np.array([0, 3, 4]), np.array([2, 0, 1, 0])
+        with pytest.raises(ValueError, match="row 0 has its columns out of order"):
+            InteractionMatrix((indptr, indices, (2, 3)), ["u", "v"], ["a", "b", "c"])
+        assert (indptr.tolist(), indices.tolist()) == ([0, 3, 4], [2, 0, 1, 0])
+        indices = np.array([0, 1, 2, 0], dtype=np.int32)
+        X = InteractionMatrix((indptr, indices, (2, 3)), ["u", "v"], ["a", "b", "c"])
+        assert not np.shares_memory(X.indices, indices)
+        assert not np.shares_memory(X.indptr, indptr)
+
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 1], [0]),           # one row pointer short
+        ([1, 1, 1], []),         # does not start at 0
+        ([0, 2, 1], [0]),        # decreasing
+        ([0, 1, 2], [0, 3]),     # column outside the matrix
+        ([0, 1, 2], [0, -1]),
+    ])
+    def test_malformed_arrays_rejected(self, indptr, indices):
+        with pytest.raises(ValueError):
+            InteractionMatrix((np.array(indptr), np.array(indices, dtype=np.int64), (2, 3)),
+                              ["u", "v"], ["a", "b", "c"])
+
+    @pytest.mark.parametrize("rows, cols", [([0, 2], [0, 0]), ([0, -1], [0, 0]),
+                                            ([0, 0], [3, 0]), ([1, 0], [-1, 0]),
+                                            ([0, 1], [0])])
+    def test_from_pairs_rejects_pairs_outside(self, rows, cols):
+        with pytest.raises(ValueError):
+            InteractionMatrix.from_pairs(rows, cols, 2, 3)
 
 
 class TestHeldOutSetInvariants:
