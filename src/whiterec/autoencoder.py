@@ -89,8 +89,10 @@ def ease(M, lam: float) -> EaseSolution:
     M is any feature matrix (see linalg.features): interactions X, or
     embeddings E with E^T E in place of X^T X.
     """
-    g = linalg.gram(M, side="items")
-    p_hat = linalg.spd_inverse(_shifted(g, lam))
+    # The shifted Gram is the only |I| x |I| input: G is dropped once it is
+    # shifted, and the inverse overwrites the shifted copy.
+    p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam),
+                               overwrite_a=True)
     d = np.diag(p_hat).copy()
     if np.any(d <= 0.0):
         raise NumericalError(
@@ -98,7 +100,10 @@ def ease(M, lam: float) -> EaseSolution:
             "the upstream solve must have failed"
         )
     alpha = 1.0 / d - lam
-    b = np.eye(g.shape[0]) - p_hat / d[np.newaxis, :]
+    # 0 - P_hat / d is I - P_hat / d off the diagonal, bit for bit (signed
+    # zeros included), without an identity matrix.
+    b = p_hat / d[np.newaxis, :]
+    np.subtract(0.0, b, out=b)
     np.fill_diagonal(b, 0.0)
     sim = SimilarityMatrix(b, "ease", {"lambda": lam})
     return EaseSolution(sim, alpha, p_hat)

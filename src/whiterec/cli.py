@@ -40,6 +40,7 @@ from .ingest import (
     load_interactions,
     load_split,
     preprocess,
+    read_lines,
     save_split,
     split_strong_generalization,
 )
@@ -146,7 +147,7 @@ def parse_config_file(path: str | Path) -> dict:
     "seed", and "output" are resolved here) with values already typed.
     """
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

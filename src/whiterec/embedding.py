@@ -1,11 +1,12 @@
 """SVD item embeddings and similarity models computed on top of them.
 
 Embeddings are the D x |I| matrix E = S^{1/2} V^T taken from the top-D
-singular triplets of the interaction matrix. The triplets come from an
-eigendecomposition of whichever Gram matrix is smaller, never from a
-general SVD of the full matrix. The ridge autoencoder on embeddings uses
-the dual D x D form, so its cost scales with D rather than |I|; the EASE
-variant has no such shortcut and goes through the |I| x |I| inverse.
+singular triplets of the interaction matrix. The triplets come from the
+top-D eigenpairs of whichever Gram matrix is smaller (the other
+eigenpairs are never computed), not from a general SVD of the full
+matrix. The ridge autoencoder on embeddings uses the dual D x D form, so
+its cost scales with D rather than |I|; the EASE variant has no such
+shortcut and goes through the |I| x |I| inverse.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ class EmbeddingMatrix:
 def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
     """Top-d singular triplets of X folded into E = S_d^{1/2} V_d^T.
 
-    Works through the smaller Gram matrix: eigenvalues of X^T X (or X X^T)
-    are the squared singular values, and the missing singular factor is
-    recovered by one sparse product. Near-zero squared eigenvalues are
-    clamped before the square roots; if d exceeds the numerical rank the
-    trailing rows of E are zeroed and a warning is emitted.
+    Works through the top-d eigenpairs of the smaller Gram matrix, and
+    computes no others: eigenvalues of X^T X (or X X^T) are the squared
+    singular values, and the missing singular factor is recovered by one
+    sparse product. Near-zero squared eigenvalues are clamped before the
+    square roots; if d exceeds the numerical rank (judged against the
+    top eigenvalue) the trailing rows of E are zeroed and a warning is
+    emitted.
     """
     if not 1 <= d <= min(X.n_users, X.n_items):
         raise ValueError(
@@ -56,8 +59,8 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
             f"[1, {min(X.n_users, X.n_items)}], got {d}"
         )
     items_side = X.n_items <= X.n_users
-    eig = linalg.eigh(linalg.gram(X, side="items" if items_side else "users"))
-    sq = np.maximum(eig.eigenvalues[:d], 0.0)
+    eig = linalg.eigh(linalg.gram(X, side="items" if items_side else "users"), k=d)
+    sq = np.maximum(eig.eigenvalues, 0.0)
     rank_tol = linalg.RANK_RTOL * max(eig.eigenvalues[0], 0.0)
     deficient = sq <= rank_tol
     if np.any(deficient):
@@ -69,10 +72,10 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
     sigma = np.sqrt(sq)
     if items_side:
         # E_i: = sqrt(sigma_i) * (i-th eigenvector of X^T X)^T
-        e = np.sqrt(sigma)[:, np.newaxis] * eig.eigenvectors[:, :d].T
+        e = np.sqrt(sigma)[:, np.newaxis] * eig.eigenvectors.T
     else:
         # V_d = X^T U_d / sigma, so E = sigma^{-1/2} U_d^T X.
-        utx = np.asarray((X.matrix.T @ eig.eigenvectors[:, :d]).T)
+        utx = np.asarray((X.matrix.T @ eig.eigenvectors).T)
         scale = np.zeros(d)
         np.divide(1.0, np.sqrt(sigma), out=scale, where=~deficient)
         e = scale[:, np.newaxis] * utx

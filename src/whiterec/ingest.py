@@ -534,7 +534,7 @@ def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> Interaction
     given twice.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty triplet file")
     try:
@@ -584,8 +584,14 @@ def _write_lines(path: Path, lines) -> None:
         fh.write("".join(f"{x}\n" for x in lines))
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The lines of a file written by _write_lines; only "\\n" ends a line."""
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; only "\\n" ends a line.
+
+    Form feeds, U+2028 and the other characters str.splitlines breaks at
+    stay inside their line, and "\\r" is not translated. Every text file
+    whiterec reads back line by line (split files, vocabularies, config
+    files) goes through here, so line numbers are counted one way.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     return text.removesuffix("\n").split("\n") if text else []
@@ -623,12 +629,12 @@ def save_split(outdir: str | Path, train: InteractionMatrix,
 def load_split(outdir: str | Path) -> tuple[InteractionMatrix, HeldOutSet, HeldOutSet]:
     """Load a split previously written by save_split."""
     outdir = Path(outdir)
-    item_ids = _read_lines(outdir / "items.txt")
+    item_ids = read_lines(outdir / "items.txt")
     train = read_triplets(outdir / "train.txt",
-                          _read_lines(outdir / "train_users.txt"), item_ids)
+                          read_lines(outdir / "train_users.txt"), item_ids)
 
     def heldout(name):
-        users = _read_lines(outdir / f"{name}_users.txt")
+        users = read_lines(outdir / f"{name}_users.txt")
         fold = read_triplets(outdir / f"{name}_foldin.txt", users, item_ids)
         targ = read_triplets(outdir / f"{name}_targets.txt", users, item_ids)
         return HeldOutSet(fold, targ)

@@ -99,19 +99,38 @@ def gram(M, side: str = "items") -> np.ndarray:
     return g.toarray() if isinstance(M, InteractionMatrix) else g
 
 
-def eigh(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+
+    With k < n only the k largest eigenpairs are computed (LAPACK evr on
+    an index subset through scipy.linalg); otherwise, and for k=None, all
+    n come from np.linalg.eigh. The descending order and the sign rule
+    apply to the columns returned either way.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise ValueError("matrix is empty (shape 0x0)")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(a).max())):
+    # a is finite, so this is np.allclose(a, a.T, rtol=0, atol=...) without
+    # its extra passes.
+    if np.abs(a - a.T).max() > 1e-8 * max(1.0, np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
+    n = a.shape[0]
     try:
-        w, v = np.linalg.eigh(symmetrize(a))
+        if k is None or k >= n:
+            w, v = np.linalg.eigh(symmetrize(a))
+        else:
+            import scipy.linalg
+
+            # The transpose of the exactly symmetric copy is the same matrix
+            # in the Fortran order LAPACK works in, so it is not copied again.
+            w, v = scipy.linalg.eigh(symmetrize(a).T, subset_by_index=[n - k, n - 1],
+                                     overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     w = w[::-1].copy()
@@ -140,9 +159,35 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b)
 
 
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, exactly symmetric."""
-    return symmetrize(spd_solve(a, np.eye(a.shape[0])))
+def spd_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, exactly symmetric.
+
+    LAPACK potrf factors a = L L^T and potri overwrites L with the lower
+    triangle of the inverse, both in one working array; mirroring that
+    triangle makes the result exactly symmetric. The working array is a
+    copy unless overwrite_a is set, in which case a C- or Fortran-ordered
+    float64 a is used (and destroyed) in place of the copy.
+    """
+    from scipy.linalg import lapack
+
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # a is symmetric, so a C-ordered a is the Fortran-ordered array LAPACK
+    # wants once transposed.
+    work = a.T if a.flags.c_contiguous else a
+    work = np.asfortranarray(work) if overwrite_a else np.array(work, order="F")
+    factor, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
+    # potri filled factor[i, j] for i >= j, so its C-ordered transpose holds
+    # the inverse on and above the diagonal; mirror that below it.
+    inv = factor.T
+    for i in range(1, inv.shape[0]):
+        inv[i, :i] = inv[:i, i]
+    return inv
 
 
 def inv_sqrt(a: np.ndarray, eps: float = 0.0) -> np.ndarray:

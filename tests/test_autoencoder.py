@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,24 @@ class TestEase:
     def test_lambda_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             ease(random_interactions(rng, 3, 3), 0.0)
+
+    def test_inverse_is_the_only_item_sized_workspace(self, rng):
+        n_items = 1200
+        e = rng.normal(size=(4, n_items))
+        ease(e[:, :5], 1.0)  # load scipy.linalg outside the traced window
+        output_bytes = n_items * n_items * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sol = ease(e, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # B and P_hat are returned, so two |I| x |I| arrays must exist; the
+        # Gram is dropped once shifted and the inverse overwrites the shifted
+        # copy, so a third item-sized intermediate would push the peak to 3x.
+        assert sol.B.dim == sol.p_hat.shape[0] == n_items
+        assert peak - before < 2.5 * output_bytes
 
 
 class TestEaseDecompose:

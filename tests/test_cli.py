@@ -112,6 +112,15 @@ class TestConfig:
         assert main(["preprocess", "--config", str(p), "--output", str(tmp_path)]) == EXIT_GENERIC
         assert "minimum interaction counts must be >= 1" in capsys.readouterr().err
 
+    def test_form_feed_does_not_end_a_config_line(self, tmp_path, capsys):
+        # One line by "\n": kind gets the value "ease\x0clambda = 3", not
+        # two keys kind = ease and lambda = 3.
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"kind = ease\x0clambda = 3\n")
+        assert main(["train", "--config", str(p), "--output", str(tmp_path)]) == EXIT_GENERIC
+        err = capsys.readouterr().err
+        assert "error:" in err and "kind" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cap", [0, -5])
     def test_byte_cap_below_one_rejected_before_reading(self, tmp_path, capsys, cap):
         # The data file does not exist: a late check would exit 2 on it.
@@ -345,6 +354,22 @@ class TestTrainCommand:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "train.txt: line 3" in err and "Traceback" not in err
+
+    def test_form_feed_does_not_end_a_split_line(self, tmp_path, capsys):
+        # Only "\n" ends a line: the one pair line "0 0\x0c1 1" is not two
+        # pairs, so the header's count of 2 is not met.
+        items = ["x", "y"]
+        train = InteractionMatrix.from_pairs([0, 1], [0, 1], 2, 2, ["a", "b"], items)
+        fold = InteractionMatrix.from_pairs([0], [0], 1, 2, ["v"], items)
+        targ = InteractionMatrix.from_pairs([0], [1], 1, 2, ["v"], items)
+        out = tmp_path / "out"
+        save_split(out, train, HeldOutSet(fold, targ), HeldOutSet(fold, targ))
+        (out / "train.txt").write_bytes(b"2 2 2\n0 0\x0c1 1\n")
+        code = main(["train", "--output", str(out), "--lambda", "5", "--kind", "ridge"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "error:" in err and "train.txt" in err and "Traceback" not in err
+        assert not (out / "model_ridge.bin").exists()
 
     def test_capacity_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", linalg.GRAM_BYTE_CAP)

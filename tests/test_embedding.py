@@ -76,6 +76,32 @@ class TestSvdEmbed:
             e = svd_embed(X, 4)
         np.testing.assert_allclose(e.values[2:], 0.0, atol=1e-12)
 
+    def test_rank_deficiency_on_the_top_k_path(self):
+        # d < |I| takes the evr subset path; the rank check still holds.
+        dense = np.zeros((5, 4))
+        dense[:, 0] = dense[:, 1] = 1.0
+        dense[0, 2] = dense[0, 3] = 1.0  # rank 2
+        X = InteractionMatrix.from_dense(dense)
+        with pytest.warns(UserWarning, match="numerical rank is 2"):
+            e = svd_embed(X, 3)
+        np.testing.assert_array_equal(e.values[2], 0.0)
+        expected = psd_sqrt(linalg.gram(X, "items"))
+        np.testing.assert_allclose(e.values.T @ e.values, expected, atol=1e-8)
+
+    @pytest.mark.parametrize("shape, side", [((9, 6), (6, 6)), ((5, 8), (5, 5))])
+    def test_asks_for_exactly_d_eigenpairs(self, rng, monkeypatch, shape, side):
+        recorded = []
+        real_eigh = linalg.eigh
+
+        def spy(a, k=None):
+            recorded.append((a.shape, k))
+            return real_eigh(a, k)
+
+        monkeypatch.setattr(linalg, "eigh", spy)
+        e = svd_embed(random_interactions(rng, *shape), 3)
+        assert recorded == [(side, 3)]
+        assert e.values.shape == (3, shape[1])
+
     def test_dim_bounds(self, rng):
         X = random_interactions(rng, 5, 3)
         with pytest.raises(ValueError):

@@ -120,6 +120,64 @@ class TestEigh:
         assert np.all(np.diff(w) <= 0)
 
 
+class TestEighTopK:
+    """eigh(a, k): the k largest eigenpairs from the evr subset path."""
+
+    @staticmethod
+    def separated(rng, n):
+        # Eigenvalues n, n-1, ..., 1: gaps of 1, so each eigenvector is
+        # determined up to sign and comparable across solvers.
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return linalg.symmetrize((q * np.arange(n, 0, -1.0)) @ q.T)
+
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    def test_eigenvalues_match_full(self, rng, k):
+        b = rng.normal(size=(12, 20))
+        a = linalg.symmetrize(b @ b.T)
+        full = linalg.eigh(a)
+        top = linalg.eigh(a, k=k)
+        assert top.eigenvalues.shape == (k,) and top.eigenvectors.shape == (12, k)
+        np.testing.assert_allclose(top.eigenvalues, full.eigenvalues[:k], rtol=0.0,
+                                   atol=1e-12 * full.eigenvalues[0])
+
+    def test_eigenvectors_match_full_after_sign_rule(self, rng):
+        a = self.separated(rng, 15)
+        full = linalg.eigh(a)
+        top = linalg.eigh(a, k=6)
+        np.testing.assert_allclose(top.eigenvectors, full.eigenvectors[:, :6], atol=1e-10)
+        for j in range(6):
+            col = top.eigenvectors[:, j]
+            assert col[np.abs(col) > 1e-12][0] > 0
+
+    def test_none_and_k_at_least_n_are_the_full_result(self, rng):
+        a = linalg.symmetrize(rng.normal(size=(9, 9)))
+        full = linalg.eigh(a)
+        w, v = np.linalg.eigh(linalg.symmetrize(a))
+        np.testing.assert_array_equal(full.eigenvalues, w[::-1])
+        np.testing.assert_array_equal(np.abs(full.eigenvectors), np.abs(v[:, ::-1]))
+        for k in (9, 50):
+            eig = linalg.eigh(a, k=k)
+            np.testing.assert_array_equal(eig.eigenvalues, full.eigenvalues)
+            np.testing.assert_array_equal(eig.eigenvectors, full.eigenvectors)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            linalg.eigh(np.eye(3), k=k)
+
+    def test_rejects_asymmetric(self):
+        a = np.eye(3)
+        a[0, 2] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.eigh(a, k=1)
+
+    def test_caller_array_not_written(self, rng):
+        a = linalg.symmetrize(rng.normal(size=(8, 8)))
+        kept = a.copy()
+        linalg.eigh(a, k=2)
+        np.testing.assert_array_equal(a, kept)
+
+
 class TestSpdSolve:
     def test_scaled_identity(self):
         z = linalg.spd_solve(2.0 * np.eye(2), np.array([[2.0], [4.0]]))
@@ -141,6 +199,50 @@ class TestSpdSolve:
     def test_not_spd(self):
         with pytest.raises(NotSPDError):
             linalg.spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+
+
+class TestSpdInverse:
+    @staticmethod
+    def spd(rng, n):
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return linalg.symmetrize((q * rng.uniform(0.5, 5.0, size=n)) @ q.T)
+
+    def test_two_by_two_by_hand(self):
+        inv = linalg.spd_inverse(np.array([[4.0, 2.0], [2.0, 4.0]]))
+        np.testing.assert_allclose(inv, np.array([[4.0, -2.0], [-2.0, 4.0]]) / 12.0,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("overwrite_a", [False, True])
+    def test_exactly_symmetric_inverse(self, rng, overwrite_a):
+        a = self.spd(rng, 40)
+        inv = linalg.spd_inverse(a.copy(), overwrite_a=overwrite_a)
+        assert np.array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv @ a, np.eye(40), atol=1e-10)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # singular
+        np.zeros((3, 3)),
+    ])
+    def test_not_spd(self, a):
+        with pytest.raises(NotSPDError):
+            linalg.spd_inverse(a)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_array_not_written(self, rng, order):
+        a = np.array(self.spd(rng, 12), order=order)
+        kept = a.copy()
+        inv = linalg.spd_inverse(a)
+        np.testing.assert_array_equal(a, kept)
+        assert not np.shares_memory(inv, a)
+
+    def test_overwrite_reuses_the_array(self, rng):
+        a = self.spd(rng, 12)
+        assert np.shares_memory(linalg.spd_inverse(a, overwrite_a=True), a)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.spd_inverse(np.ones((2, 3)))
 
 
 class TestInvSqrt:
