@@ -12,6 +12,7 @@ embeddings alike. Every lam I shift, and so every lam > 0 check, is in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,14 +90,12 @@ def ease(M, lam: float) -> EaseSolution:
     M is any feature matrix (see linalg.features): interactions X, or
     embeddings E with E^T E in place of X^T X.
     """
-    # The shifted Gram is the only |I| x |I| input: G is dropped once it is
-    # shifted, and the inverse overwrites the shifted copy.
-    p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam),
-                               overwrite_a=True)
+    # G is dropped once shifted, so at most two |I| x |I| arrays are live.
+    p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam))
     d = np.diag(p_hat).copy()
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):
         raise NumericalError(
-            "diag of the inverse Gram has non-positive entries; "
+            "diag of the inverse Gram has non-positive or NaN entries; "
             "the upstream solve must have failed"
         )
     alpha = 1.0 / d - lam
@@ -132,8 +131,8 @@ def reconstruction_objective(X: InteractionMatrix, b: np.ndarray, lam: float) ->
 
 def _shifted(g: np.ndarray, lam: float) -> np.ndarray:
     """g + lam I; every ridge and EASE solve goes through here."""
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be > 0 and finite, got {lam}")
     out = g.copy()
     out[np.diag_indices_from(out)] += lam
     return out

@@ -114,8 +114,8 @@ class PipelineConfig:
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ConfigError(f"unknown kind {self.kind!r}; choose one of {', '.join(KINDS)}")
-        if kind.uses_lambda and self.lam <= 0.0:
-            raise ConfigError(f"kind {self.kind!r} needs lambda > 0, got {self.lam}")
+        if kind.uses_lambda and not 0.0 < self.lam < math.inf:
+            raise ConfigError(f"kind {self.kind!r} needs a finite lambda > 0, got {self.lam}")
         if kind.uses_embedding_dim and self.embedding_dim is None:
             raise ConfigError(f"kind {self.kind!r} requires embedding_dim")
         if not kind.uses_embedding_dim and self.embedding_dim is not None:

@@ -7,6 +7,7 @@ that satisfy ``a.T == a`` bit-for-bit where symmetry is promised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -159,24 +160,23 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b)
 
 
-def spd_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, exactly symmetric.
 
-    LAPACK potrf factors a = L L^T and potri overwrites L with the lower
-    triangle of the inverse, both in one working array; mirroring that
-    triangle makes the result exactly symmetric. The working array is a
-    copy unless overwrite_a is set, in which case a C- or Fortran-ordered
-    float64 a is used (and destroyed) in place of the copy.
+    LAPACK potrf factors a copy of a as L L^T and potri overwrites L with
+    the lower triangle of the inverse in that same array; mirroring the
+    triangle makes the result exactly symmetric. a itself is not written.
     """
     from scipy.linalg import lapack
 
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
     # a is symmetric, so a C-ordered a is the Fortran-ordered array LAPACK
     # wants once transposed.
-    work = a.T if a.flags.c_contiguous else a
-    work = np.asfortranarray(work) if overwrite_a else np.array(work, order="F")
+    work = np.array(a.T if a.flags.c_contiguous else a, order="F")
     factor, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
@@ -197,8 +197,8 @@ def inv_sqrt(a: np.ndarray, eps: float = 0.0) -> np.ndarray:
     negative rounding noise from PSD inputs cannot poison the square root.
     With eps=0 the matrix must have full rank up to RANK_RTOL.
     """
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be >= 0 and finite, got {eps}")
     eig = eigh(a)
     w = np.maximum(eig.eigenvalues, 0.0)
     if eps == 0.0:

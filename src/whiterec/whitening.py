@@ -11,6 +11,7 @@ role of the regularization weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ def zca_similarity(X: InteractionMatrix, eps: float) -> SimilarityMatrix:
     densified interaction matrix, and returns the Gram of the whitened
     columns. Numerically identical to the ridge solution at lam = eps.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0 for interaction data, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be > 0 and finite for interaction data, got {eps}")
     linalg.check_capacity(X.n_users, X.n_users, "user-side covariance")
     linalg.check_capacity(X.n_users, X.n_items, "dense (and whitened) interaction matrix")
     linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")

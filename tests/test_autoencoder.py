@@ -12,7 +12,7 @@ from whiterec.autoencoder import (
     ridge_dual,
     ridge_primal,
 )
-from whiterec.errors import CapacityError
+from whiterec.errors import CapacityError, NumericalError
 from whiterec.ingest import InteractionMatrix
 
 from conftest import random_interactions
@@ -185,6 +185,16 @@ class TestEase:
         with pytest.raises(ValueError):
             ease(random_interactions(rng, 3, 3), 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_lambda_must_be_finite(self, rng, lam):
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+            ease(random_interactions(rng, 3, 3), lam)
+
+    def test_nan_inverse_diagonal_rejected(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "spd_inverse", lambda a: np.full_like(a, np.nan))
+        with pytest.raises(NumericalError, match="NaN"):
+            ease(random_interactions(rng, 4, 3), 1.0)
+
     def test_inverse_is_the_only_item_sized_workspace(self, rng):
         n_items = 1200
         e = rng.normal(size=(4, n_items))
@@ -198,8 +208,8 @@ class TestEase:
         finally:
             tracemalloc.stop()
         # B and P_hat are returned, so two |I| x |I| arrays must exist; the
-        # Gram is dropped once shifted and the inverse overwrites the shifted
-        # copy, so a third item-sized intermediate would push the peak to 3x.
+        # Gram is dropped once shifted, and the shifted copy once inverted,
+        # so a third item-sized intermediate would push the peak to 3x.
         assert sol.B.dim == sol.p_hat.shape[0] == n_items
         assert peak - before < 2.5 * output_bytes
 

@@ -165,6 +165,12 @@ class TestConfig:
             PipelineConfig(kind="ease", lam=0.0).validate()
         PipelineConfig(kind="embed_dot", lam=0.0, embedding_dim=4).validate()
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_lambda_must_be_finite(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            PipelineConfig(kind="ease", lam=lam).validate()
+        PipelineConfig(kind="embed_dot", lam=lam, embedding_dim=4).validate()
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             PipelineConfig(kind="cosine").validate()
@@ -336,6 +342,18 @@ class TestTrainCommand:
         cmd_train(config)
         sim, _ = load_model(tmp_path / "out" / "model_ease.bin")
         assert np.all(np.diag(sim.values) == 0.0)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", [k for k in KINDS if KINDS[k].uses_lambda])
+    def test_non_finite_lambda_writes_no_model(self, pipeline, capsys, kind, lam):
+        tmp_path, _ = pipeline
+        dim = ["--embedding-dim", "4"] if KINDS[kind].uses_embedding_dim else []
+        code = main(["train", "--output", str(tmp_path / "out"), "--kind", kind,
+                     "--lambda", lam, *dim])
+        assert code == EXIT_GENERIC
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / f"model_{kind}.bin").exists()
 
     def test_missing_split_is_io_error(self, tmp_path):
         config = base_config(tmp_path, output_dir=str(tmp_path / "nowhere"))

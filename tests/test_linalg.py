@@ -212,10 +212,9 @@ class TestSpdInverse:
         np.testing.assert_allclose(inv, np.array([[4.0, -2.0], [-2.0, 4.0]]) / 12.0,
                                    atol=1e-15)
 
-    @pytest.mark.parametrize("overwrite_a", [False, True])
-    def test_exactly_symmetric_inverse(self, rng, overwrite_a):
+    def test_exactly_symmetric_inverse(self, rng):
         a = self.spd(rng, 40)
-        inv = linalg.spd_inverse(a.copy(), overwrite_a=overwrite_a)
+        inv = linalg.spd_inverse(a)
         assert np.array_equal(inv, inv.T)
         np.testing.assert_allclose(inv @ a, np.eye(40), atol=1e-10)
 
@@ -236,9 +235,11 @@ class TestSpdInverse:
         np.testing.assert_array_equal(a, kept)
         assert not np.shares_memory(inv, a)
 
-    def test_overwrite_reuses_the_array(self, rng):
-        a = self.spd(rng, 12)
-        assert np.shares_memory(linalg.spd_inverse(a, overwrite_a=True), a)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # Raw potrf is not relied on to notice a NaN on the diagonal.
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.spd_inverse(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

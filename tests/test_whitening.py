@@ -65,6 +65,10 @@ class TestFitZca:
         with pytest.raises(ValueError):
             fit_zca(np.eye(2), eps=-0.5)
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            fit_zca(np.eye(2), eps=np.nan)
+
 
 class TestWhiten:
     def test_hand_case(self):
@@ -123,6 +127,11 @@ class TestZcaSimilarity:
     def test_eps_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             zca_similarity(random_interactions(rng, 4, 4), 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_eps_must_be_finite(self, rng, eps):
+        with pytest.raises(ValueError, match="finite"):
+            zca_similarity(random_interactions(rng, 4, 4), eps)
 
     def test_capacity_error(self, rng, monkeypatch):
         X = random_interactions(rng, 10, 3)
