@@ -401,7 +401,12 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (status 0) or its "error:" line (status
+        # 2, which is the I/O code here); a usage error is a generic error.
+        return EXIT_OK if not exc.code else EXIT_GENERIC
     default_cap = linalg.GRAM_BYTE_CAP
     try:
         config = resolve_config(args)

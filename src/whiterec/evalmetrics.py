@@ -128,13 +128,17 @@ def evaluate(H: HeldOutSet, B: SimilarityMatrix, cutoffs: list[int]) -> EvalRepo
         raise ValueError("cutoffs must be non-empty")
     if any(r < 1 for r in cutoffs):
         raise ValueError(f"cutoffs must all be >= 1, got {cutoffs}")
-    n_targets = np.diff(H.targets.indptr)
+    indptr, indices = H.targets.indptr, H.targets.indices
+    n_targets = np.diff(indptr)
     blocks = []
     for start, items, _, _ in ranked_blocks(H.foldin, B, max(cutoffs)):
         stop = start + len(items)
         evaluable = n_targets[start:stop] > 0
+        target = np.zeros((stop - start, H.n_items), dtype=bool)
+        target[np.repeat(np.arange(stop - start), n_targets[start:stop]),
+               indices[indptr[start]:indptr[stop]]] = True
         # Entries past a row's length are fold-in items, never targets.
-        hit = np.take_along_axis(H.targets.matrix[start:stop].toarray(), items, axis=1) > 0
+        hit = np.take_along_axis(target, items, axis=1)
         blocks.append(_cutoff_metrics(hit[evaluable], n_targets[start:stop][evaluable],
                                      list(cutoffs)))
 

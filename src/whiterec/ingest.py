@@ -533,7 +533,11 @@ def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> Interaction
     that is not two integers, an index outside the matrix, or a pair
     given twice.
     """
-    path = Path(path)
+    return InteractionMatrix._from_keys(*_parse_triplets(Path(path)), user_ids, item_ids)
+
+
+def _parse_triplets(path: Path) -> tuple[np.ndarray, int, int]:
+    """Ascending ``user * n_items + item`` keys of a triplet file, and its shape."""
     lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty triplet file")
@@ -566,7 +570,7 @@ def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> Interaction
     if len(repeated):
         k = int(repeated.min())
         raise ParseError(f"{path}: line {k + 2}: pair {lines[k + 1]!r} is given twice")
-    return InteractionMatrix._from_keys(keys, n_users, n_items, user_ids, item_ids)
+    return keys, n_users, n_items
 
 
 def _bad_pair(path: Path, lines: list[str]) -> ParseError:
@@ -627,16 +631,43 @@ def save_split(outdir: str | Path, train: InteractionMatrix,
 
 
 def load_split(outdir: str | Path) -> tuple[InteractionMatrix, HeldOutSet, HeldOutSet]:
-    """Load a split previously written by save_split."""
+    """Load a split previously written by save_split.
+
+    A vocabulary sidecar with a repeated id, or with a different number of
+    ids than its triplet files have rows or columns, is a ParseError
+    naming the sidecar.
+    """
     outdir = Path(outdir)
-    item_ids = read_lines(outdir / "items.txt")
-    train = read_triplets(outdir / "train.txt",
-                          read_lines(outdir / "train_users.txt"), item_ids)
+    items_path = outdir / "items.txt"
+    item_ids = _read_vocabulary(items_path)
 
-    def heldout(name):
-        users = read_lines(outdir / f"{name}_users.txt")
-        fold = read_triplets(outdir / f"{name}_foldin.txt", users, item_ids)
-        targ = read_triplets(outdir / f"{name}_targets.txt", users, item_ids)
-        return HeldOutSet(fold, targ)
+    def matrix(name: str, users_path: Path, user_ids: list[str]) -> InteractionMatrix:
+        path = outdir / f"{name}.txt"
+        keys, n_users, n_items = _parse_triplets(path)
+        for vocab_path, ids, size, what in ((users_path, user_ids, n_users, "users"),
+                                            (items_path, item_ids, n_items, "items")):
+            if len(ids) != size:
+                raise ParseError(f"{vocab_path}: {len(ids)} ids, but {path} has "
+                                 f"{size} {what}")
+        return InteractionMatrix._from_keys(keys, n_users, n_items, user_ids, item_ids)
 
+    def heldout(name: str) -> HeldOutSet:
+        users_path = outdir / f"{name}_users.txt"
+        users = _read_vocabulary(users_path)
+        return HeldOutSet(matrix(f"{name}_foldin", users_path, users),
+                          matrix(f"{name}_targets", users_path, users))
+
+    train_users = outdir / "train_users.txt"
+    train = matrix("train", train_users, _read_vocabulary(train_users))
     return train, heldout("validation"), heldout("test")
+
+
+def _read_vocabulary(path: Path) -> list[str]:
+    """The ids of a split sidecar; a repeated id is a ParseError naming its line."""
+    ids = read_lines(path)
+    if len(set(ids)) != len(ids):
+        first: dict[str, int] = {}
+        for k, x in enumerate(ids, start=1):
+            if first.setdefault(x, k) != k:
+                raise ParseError(f"{path}: line {k}: id {x!r} repeats line {first[x]}")
+    return ids

@@ -1,11 +1,14 @@
 """Score items against users' histories and produce ranked top-N lists.
 
-One blocked kernel serves every caller: fold-in rows are taken a block at a
-time, scored with one sparse x dense product ``S = X_block @ B``, their seen
-items masked, and the top ``min(n, |I|)`` entries of each row picked with
-exact ties (score descending, then item index ascending). ``evaluate``
-consumes the blocks directly; ``batch_recommend``, ``score_user`` and
-``top_n`` wrap them as Python lists.
+Every model kind ends as one dense item-item matrix B, and a user's scores
+are the row ``x @ B`` of their binary fold-in vector x. One blocked kernel
+serves every caller: fold-in rows are taken a block at a time, scored
+straight from their CSR arrays (:func:`_scores`, bitwise equal to scipy's
+CSR x dense product, so no scipy module is loaded), their seen items
+masked, and the top ``min(n, |I|)`` entries of each row picked with exact
+ties (score descending, then item index ascending). ``evaluate`` consumes
+the blocks directly; ``batch_recommend``, ``score_user`` and ``top_n`` wrap
+them as Python lists.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -22,9 +25,6 @@ from . import linalg
 from .artifact import atomic_open
 from .autoencoder import SimilarityMatrix
 from .ingest import InteractionMatrix
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Bytes of float64 scores held at once; a block has this many bytes' worth
 # of fold-in rows. Larger blocks are no faster and raise peak memory.
@@ -57,14 +57,16 @@ def score_user(y: np.ndarray, B: SimilarityMatrix) -> np.ndarray:
         raise ValueError(
             f"history indices out of range for a {B.dim}-item similarity matrix"
         )
-    return (_row(y, B.dim) @ B.values)[0]
+    return _scores(np.array([0, y.size]), y, B.values)[0]
 
 
 def top_n(scores: np.ndarray, seen: np.ndarray, n: int) -> list[tuple[int, float]]:
     """First n unseen items by (score desc, item index asc)."""
     scores = np.array(scores, dtype=np.float64, ndmin=2)
-    seen = _row(np.unique(np.asarray(seen, dtype=np.int64)), scores.shape[1])
-    items, values, lengths = _top_rows(scores, seen, n)
+    seen = np.unique(np.asarray(seen, dtype=np.int64))
+    if seen.size and (seen[0] < 0 or seen[-1] >= scores.shape[1]):
+        raise ValueError(f"seen indices out of range for {scores.shape[1]} items")
+    items, values, lengths = _top_rows(scores, np.array([0, seen.size]), seen, n)
     return list(zip(items[0, :lengths[0]].tolist(), values[0, :lengths[0]].tolist()))
 
 
@@ -85,20 +87,41 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix,
     rows = max(1, SCORE_BLOCK_BYTES // (8 * max(B.dim, 1)))
     linalg.check_capacity(rows, B.dim, "score block")
     for start in range(0, foldin.n_users, rows):
-        block = foldin.matrix[start:start + rows]
-        yield (start, *_top_rows(block @ B.values, block, n))
+        indptr = foldin.indptr[start:start + rows + 1]
+        indices = foldin.indices[indptr[0]:indptr[-1]]
+        indptr = indptr - indptr[0]
+        yield (start, *_top_rows(_scores(indptr, indices, B.values), indptr, indices, n))
 
 
-def _row(items: np.ndarray, dim: int) -> sp.csr_matrix:
-    """One-row binary CSR matrix with the given column indices, in order."""
-    import scipy.sparse as sp
+def _scores(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ b`` for every binary CSR row x, bitwise as scipy computes it.
 
-    return sp.csr_matrix((np.ones(items.size), items, [0, items.size]), shape=(1, dim))
+    Each row is summed from +0.0 over the rows of ``b`` its items select,
+    in storage order: the order of scipy's ``csr_matvecs``, so results
+    match it bit for bit, signed zeros included. Rows are visited longest
+    first, which makes the rows that still have an item at position p a
+    prefix: one gather and add per position rather than per row. An
+    overflow is left as inf for the caller's finiteness check.
+    """
+    lengths = np.diff(indptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts = indptr[:-1][order]
+    # Rows holding more than p items, for p = 0 .. max length.
+    counts = len(lengths) - np.cumsum(np.bincount(lengths))
+    out = np.zeros((len(lengths), b.shape[1]))
+    with np.errstate(over="ignore"):
+        for p, c in enumerate(counts[:-1].tolist()):
+            out[:c] += b[indices[starts[:c] + p]]
+    scores = np.empty_like(out)
+    scores[order] = out
+    return scores
 
 
-def _top_rows(scores: np.ndarray, seen: sp.csr_matrix,
+def _top_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ranked top-min(n, |I|) of each score row after masking ``seen`` (in place).
+    """Ranked top-min(n, |I|) of each score row after masking seen items (in place).
+
+    Row r's seen items are ``indices[indptr[r]:indptr[r + 1]]``.
 
     The k-th largest value splits each row: every entry above it is kept,
     plus the lowest-index entries equal to it, so a tie straddling the
@@ -110,8 +133,8 @@ def _top_rows(scores: np.ndarray, seen: sp.csr_matrix,
         raise ValueError("scores must be finite")
     rows, dim = scores.shape
     k = min(n, dim)
-    n_seen = np.diff(seen.indptr)
-    scores[np.repeat(np.arange(rows), n_seen), seen.indices] = -np.inf
+    n_seen = np.diff(indptr)
+    scores[np.repeat(np.arange(rows), n_seen), indices] = -np.inf
     kth = np.partition(scores, dim - k, axis=1)[:, dim - k, None]
     above = scores > kth
     tied = scores == kth

@@ -317,6 +317,36 @@ class TestVocabularySidecars:
         assert repr("u\n0") in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("sidecar", ["items.txt", "train_users.txt", "test_users.txt"])
+    def test_sidecar_one_line_short_exit_2(self, pipeline, capsys, command, sidecar):
+        tmp_path, config = pipeline
+        assert cmd_train(config) == EXIT_OK
+        path = tmp_path / "out" / sidecar
+        path.write_text("".join(f"{x}\n" for x in path.read_text().splitlines()[:-1]))
+        code = main([command, "--output", str(tmp_path / "out"), "--lambda", "5",
+                     *(["--model", str(tmp_path / "out" / "model_ridge.bin")]
+                       if command == "evaluate" else [])])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_repeated_item_id_exit_2(self, pipeline, capsys, command):
+        tmp_path, config = pipeline
+        assert cmd_train(config) == EXIT_OK
+        model = tmp_path / "out" / "model_ridge.bin"
+        before = model.read_bytes()
+        path = tmp_path / "out" / "items.txt"
+        ids = path.read_text().splitlines()
+        path.write_text("".join(f"{x}\n" for x in [ids[0], ids[0], *ids[2:]]))
+        code = main([command, "--output", str(tmp_path / "out"), "--lambda", "5",
+                     *(["--model", str(model)] if command == "evaluate" else [])])
+        assert code == EXIT_IO
+        assert f"error: {path}: line 2: id {ids[0]!r} repeats line 1" in capsys.readouterr().err
+        assert model.read_bytes() == before
+
+
 class TestTrainCommand:
     @pytest.mark.parametrize("kind", [k for k in KINDS if not KINDS[k].uses_embedding_dim])
     def test_plain_kinds(self, pipeline, kind):
@@ -581,6 +611,21 @@ class TestRecommendCommand:
         code = main(["recommend", "--model", str(model), "--users", str(users),
                      "-N", "0", "--output", str(tmp_path / "out")])
         assert code == EXIT_GENERIC
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, the generic code, not its default 2."""
+
+    @pytest.mark.parametrize("argv", [["train", "--lambda", "abc"], ["train", "--bogus"],
+                                      ["evaluate"], ["frobnicate"], []])
+    def test_usage_error_exit_1(self, capsys, argv):
+        assert main(argv) == EXIT_GENERIC
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["train", "--help"]) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestEndToEndDeterminism:

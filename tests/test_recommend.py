@@ -72,6 +72,64 @@ class TestScoreUser:
         np.testing.assert_allclose(score_user(y, b), dense @ b.values, atol=1e-12)
 
 
+def bitwise_equal(a, b):
+    """Equal arrays with equal sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def scipy_scores(indptr, indices, values):
+    """The reference kernel: scipy's CSR x dense product of binary rows."""
+    import scipy.sparse as sp
+
+    x = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                      shape=(len(indptr) - 1, values.shape[0]))
+    return x @ values
+
+
+# Magnitudes far apart make a sum depend on its order; signed zeros make
+# +0.0 + -0.0 show. Every partial sum stays finite.
+KERNEL_VALUES = np.array([1e16, -1e16, 1.0, 0.1, -0.3, 0.0, -0.0, -0.0])
+
+
+class TestScoringKernel:
+    """Scores equal scipy's CSR x dense product bit for bit (scipy is only the oracle)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 12),
+           n_rows=st.integers(0, 9))
+    def test_blocks_match_scipy(self, seed, n_items, n_rows):
+        gen = np.random.default_rng(seed)
+        values = gen.choice(KERNEL_VALUES, size=(n_items, n_items))
+        rows = [np.flatnonzero(gen.random(n_items) < gen.choice([0.0, 0.3, 1.0]))
+                for _ in range(n_rows)]
+        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int32)
+        indices = np.concatenate([np.zeros(0, np.int32), *rows]).astype(np.int32)
+        expected = scipy_scores(indptr, indices, values)
+        assert bitwise_equal(recommend._scores(indptr, indices, values), expected)
+
+        foldin = heldout([r.tolist() for r in rows], [[] for _ in rows], n_items).foldin
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * 3)
+            for start, items, scores, lengths in recommend.ranked_blocks(
+                    foldin, sim(values), n_items):
+                for r, length in enumerate(lengths.tolist()):
+                    want = expected[start + r, items[r, :length]]
+                    assert bitwise_equal(scores[r, :length], want)
+
+    def test_signed_zeros_sum_from_positive_zero(self):
+        values = np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0], [0.0, 0.0, 0.0]])
+        indptr, indices = np.array([0, 0, 1, 3]), np.array([0, 0, 1])
+        got = recommend._scores(indptr, indices, values)
+        assert bitwise_equal(got, scipy_scores(indptr, indices, values))
+        assert not np.signbit(got).any()
+
+    def test_unsorted_history_with_repeat_matches_scipy(self):
+        values = np.random.default_rng(7).choice(KERNEL_VALUES, size=(6, 6))
+        y = np.array([4, 1, 4, 0, 5])
+        expected = scipy_scores(np.array([0, len(y)]), y, values)[0]
+        assert bitwise_equal(score_user(y, sim(values)), expected)
+
+
 class TestTopN:
     def test_hand_case(self):
         got = top_n(np.array([0.9, 0.1, 0.5]), np.array([0]), 2)
@@ -90,6 +148,11 @@ class TestTopN:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             top_n(np.array([1.0]), np.array([], dtype=np.int64), 0)
+
+    @pytest.mark.parametrize("seen", [[-1], [3], [0, 5]])
+    def test_seen_out_of_range(self, seen):
+        with pytest.raises(ValueError, match="out of range"):
+            top_n(np.array([0.3, 0.2, 0.1]), np.array(seen), 2)
 
     def test_rank_invariant_under_positive_scaling(self, rng):
         scores = rng.normal(size=20)
