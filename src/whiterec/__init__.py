@@ -31,7 +31,6 @@ from .ingest import (
     HeldOutSet,
     InteractionLog,
     InteractionMatrix,
-    RawInteraction,
     SplitSpec,
     load_interactions,
     load_split,
@@ -57,7 +56,6 @@ __all__ = [
     "InteractionLog",
     "InteractionMatrix",
     "RankedList",
-    "RawInteraction",
     "SimilarityMatrix",
     "SplitSpec",
     "WhiteningTransform",

@@ -122,13 +122,6 @@ def ease_decompose(sol: EaseSolution) -> tuple[SimilarityMatrix, np.ndarray]:
     return whitening_term, diagonal_term
 
 
-def reconstruction_objective(X: InteractionMatrix, b: np.ndarray, lam: float) -> float:
-    """||X - X B||_F^2 + lam ||B||_F^2, the quantity both solvers minimize."""
-    xb = X.matrix @ b
-    resid = xb - X.toarray()
-    return float(np.sum(resid * resid) + lam * np.sum(b * b))
-
-
 def _shifted(g: np.ndarray, lam: float) -> np.ndarray:
     """g + lam I; every ridge and EASE solve goes through here."""
     if not 0.0 < lam < math.inf:

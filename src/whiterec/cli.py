@@ -53,6 +53,12 @@ EXIT_IO = 2
 EXIT_CAPACITY = 3
 EXIT_COMPAT = 4
 
+# What main returns for an error: the code of the first entry it is an
+# instance of (CapacityError and ParseError are WhiterecErrors too).
+EXIT_CODES = ((CapacityError, EXIT_CAPACITY), (VocabularyMismatchError, EXIT_COMPAT),
+              (OSError, EXIT_IO), (ParseError, EXIT_IO),
+              (WhiterecError, EXIT_GENERIC), (ValueError, EXIT_GENERIC))
+
 
 @dataclass(frozen=True)
 class ModelKind:
@@ -101,14 +107,7 @@ class PipelineConfig:
     gram_byte_cap: int | None = None
 
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            heldout_user_fraction=self.heldout_user_fraction,
-            foldin_fraction=self.foldin_fraction,
-            rng_seed=self.rng_seed,
-            min_user_interactions=self.min_user_interactions,
-            min_item_interactions=self.min_item_interactions,
-            rating_threshold=self.rating_threshold,
-        )
+        return SplitSpec(**{f.name: getattr(self, f.name) for f in fields(SplitSpec)})
 
     def validate(self) -> None:
         kind = KINDS.get(self.kind)
@@ -162,7 +161,7 @@ def parse_config_file(path: str | Path) -> dict:
 def _parse_config_value(key: str, value: str, where: str):
     try:
         if key == "cutoffs":
-            return tuple(int(v) for v in value.split(",") if v.strip())
+            return _parse_cutoffs(value)
         if key in _INT_KEYS:
             return None if value.lower() == "none" else int(value)
         if key in _FLOAT_KEYS:
@@ -278,9 +277,6 @@ def cmd_train(config: PipelineConfig) -> int:
 
 def cmd_evaluate(config: PipelineConfig, model_path: str | Path,
                  split_name: str = "test") -> int:
-    model_path = Path(model_path)
-    if not model_path.exists():
-        raise FileNotFoundError(f"model file not found: {model_path}")
     sim, model_items = load_model(model_path)
     outdir = Path(config.output_dir)
     _, validation, test = load_split(outdir)
@@ -308,9 +304,6 @@ def cmd_recommend(config: PipelineConfig, model_path: str | Path,
                   users_path: str | Path, n: int) -> int:
     if n < 1:
         raise ConfigError(f"top-N must be >= 1, got {n}")
-    model_path = Path(model_path)
-    if not model_path.exists():
-        raise FileNotFoundError(f"model file not found: {model_path}")
     sim, item_ids = load_model(model_path)
     log = load_interactions(users_path, config.data_format)
 
@@ -420,18 +413,9 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config, args.model, args.split)
         return cmd_recommend(config, args.model, args.users, args.topn)
-    except CapacityError as exc:
+    except tuple(error for error, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except VocabularyMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPAT
-    except (FileNotFoundError, OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (WhiterecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERIC
+        return next(code for error, code in EXIT_CODES if isinstance(exc, error))
     finally:
         linalg.GRAM_BYTE_CAP = default_cap
 

@@ -37,19 +37,16 @@ class EvalReport:
     def mean(self, metric: str, r: int) -> float:
         return self.means[(metric, r)]
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
         metrics: dict[str, dict[str, float]] = {}
         for (metric, r), value in sorted(self.means.items()):
             metrics.setdefault(metric, {})[str(r)] = value
-        return {
+        return json.dumps({
             "cutoffs": list(self.cutoffs),
             "metrics": metrics,
             "n_users_evaluated": self.n_users_evaluated,
             "excluded_users": dict(self.excluded_users),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        }, indent=2, sort_keys=True)
 
 
 def recall_at_r(ranked: RankedList, targets, r: int) -> float:
@@ -62,24 +59,13 @@ def ndcg_at_r(ranked: RankedList, targets, r: int) -> float:
     return _one_row(ranked, targets, r)[("ndcg", r)]
 
 
-def dcg_at_r(ranked: RankedList, targets, r: int) -> float:
-    """Truncated DCG with binary gains (2^hit - 1 is just the hit indicator)."""
-    hit, _ = _one_row_hits(ranked, targets, r)
-    return float(_cumulative_gains(hit, _discount(r))[1][0, -1])
-
-
 def _one_row(ranked: RankedList, targets, r: int) -> dict[tuple[str, int], float]:
-    hit, n_targets = _one_row_hits(ranked, targets, r)
-    return {key: float(values[0])
-            for key, values in _cutoff_metrics(hit, n_targets, [r]).items()}
-
-
-def _one_row_hits(ranked: RankedList, targets, r: int) -> tuple[np.ndarray, np.ndarray]:
     target_set = set(int(t) for t in targets)
     if not target_set:
         raise EvaluationError("metric undefined for an empty target set")
     hit = np.isin(np.array(ranked.items()[:r], dtype=np.int64), list(target_set))
-    return hit[None, :], np.array([len(target_set)])
+    return {key: float(values[0]) for key, values
+            in _cutoff_metrics(hit[None, :], np.array([len(target_set)]), [r]).items()}
 
 
 def _discount(k: int) -> np.ndarray:

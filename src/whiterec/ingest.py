@@ -46,20 +46,6 @@ _HEADER_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class RawInteraction:
-    """One raw event: user did something with item, optionally rated/timestamped."""
-
-    user_id: str
-    item_id: str
-    rating: float | None = None
-    timestamp: int | None = None
-
-    def __post_init__(self):
-        if not self.user_id or not self.item_id:
-            raise ValueError("user_id and item_id must be non-empty")
-
-
 @dataclass(frozen=True, eq=False)
 class InteractionLog:
     """A raw interaction log as columns, one element per event.
@@ -94,14 +80,6 @@ class InteractionLog:
             return np.ones(len(self), dtype=bool)
         # NaN compares False, so events without a rating pass.
         return ~(self.ratings < threshold)
-
-    @classmethod
-    def from_records(cls, records) -> "InteractionLog":
-        """Build a log from RawInteraction records; a rating of None becomes NaN."""
-        return cls._from_strings(
-            [r.user_id for r in records], [r.item_id for r in records],
-            [math.nan if r.rating is None else r.rating for r in records],
-        )
 
     @classmethod
     def _from_strings(cls, users: list[str], items: list[str],
@@ -207,10 +185,6 @@ class InteractionMatrix:
         import scipy.sparse as sp
 
         return sp.csr_matrix((np.ones(self.nnz), self.indices, self.indptr), shape=self.shape)
-
-    def row_items(self, u: int) -> np.ndarray:
-        """Sorted item indices of user row u."""
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def _entry_rows(self) -> np.ndarray:
         """The row of every stored entry, in storage order."""
@@ -324,7 +298,8 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
     """Parse a CSV/TSV interaction log into an InteractionLog.
 
     Expected columns: user, item[, rating[, timestamp]]. A header line is
-    optional and detected by name. Fields are stripped; an empty rating
+    optional and detected by name on the first non-blank line; a leading
+    UTF-8 byte order mark is dropped. Fields are stripped; an empty rating
     means no rating. Raises ParseError with the offending physical line
     number on a wrong column count, an empty id, a rating that is not a
     finite float or a timestamp that is not an integer, and
@@ -338,14 +313,19 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
     items: list[str] = []
     ratings: list[float] = []
     nan, isfinite, strip = math.nan, math.isfinite, str.strip
-    with open(path, newline="", encoding="utf-8") as fh:
+    first = True
+    # utf-8-sig drops a leading byte order mark, so it cannot stick to the
+    # first field.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for n, row in enumerate(reader):
+        for row in reader:
             fields = list(map(strip, row))
             if not fields or fields == [""]:
                 continue
-            if n == 0 and _looks_like_header(fields):
-                continue
+            if first:
+                first = False
+                if _looks_like_header(fields):
+                    continue
             if len(fields) < 2 or len(fields) > 4:
                 raise ParseError(f"{path}: line {reader.line_num}: "
                                  f"expected 2-4 columns, got {len(fields)}")
@@ -525,19 +505,14 @@ def write_triplets(m: InteractionMatrix, path: str | Path) -> None:
         fh.write("".join(map("{} {}\n".format, m._entry_rows().tolist(), m.indices.tolist())))
 
 
-def read_triplets(path: str | Path, user_ids=None, item_ids=None) -> InteractionMatrix:
-    """Read a sparse-triplet text file back into an InteractionMatrix.
+def _parse_triplets(path: Path) -> tuple[np.ndarray, int, int]:
+    """Ascending ``user * n_items + item`` keys of a triplet file, and its shape.
 
     Raises ParseError naming the file, and the line where there is one,
     on a bad header, a pair count that differs from the header, a line
     that is not two integers, an index outside the matrix, or a pair
     given twice.
     """
-    return InteractionMatrix._from_keys(*_parse_triplets(Path(path)), user_ids, item_ids)
-
-
-def _parse_triplets(path: Path) -> tuple[np.ndarray, int, int]:
-    """Ascending ``user * n_items + item`` keys of a triplet file, and its shape."""
     lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty triplet file")

@@ -62,11 +62,6 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Return U diag(w) U^T."""
-        u = self.eigenvectors
-        return symmetrize((u * self.eigenvalues) @ u.T)
-
 
 def features(M) -> sp.csr_matrix | np.ndarray:
     """The matrix behind a feature matrix whose columns are items.
@@ -108,15 +103,11 @@ def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
     n come from np.linalg.eigh. The descending order and the sign rule
     apply to the columns returned either way.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _square_finite(a)
     if a.size == 0:
         raise ValueError("matrix is empty (shape 0x0)")
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
     # a is finite, so this is np.allclose(a, a.T, rtol=0, atol=...) without
     # its extra passes.
     if np.abs(a - a.T).max() > 1e-8 * max(1.0, np.abs(a).max()):
@@ -143,43 +134,58 @@ def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ z = b for symmetric positive definite a via Cholesky."""
-    import scipy.linalg
-
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: a is {a.shape}, b is {b.shape}")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSPDError(f"matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, b)
-
-
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, exactly symmetric.
-
-    LAPACK potrf factors a copy of a as L L^T and potri overwrites L with
-    the lower triangle of the inverse in that same array; mirroring the
-    triangle makes the result exactly symmetric. a itself is not written.
-    """
-    from scipy.linalg import lapack
-
+def _square_finite(a) -> np.ndarray:
+    """a as a float64 array; ValueError unless it is square and finite."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
+    return a
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of symmetric positive definite a: potrf on one
+    Fortran-order copy, so a is not written. The strict upper triangle
+    keeps entries of a. spd_solve and spd_inverse share this factorization.
+    """
+    from scipy.linalg import lapack
+
+    a = _square_finite(a)
     # a is symmetric, so a C-ordered a is the Fortran-ordered array LAPACK
     # wants once transposed.
     work = np.array(a.T if a.flags.c_contiguous else a, order="F")
     factor, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
+    return factor
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ z = b for symmetric positive definite a; neither is written."""
+    from scipy.linalg import lapack
+
+    b = np.asarray(b, dtype=np.float64)
+    factor = _cholesky(a)
+    if b.shape[:1] != factor.shape[:1]:
+        raise ValueError(f"dimension mismatch: a is {factor.shape}, b is {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side contains non-finite entries")
+    z, info = lapack.dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"LAPACK potrs rejected argument {-info}")
+    return z
+
+
+def spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, exactly symmetric.
+
+    potri overwrites the factor with the lower triangle of the inverse,
+    which is then mirrored. a itself is not written.
+    """
+    from scipy.linalg import lapack
+
+    factor, info = lapack.dpotri(_cholesky(a), lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
     # potri filled factor[i, j] for i >= j, so its C-ordered transpose holds

@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from whiterec import linalg
-from whiterec.autoencoder import (
-    ease,
-    ease_decompose,
-    reconstruction_objective,
-    ridge,
-    ridge_dual,
-    ridge_primal,
-)
+from whiterec.autoencoder import ease, ease_decompose, ridge, ridge_dual, ridge_primal
 from whiterec.errors import CapacityError, NumericalError
 from whiterec.ingest import InteractionMatrix
 
-from conftest import random_interactions
+from conftest import random_interactions, reconstruction_objective
 
 
 def fro(a):

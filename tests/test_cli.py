@@ -1,11 +1,12 @@
 import csv
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from whiterec import linalg
+from whiterec import cli, linalg
 from whiterec.autoencoder import SimilarityMatrix
 from whiterec.cli import (
     EXIT_CAPACITY,
@@ -18,7 +19,6 @@ from whiterec.cli import (
     build_parser,
     cmd_evaluate,
     cmd_preprocess,
-    cmd_recommend,
     cmd_train,
     load_model,
     main,
@@ -26,8 +26,9 @@ from whiterec.cli import (
     resolve_config,
     save_model,
 )
-from whiterec.errors import ConfigError, ParseError, VocabularyMismatchError
-from whiterec.ingest import HeldOutSet, InteractionMatrix, save_split
+from whiterec.errors import (CapacityError, ConfigError, NotSPDError, ParseError,
+                             VocabularyMismatchError)
+from whiterec.ingest import HeldOutSet, InteractionMatrix, SplitSpec, save_split
 
 
 def write_dataset(path, n_users=40, n_items=10, seed=99):
@@ -58,6 +59,15 @@ def base_config(tmp_path, **kwargs):
     )
     defaults.update(kwargs)
     return PipelineConfig(**defaults)
+
+
+def write_config(tmp_path, extra=""):
+    """A run.cfg for tmp_path's data.csv and out/, with base_config's split."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\noutput = {tmp_path / 'out'}\n"
+                   "min_user_interactions = 2\nheldout_user_fraction = 0.2\n"
+                   f"foldin_fraction = 0.5\nlambda = 5\n{extra}")
+    return cfg
 
 
 @pytest.fixture
@@ -175,6 +185,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(kind="cosine").validate()
 
+    def test_split_defaults_match_split_spec(self):
+        # split_spec copies the six SplitSpec fields from the config.
+        assert len(fields(SplitSpec)) == 6
+        assert PipelineConfig().split_spec() == SplitSpec()
+
+    def test_cutoffs_parse_the_same_from_file_and_flag(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("cutoffs = 5, 10,\n")
+        assert parse_config_file(p)["cutoffs"] == build_parser().parse_args(
+            ["train", "--cutoffs", "5, 10,"]).cutoffs == (5, 10)
+        p.write_text("cutoffs = 5,x\n")
+        with pytest.raises(ConfigError, match="line 1: bad value for cutoffs"):
+            parse_config_file(p)
+        # argparse reports only a ValueError from a type= function as a usage error.
+        assert main(["train", "--cutoffs", "5,x"]) == EXIT_GENERIC
+        assert "invalid _parse_cutoffs value: '5,x'" in capsys.readouterr().err
+
 
 class TestModelFile:
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -238,13 +265,10 @@ class TestPreprocessCommand:
             own = [f"x{u}", f"y{u}"] if u % 2 else ["b", "c"]
             lines += [f"u{u},{item}" for item in ["a", *own]]
         (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\nmin_user_interactions = 2\n"
-                       "heldout_user_fraction = 0.2\nfoldin_fraction = 0.5\n")
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["preprocess", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+            assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_OK
         messages = [str(w.message) for w in caught]
         splits = json.loads((out / "summary.json").read_text())["splits"]
         for name in ("validation", "test"):
@@ -260,6 +284,20 @@ class TestPreprocessCommand:
         code = main(["preprocess", "--data", str(tmp_path / "missing.csv"),
                      "--output", str(tmp_path / "out")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("prefix", ["\ufeff", "\ufeffuser,item,rating\n",
+                                        "\n\nuser,item,rating\n",
+                                        "\ufeff\nuser,item,rating,timestamp\n"])
+    def test_header_and_byte_order_mark_are_not_events(self, tmp_path, prefix):
+        # The same events with and without the prefix give the same files:
+        # no phantom user "\ufeffuser" or "\ufeffu0", no item "item".
+        write_dataset(tmp_path / "data.csv")
+        (tmp_path / "pre.csv").write_text(prefix + (tmp_path / "data.csv").read_text(), "utf-8")
+        for name in ("data", "pre"):
+            assert main(["preprocess", "--data", str(tmp_path / f"{name}.csv"),
+                         "--output", str(tmp_path / name)]) == EXIT_OK
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "data").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "pre").iterdir()})
 
     def test_same_seed_identical_files(self, tmp_path):
         write_dataset(tmp_path / "data.csv")
@@ -285,10 +323,7 @@ class TestVocabularySidecars:
                 writer.writerow([rename.get(u, u), rename.get(i, i), r])
 
     def run(self, tmp_path, command):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\noutput = {tmp_path / 'out'}\n"
-                       "min_user_interactions = 2\nheldout_user_fraction = 0.2\nlambda = 5\n")
-        return main([command, "--config", str(cfg)])
+        return main([command, "--config", str(write_config(tmp_path))])
 
     @pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
                                     "\x1c", "\x1d", "\x1e"])
@@ -422,16 +457,7 @@ class TestTrainCommand:
     def test_capacity_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", linalg.GRAM_BYTE_CAP)
         write_dataset(tmp_path / "data.csv")
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            f"data_path = {tmp_path / 'data.csv'}\n"
-            f"output = {tmp_path / 'out'}\n"
-            "min_user_interactions = 2\n"
-            "heldout_user_fraction = 0.2\n"
-            "foldin_fraction = 0.5\n"
-            "lambda = 5\n"
-            "gram_byte_cap = 64\n"
-        )
+        cfg_file = write_config(tmp_path, "gram_byte_cap = 64\n")
         # Preprocessing never builds a Gram matrix, so it passes even with
         # the tiny cap; training then trips it.
         assert main(["preprocess", "--config", str(cfg_file)]) == EXIT_OK
@@ -440,15 +466,7 @@ class TestTrainCommand:
 
     def test_byte_cap_restored_after_main(self, tmp_path):
         write_dataset(tmp_path / "data.csv")
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            f"data_path = {tmp_path / 'data.csv'}\n"
-            f"output = {tmp_path / 'out'}\n"
-            "min_user_interactions = 2\n"
-            "heldout_user_fraction = 0.2\n"
-            "foldin_fraction = 0.5\n"
-            "gram_byte_cap = 64\n"
-        )
+        cfg_file = write_config(tmp_path, "gram_byte_cap = 64\n")
         assert main(["preprocess", "--config", str(cfg_file)]) == EXIT_OK
         assert main(["train", "--config", str(cfg_file), "--kind", "ridge"]) == EXIT_CAPACITY
         assert linalg.GRAM_BYTE_CAP == 1 << 30
@@ -539,78 +557,77 @@ class TestEvaluateCommand:
 
 
 class TestRecommendCommand:
-    def make_model(self, tmp_path):
-        values = np.array([[0.0, 1.0], [1.0, 0.0]])
-        path = tmp_path / "model.bin"
-        save_model(SimilarityMatrix(values, "ridge", {"lambda": 1.0}),
-                   ["item0", "item1"], path)
-        return path
+    @staticmethod
+    def recommend(tmp_path, text, *flags, values=((0.0, 1.0), (1.0, 0.0))):
+        """Run recommend through main on a fold-in file and a hand model whose
+        items are item0, item1, ...; return the exit code and the CSV rows."""
+        model, users, out = tmp_path / "model.bin", tmp_path / "users.csv", tmp_path / "out"
+        save_model(SimilarityMatrix(np.array(values), "ridge", {"lambda": 1.0}),
+                   [f"item{j}" for j in range(len(values))], model)
+        users.write_text(text, "utf-8")
+        code = main(["recommend", "--model", str(model), "--users", str(users), "-N", "1",
+                     "--output", str(out), *flags])
+        csv_path = out / "recommendations.csv"
+        return code, csv_path.read_text().splitlines()[1:] if csv_path.exists() else None
 
     def test_hand_scored_recommendation(self, tmp_path):
-        model = self.make_model(tmp_path)
-        users = tmp_path / "users.csv"
-        users.write_text("alice,item0\n")
-        config = base_config(tmp_path)
-        assert cmd_recommend(config, model, users, 1) == EXIT_OK
-        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
-        assert lines[1] == "alice,1,item1,1.0"
+        assert self.recommend(tmp_path, "alice,item0\n") == (EXIT_OK, ["alice,1,item1,1.0"])
 
     def test_unknown_items_warned_and_skipped(self, tmp_path, capsys):
-        model = self.make_model(tmp_path)
-        users = tmp_path / "users.csv"
-        users.write_text("alice,item0\nalice,mystery\nbob,mystery\n")
-        config = base_config(tmp_path)
-        assert cmd_recommend(config, model, users, 1) == EXIT_OK
+        code, rows = self.recommend(tmp_path, "alice,item0\nalice,mystery\nbob,mystery\n")
+        assert code == EXIT_OK
         err = capsys.readouterr().err
         assert "2" in err and "unknown" in err
-        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
-        assert len(lines) == 2  # header + alice only; bob had nothing usable
+        assert len(rows) == 1  # alice only; bob had nothing usable
 
     def test_users_with_only_unknown_items_counted(self, tmp_path, capsys):
-        model = self.make_model(tmp_path)
-        users = tmp_path / "users.csv"
-        users.write_text("bob,mystery\nalice,item0\ncarol,enigma\ncarol,mystery\n")
-        assert cmd_recommend(base_config(tmp_path), model, users, 1) == EXIT_OK
-        err = capsys.readouterr().err
-        assert "2 users have no recommendations (2 with only unknown item ids)" in err
-        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
-        assert lines[1:] == ["alice,1,item1,1.0"]
+        text = "bob,mystery\nalice,item0\ncarol,enigma\ncarol,mystery\n"
+        assert self.recommend(tmp_path, text) == (EXIT_OK, ["alice,1,item1,1.0"])
+        assert ("2 users have no recommendations (2 with only unknown item ids)"
+                in capsys.readouterr().err)
 
     def test_rows_in_order_of_first_known_item(self, tmp_path):
-        model = self.make_model(tmp_path)
-        users = tmp_path / "users.csv"
-        users.write_text("bob,mystery\nalice,item0\nbob,item1\n")
-        assert cmd_recommend(base_config(tmp_path), model, users, 1) == EXIT_OK
-        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
-        assert lines[1:] == ["alice,1,item1,1.0", "bob,1,item0,1.0"]
+        assert self.recommend(tmp_path, "bob,mystery\nalice,item0\nbob,item1\n") == (
+            EXIT_OK, ["alice,1,item1,1.0", "bob,1,item0,1.0"])
 
     def test_rating_threshold_applies_to_foldin(self, tmp_path, capsys):
         # alice rated item0 below the threshold: it is neither history nor
         # seen, so it can be recommended, and it is what item1 points to.
-        values = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
-        model = tmp_path / "model.bin"
-        save_model(SimilarityMatrix(values, "ridge", {"lambda": 1.0}),
-                   ["item0", "item1", "item2"], model)
-        users = tmp_path / "users.csv"
-        users.write_text("alice,item0,1\nalice,item1,5\nbob,item2,2\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rating_threshold = 4\n")
-        code = main(["recommend", "--config", str(cfg), "--model", str(model),
-                     "--users", str(users), "-N", "1", "--output", str(tmp_path / "out")])
-        assert code == EXIT_OK
-        lines = (tmp_path / "out" / "recommendations.csv").read_text().splitlines()
-        assert lines[1:] == ["alice,1,item0,1.0"]
+        values = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.5), (0.0, 0.0, 0.0))
+        assert self.recommend(tmp_path, "alice,item0,1\nalice,item1,5\nbob,item2,2\n",
+                              "--config", str(cfg), values=values) == (
+            EXIT_OK, ["alice,1,item0,1.0"])
         err = capsys.readouterr().err
         assert "skipped 2 interactions (0 with unknown item ids, 2 rated below" in err
         assert "1 users have no recommendations (0 with only unknown item ids)" in err
 
+    @pytest.mark.parametrize("text", ["\ufeffuser,item\nalice,item0\n",
+                                      "\n\nuser,item,rating\nalice,item0,5\n",
+                                      "\ufeffalice,item0\n"])
+    def test_header_and_byte_order_mark_in_foldin(self, tmp_path, capsys, text):
+        assert self.recommend(tmp_path, text) == (EXIT_OK, ["alice,1,item1,1.0"])
+        assert "warning" not in capsys.readouterr().err
+
     def test_topn_zero_is_usage_error(self, tmp_path):
-        model = self.make_model(tmp_path)
-        users = tmp_path / "users.csv"
-        users.write_text("alice,item0\n")
-        code = main(["recommend", "--model", str(model), "--users", str(users),
-                     "-N", "0", "--output", str(tmp_path / "out")])
-        assert code == EXIT_GENERIC
+        assert self.recommend(tmp_path, "alice,item0\n", "-N", "0") == (EXIT_GENERIC, None)
+
+
+class TestExitCodes:
+    """Each documented error class reaches its exit code through main."""
+
+    @pytest.mark.parametrize("error, code", [
+        (CapacityError, EXIT_CAPACITY), (VocabularyMismatchError, EXIT_COMPAT),
+        (ParseError, EXIT_IO), (OSError, EXIT_IO), (FileNotFoundError, EXIT_IO),
+        (NotSPDError, EXIT_GENERIC), (ConfigError, EXIT_GENERIC), (ValueError, EXIT_GENERIC)])
+    def test_error_exit_code(self, tmp_path, monkeypatch, capsys, error, code):
+        def fail(config):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_train", fail)
+        assert main(["train", "--output", str(tmp_path)]) == code
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestUsageErrors:

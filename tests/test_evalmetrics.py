@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from whiterec.errors import EvaluationError
-from whiterec.evalmetrics import (
-    dcg_at_r,
-    evaluate,
-    export_per_user_csv,
-    ndcg_at_r,
-    recall_at_r,
-)
+from whiterec.evalmetrics import evaluate, export_per_user_csv, ndcg_at_r, recall_at_r
 from whiterec import recommend
 from whiterec.recommend import RankedList
 
@@ -84,10 +78,6 @@ class TestNdcg:
         assert perfect == pytest.approx(1.0, abs=1e-12)
         imperfect = ndcg_at_r(ranked([3, 0, 5, 1]), targets, 4)
         assert imperfect < 1.0
-
-    def test_dcg_base_two(self):
-        # Hit at rank 3 contributes 1/log2(4) = 0.5.
-        assert dcg_at_r(ranked([1, 2, 9]), {9}, 3) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_targets_rejected(self):
         with pytest.raises(EvaluationError):

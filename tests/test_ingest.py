@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 from whiterec.errors import EmptyDatasetError, ParseError, SplitError
 from whiterec.ingest import (
     HeldOutSet,
-    InteractionLog,
     InteractionMatrix,
-    RawInteraction,
     SplitSpec,
     load_interactions,
     load_split,
     preprocess,
-    read_triplets,
     save_split,
     split_strong_generalization,
     write_triplets,
+    _parse_triplets,
 )
+
+from conftest import RawInteraction, log_from_records
 
 
 def spec(**kwargs):
@@ -31,6 +31,11 @@ def spec(**kwargs):
                     rating_threshold=None)
     defaults.update(kwargs)
     return SplitSpec(**defaults)
+
+
+def row_items(m: InteractionMatrix, u: int) -> np.ndarray:
+    """Sorted item indices of user row u."""
+    return m.indices[m.indptr[u]:m.indptr[u + 1]]
 
 
 def all_pairs(n_users, n_items):
@@ -118,7 +123,7 @@ def naive_split(X: InteractionMatrix, spec: SplitSpec):
     def divide(rows):
         foldins, targets = [], []
         for u in rows:
-            items = X.row_items(u)
+            items = row_items(X, u)
             k = int(len(items) * spec.foldin_fraction + 1e-9)
             shuffled = rng.permutation(items)
             foldins.append(np.sort(shuffled[:k]))
@@ -209,76 +214,78 @@ def _log_columns(log):
 
 
 class TestLoadInteractions:
-    def test_two_records_with_ratings(self, tmp_path):
+    @staticmethod
+    def load(tmp_path, text, fmt="csv"):
+        """load_interactions on a UTF-8 file holding text."""
         p = tmp_path / "data.csv"
-        p.write_text("u1,i1,5,100\nu1,i2,3,101\n")
-        log = load_interactions(p)
+        p.write_text(text, "utf-8")
+        return load_interactions(p, fmt)
+
+    def test_two_records_with_ratings(self, tmp_path):
+        log = self.load(tmp_path, "u1,i1,5,100\nu1,i2,3,101\n")
         assert len(log) == 2
         assert (log.user_ids, log.item_ids) == (["u1"], ["i1", "i2"])
         assert log.users.tolist() == [0, 0] and log.items.tolist() == [0, 1]
         assert log.ratings.tolist() == [5.0, 3.0]
 
     def test_empty_file(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        p.write_text("")
         with pytest.raises(EmptyDatasetError):
-            load_interactions(p)
+            self.load(tmp_path, "")
 
     def test_malformed_rating(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("u1,i1,abc\n")
         with pytest.raises(ParseError, match="line 1"):
-            load_interactions(p)
+            self.load(tmp_path, "u1,i1,abc\n")
 
     @pytest.mark.parametrize("rating", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_rating_rejected(self, tmp_path, rating):
         # nan < 4 is False, so a non-finite rating would pass the threshold
         # and be kept as a positive interaction.
-        p = tmp_path / "bad.csv"
-        p.write_text(f"u1,i1,5\nu1,i2,{rating}\n")
         with pytest.raises(ParseError, match="line 2.*not finite"):
-            load_interactions(p)
+            self.load(tmp_path, f"u1,i1,5\nu1,i2,{rating}\n")
 
     def test_physical_line_numbers(self, tmp_path):
         # The quoted id on lines 2-3 is one record; the bad rating is on line 4.
-        p = tmp_path / "bad.csv"
-        p.write_text('u1,i1,5\n"multi\nline",i1,5\nu3,i1,abc\n')
         with pytest.raises(ParseError, match="line 4"):
-            load_interactions(p)
+            self.load(tmp_path, 'u1,i1,5\n"multi\nline",i1,5\nu3,i1,abc\n')
 
     def test_bad_timestamp_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("u1,i1,5,100\nu1,i2,3,soon\n")
         with pytest.raises(ParseError, match="line 2"):
-            load_interactions(p)
+            self.load(tmp_path, "u1,i1,5,100\nu1,i2,3,soon\n")
 
     def test_wrong_column_count(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("u1,i1,5,100,extra\n")
         with pytest.raises(ParseError, match="line 1"):
-            load_interactions(p)
+            self.load(tmp_path, "u1,i1,5,100,extra\n")
 
     def test_tsv(self, tmp_path):
-        p = tmp_path / "data.tsv"
-        p.write_text("u1\ti1\t4\n")
-        log = load_interactions(p, "tsv")
+        log = self.load(tmp_path, "u1\ti1\t4\n", "tsv")
         assert (log.user_ids, log.item_ids, log.ratings.tolist()) == (["u1"], ["i1"], [4.0])
 
     def test_header_skipped(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("user,item,rating\nu1,i1,5\n")
-        assert len(load_interactions(p)) == 1
+        assert len(self.load(tmp_path, "user,item,rating\nu1,i1,5\n")) == 1
+
+    @pytest.mark.parametrize("prefix", ["\ufeff", "\n", "\n\n", " \n", "\ufeff\n"])
+    @pytest.mark.parametrize("header", ["user,item", "user,item,rating,timestamp"])
+    def test_header_on_first_non_blank_line_skipped(self, tmp_path, prefix, header):
+        log = self.load(tmp_path, f"{prefix}{header}\nu1,i1,5,100\n")
+        assert (log.user_ids, log.item_ids, log.ratings.tolist()) == (["u1"], ["i1"], [5.0])
+
+    def test_byte_order_mark_dropped_without_header(self, tmp_path):
+        assert self.load(tmp_path, "\ufeffu1,i1\nu2,i1\n").user_ids == ["u1", "u2"]
+
+    def test_header_names_after_data_are_data(self, tmp_path):
+        log = self.load(tmp_path, "u1,i1\nuser,item\n")
+        assert (log.user_ids, log.item_ids) == (["u1", "user"], ["i1", "item"])
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        with pytest.raises(ParseError, match="line 3"):
+            self.load(tmp_path, "\ufeff\nuser,item,rating\nu1,i1,abc\n")
 
     def test_two_columns_only(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("u1,i1\nu2,i1\n")
-        log = load_interactions(p)
+        log = self.load(tmp_path, "u1,i1\nu2,i1\n")
         assert np.isnan(log.ratings).all()
 
     def test_records_in_file_order(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("b,i2\na,i1\n")
-        log = load_interactions(p)
+        log = self.load(tmp_path, "b,i2\na,i1\n")
         assert log.user_ids == ["b", "a"]
         assert log.users.tolist() == [0, 1]
 
@@ -293,7 +300,7 @@ class TestLoadInteractions:
             for r, ts in zip(records, timestamps):
                 rating = "" if r.rating is None else repr(r.rating)
                 writer.writerow([r.user_id, r.item_id, rating] + ([] if ts is None else [ts]))
-        expected = _log_columns(InteractionLog.from_records(records))
+        expected = _log_columns(log_from_records(records))
         got = _log_columns(load_interactions(p))
         assert got[:2] == expected[:2] and got[3:] == expected[3:]
         np.testing.assert_array_equal(got[2], expected[2])
@@ -301,35 +308,35 @@ class TestLoadInteractions:
 
 class TestPreprocess:
     def test_all_pairs_nothing_filtered(self):
-        X = preprocess(InteractionLog.from_records(all_pairs(3, 3)), spec())
+        X = preprocess(log_from_records(all_pairs(3, 3)), spec())
         assert (X.n_users, X.n_items, X.nnz) == (3, 3, 9)
 
     def test_user_drop_cascades_to_item(self):
         raw = all_pairs(3, 3) + [RawInteraction("lone", "only")]
-        X = preprocess(InteractionLog.from_records(raw), spec(min_user_interactions=2))
+        X = preprocess(log_from_records(raw), spec(min_user_interactions=2))
         assert "lone" not in X.user_ids
         assert "only" not in X.item_ids
 
     def test_rating_threshold(self):
         raw = [RawInteraction("u", "a", 5.0), RawInteraction("u", "b", 3.0)]
-        X = preprocess(InteractionLog.from_records(raw), spec(rating_threshold=4.0))
+        X = preprocess(log_from_records(raw), spec(rating_threshold=4.0))
         assert X.item_ids == ["a"]
 
     def test_missing_rating_passes_threshold(self):
         raw = [RawInteraction("u", "a"), RawInteraction("u", "b", 5.0)]
-        X = preprocess(InteractionLog.from_records(raw), spec(rating_threshold=4.0))
+        X = preprocess(log_from_records(raw), spec(rating_threshold=4.0))
         assert X.n_items == 2
 
     def test_deduplication(self):
         raw = [RawInteraction("u", "a"), RawInteraction("u", "a"),
                RawInteraction("v", "a")]
-        X = preprocess(InteractionLog.from_records(raw), spec())
+        X = preprocess(log_from_records(raw), spec())
         assert X.nnz == 2
 
     def test_all_filtered_out(self):
         raw = [RawInteraction("u", "a", 1.0)]
         with pytest.raises(EmptyDatasetError):
-            preprocess(InteractionLog.from_records(raw), spec(rating_threshold=4.0))
+            preprocess(log_from_records(raw), spec(rating_threshold=4.0))
 
     def test_fixed_point_reached(self):
         # Chain where dropping u2 leaves item c below threshold, which then
@@ -338,22 +345,22 @@ class TestPreprocess:
             RawInteraction("u9", "c0"), RawInteraction("u9", "c1"),
             RawInteraction("u8", "c1"), RawInteraction("u8", "c2"),
         ]
-        X = preprocess(InteractionLog.from_records(raw),
+        X = preprocess(log_from_records(raw),
                        spec(min_user_interactions=2, min_item_interactions=2))
         for u in range(X.n_users):
-            assert len(X.row_items(u)) >= 2
+            assert len(row_items(X, u)) >= 2
         cols = np.asarray(X.matrix.sum(axis=0)).ravel()
         assert cols.min() >= 2
 
     def test_deterministic(self):
         raw = all_pairs(4, 5)
-        a = preprocess(InteractionLog.from_records(raw), spec())
-        b = preprocess(InteractionLog.from_records(list(reversed(raw))), spec())
+        a = preprocess(log_from_records(raw), spec())
+        b = preprocess(log_from_records(list(reversed(raw))), spec())
         assert a == b
 
     def test_every_row_and_column_nonempty(self):
         raw = all_pairs(3, 3)
-        X = preprocess(InteractionLog.from_records(raw),
+        X = preprocess(log_from_records(raw),
                        spec(min_user_interactions=2, min_item_interactions=2))
         assert np.asarray(X.matrix.sum(axis=1)).min() >= 1
         assert np.asarray(X.matrix.sum(axis=0)).min() >= 1
@@ -370,30 +377,30 @@ class TestPreprocess:
             expected = naive_preprocess(records, s)
         except EmptyDatasetError as exc:
             with pytest.raises(EmptyDatasetError, match=str(exc)):
-                preprocess(InteractionLog.from_records(records), s)
+                preprocess(log_from_records(records), s)
             return
-        assert preprocess(InteractionLog.from_records(records), s) == expected
+        assert preprocess(log_from_records(records), s) == expected
 
 
 class TestSplit:
     def test_user_partition_arithmetic(self):
-        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
+        X = preprocess(log_from_records(all_pairs(10, 6)), spec())
         train, val, test = split_strong_generalization(X, spec(heldout_user_fraction=0.2))
         assert train.n_users == 6
         assert val.n_users == 2
         assert test.n_users == 2
 
     def test_foldin_fraction_arithmetic(self):
-        X = preprocess(InteractionLog.from_records(all_pairs(10, 5)), spec())
+        X = preprocess(log_from_records(all_pairs(10, 5)), spec())
         _, val, test = split_strong_generalization(
             X, spec(heldout_user_fraction=0.2, foldin_fraction=0.8))
         for hs in (val, test):
             for u in range(hs.n_users):
-                assert len(hs.foldin.row_items(u)) == 4
-                assert len(hs.targets.row_items(u)) == 1
+                assert len(row_items(hs.foldin, u)) == 4
+                assert len(row_items(hs.targets, u)) == 1
 
     def test_same_seed_identical(self, tmp_path):
-        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
+        X = preprocess(log_from_records(all_pairs(10, 6)), spec())
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             train, val, test = split_strong_generalization(X, spec(rng_seed=3))
@@ -403,30 +410,30 @@ class TestSplit:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_different_seed_differs(self):
-        X = preprocess(InteractionLog.from_records(all_pairs(20, 8)), spec())
+        X = preprocess(log_from_records(all_pairs(20, 8)), spec())
         t1, _, _ = split_strong_generalization(X, spec(rng_seed=1))
         t2, _, _ = split_strong_generalization(X, spec(rng_seed=2))
         assert t1.user_ids != t2.user_ids
 
     def test_foldin_target_disjoint_union_subset(self):
-        X = preprocess(InteractionLog.from_records(all_pairs(10, 8)), spec())
+        X = preprocess(log_from_records(all_pairs(10, 8)), spec())
         _, val, test = split_strong_generalization(X, spec())
         for hs in (val, test):
             for u in range(hs.n_users):
-                fold = set(hs.foldin.row_items(u))
-                targ = set(hs.targets.row_items(u))
+                fold = set(row_items(hs.foldin, u))
+                targ = set(row_items(hs.targets, u))
                 assert not fold & targ
-                original = set(X.row_items(X.user_ids.index(hs.foldin.user_ids[u])))
+                original = set(row_items(X, X.user_ids.index(hs.foldin.user_ids[u])))
                 assert fold | targ <= original
 
     def test_user_below_two_interactions_rejected(self):
         raw = all_pairs(9, 4) + [RawInteraction("single", "i0")]
-        X = preprocess(InteractionLog.from_records(raw), spec())
+        X = preprocess(log_from_records(raw), spec())
         with pytest.raises(SplitError, match="single"):
             split_strong_generalization(X, spec())
 
     def test_zero_heldout_users_rejected(self):
-        X = preprocess(InteractionLog.from_records(all_pairs(4, 4)), spec())
+        X = preprocess(log_from_records(all_pairs(4, 4)), spec())
         with pytest.raises(SplitError):
             split_strong_generalization(X, spec(heldout_user_fraction=0.1))
 
@@ -434,12 +441,12 @@ class TestSplit:
         # Item "rare" is interacted with only by the two users that land in
         # validation/test under this seed, so it must vanish everywhere.
         raw = all_pairs(10, 6)
-        X = preprocess(InteractionLog.from_records(raw), spec())
+        X = preprocess(log_from_records(raw), spec())
         train, val, test = split_strong_generalization(X, spec(rng_seed=5))
         heldout_ids = set(val.foldin.user_ids) | set(test.foldin.user_ids)
         rare_owners = list(heldout_ids)[:2]
         raw2 = all_pairs(10, 6) + [RawInteraction(u, "rare") for u in rare_owners]
-        X2 = preprocess(InteractionLog.from_records(raw2), spec())
+        X2 = preprocess(log_from_records(raw2), spec())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             train2, val2, test2 = split_strong_generalization(X2, spec(rng_seed=5))
@@ -448,7 +455,7 @@ class TestSplit:
         assert train2.item_ids == train.item_ids
 
     def test_vocabularies_consistent(self):
-        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
+        X = preprocess(log_from_records(all_pairs(10, 6)), spec())
         train, val, test = split_strong_generalization(X, spec())
         assert train.item_ids == val.foldin.item_ids == test.targets.item_ids
         assert set(train.user_ids).isdisjoint(val.foldin.user_ids)
@@ -611,20 +618,20 @@ class TestTripletFiles:
         write_triplets(m, path)
         header = path.read_text().splitlines()[0]
         assert header == f"{m.n_users} {m.n_items} {m.nnz}"
-        back = read_triplets(path, m.user_ids, m.item_ids)
-        assert back == m
+        keys, *shape = _parse_triplets(path)
+        assert tuple(shape) == m.shape and np.array_equal(keys, m._keys())
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 2\n0 0\n")
         with pytest.raises(ParseError):
-            read_triplets(p)
+            _parse_triplets(p)
 
     def test_nnz_mismatch(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 2 2\n0 0\n")
         with pytest.raises(ParseError):
-            read_triplets(p)
+            _parse_triplets(p)
 
     def test_writes_sorted_pairs(self, tmp_path):
         m = InteractionMatrix.from_pairs([2, 0, 2, 0], [1, 3, 0, 0], 3, 4)
@@ -647,21 +654,22 @@ class TestTripletFiles:
         p = tmp_path / "bad.txt"
         p.write_text(f"2 2 {body.count(chr(10))}\n{body}")
         with pytest.raises(ParseError, match=f"bad.txt: line {line}: .*{what}"):
-            read_triplets(p)
+            _parse_triplets(p)
 
     def test_negative_header_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("-1 2 0\n")
         with pytest.raises(ParseError, match="bad header"):
-            read_triplets(p)
+            _parse_triplets(p)
 
     def test_empty_matrix_round_trip(self, tmp_path):
         m = InteractionMatrix.from_pairs([], [], 2, 3)
         write_triplets(m, tmp_path / "m.txt")
-        assert read_triplets(tmp_path / "m.txt") == m
+        keys, *shape = _parse_triplets(tmp_path / "m.txt")
+        assert len(keys) == 0 and shape == [2, 3]
 
     def test_save_load_split_round_trip(self, tmp_path):
-        X = preprocess(InteractionLog.from_records(all_pairs(10, 6)), spec())
+        X = preprocess(log_from_records(all_pairs(10, 6)), spec())
         train, val, test = split_strong_generalization(X, spec())
         save_split(tmp_path, train, val, test)
         train2, val2, test2 = load_split(tmp_path)

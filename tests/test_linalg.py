@@ -7,7 +7,7 @@ from whiterec import linalg
 from whiterec.errors import CapacityError, NotSPDError, SingularMatrixError
 from whiterec.ingest import InteractionMatrix
 
-from conftest import random_interactions
+from conftest import random_interactions, reconstruct
 
 
 def naive_gram_items(dense):
@@ -85,7 +85,7 @@ class TestEigh:
     def test_reconstruction(self, rng):
         a = linalg.symmetrize(rng.normal(size=(8, 8)))
         eig = linalg.eigh(a)
-        err = np.linalg.norm(eig.reconstruct() - a) / np.linalg.norm(a)
+        err = np.linalg.norm(reconstruct(eig) - a) / np.linalg.norm(a)
         assert err < 1e-10
 
     def test_orthonormal_columns(self, rng):
@@ -199,6 +199,42 @@ class TestSpdSolve:
     def test_not_spd(self):
         with pytest.raises(NotSPDError):
             linalg.spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+
+    @staticmethod
+    def ridge_system(rng, n=150, k=4):
+        """G + lam I, and G itself (k=None), a vector (k=0) or k columns."""
+        g = linalg.gram(random_interactions(rng, 3 * n, n, density=0.1))
+        b = g if k is None else rng.normal(size=(n, k) if k else n)
+        return g + 7.0 * np.eye(n), b
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [None, 0, 1, 4])
+    def test_bitwise_equal_to_cho_solve(self, rng, order, k):
+        # scipy is the oracle only: spd_solve runs potrf/potrs itself.
+        from scipy.linalg import cho_factor, cho_solve
+
+        a, b = (np.array(m, order=order) for m in self.ridge_system(rng, k=k))
+        kept = a.copy(), b.copy()
+        expected = cho_solve(cho_factor(a, lower=True), b)
+        got = linalg.spd_solve(a, b)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.spd_solve(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.spd_solve(np.eye(2), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("a, b", [(np.eye(2), np.ones(3)), (np.eye(2), np.ones((3, 2))),
+                                      (np.eye(2), np.float64(1.0)), (np.ones((2, 3)), np.ones(2)),
+                                      (np.ones(4), np.ones(4))])
+    def test_mismatched_shapes_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            linalg.spd_solve(a, b)
 
 
 class TestSpdInverse:
