@@ -67,27 +67,29 @@ def ridge(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
 
 
 def whitened_gram(M, lam: float) -> np.ndarray:
-    """M^T (M M^T + lam I)^{-1} M for a feature matrix M (see linalg.features).
+    """M^T (M M^T + lam I)^{-1} M for a feature matrix M (see linalg.gram).
 
     This is the item Gram of the ZCA-whitened features and the dual ridge
     closed form, for interactions X as for D x |I| embeddings E. Only the
     row-side Gram is inverted; the one |I| x |I| array created is the
-    result, which is not symmetrized.
+    result, which is not symmetrized. For X the final product X^T z is
+    linalg.csr_matmul on X's transposed CSR.
     """
-    m = linalg.features(M)
+    m = M if isinstance(M, InteractionMatrix) else np.asarray(M, dtype=np.float64)
     rows, items = m.shape
     linalg.check_capacity(rows, items, "dense feature matrix")
     linalg.check_capacity(items, items, "item similarity matrix")
-    k = linalg.gram(M, side="users")
-    z = linalg.spd_solve(_shifted(k, lam),
-                         m.toarray() if isinstance(M, InteractionMatrix) else m)
-    return m.T @ z
+    shifted = _shifted(linalg.gram(m, side="users"), lam)
+    if not isinstance(m, InteractionMatrix):
+        return m.T @ linalg.spd_solve(shifted, m)
+    t = m.transpose()
+    return linalg.csr_matmul(t.indptr, t.indices, linalg.spd_solve(shifted, m.toarray()))
 
 
 def ease(M, lam: float) -> EaseSolution:
     """Zero-diagonal closed form B = I - P_hat diagMat(1 / diag(P_hat)).
 
-    M is any feature matrix (see linalg.features): interactions X, or
+    M is any feature matrix (see linalg.gram): interactions X, or
     embeddings E with E^T E in place of X^T X.
     """
     # G is dropped once shifted, so at most two |I| x |I| arrays are live.

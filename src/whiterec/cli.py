@@ -145,8 +145,12 @@ def parse_config_file(path: str | Path) -> dict:
     Returns canonical PipelineConfig field names (aliases like "lambda",
     "seed", and "output" are resolved here) with values already typed.
     """
+    try:
+        lines = read_lines(path)
+    except ParseError as exc:  # bytes that are not UTF-8
+        raise ConfigError(str(exc)) from exc
     values: dict = {}
-    for lineno, line in enumerate(read_lines(path), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -400,12 +404,12 @@ def main(argv=None) -> int:
         # argparse has printed help (status 0) or its "error:" line (status
         # 2, which is the I/O code here); a usage error is a generic error.
         return EXIT_OK if not exc.code else EXIT_GENERIC
-    default_cap = linalg.GRAM_BYTE_CAP
+    cap_token = None
     try:
         config = resolve_config(args)
         config.validate()
         if config.gram_byte_cap is not None:
-            linalg.GRAM_BYTE_CAP = config.gram_byte_cap
+            cap_token = linalg.GRAM_BYTE_CAP.set(config.gram_byte_cap)
         if args.command == "preprocess":
             return cmd_preprocess(config)
         if args.command == "train":
@@ -417,7 +421,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in EXIT_CODES if isinstance(exc, error))
     finally:
-        linalg.GRAM_BYTE_CAP = default_cap
+        if cap_token is not None:
+            linalg.GRAM_BYTE_CAP.reset(cap_token)
 
 
 if __name__ == "__main__":

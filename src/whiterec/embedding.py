@@ -48,10 +48,10 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
     Works through the top-d eigenpairs of the smaller Gram matrix, and
     computes no others: eigenvalues of X^T X (or X X^T) are the squared
     singular values, and the missing singular factor is recovered by one
-    sparse product. Near-zero squared eigenvalues are clamped before the
-    square roots; if d exceeds the numerical rank (judged against the
-    top eigenvalue) the trailing rows of E are zeroed and a warning is
-    emitted.
+    product X^T U_d, linalg.csr_matmul on X's transposed CSR. Near-zero
+    squared eigenvalues are clamped before the square roots; if d exceeds
+    the numerical rank (judged against the top eigenvalue) the trailing
+    rows of E are zeroed and a warning is emitted.
     """
     if not 1 <= d <= min(X.n_users, X.n_items):
         raise ValueError(
@@ -75,7 +75,8 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
         e = np.sqrt(sigma)[:, np.newaxis] * eig.eigenvectors.T
     else:
         # V_d = X^T U_d / sigma, so E = sigma^{-1/2} U_d^T X.
-        utx = np.asarray((X.matrix.T @ eig.eigenvectors).T)
+        t = X.transpose()
+        utx = linalg.csr_matmul(t.indptr, t.indices, eig.eigenvectors).T
         scale = np.zeros(d)
         np.divide(1.0, np.sqrt(sigma), out=scale, where=~deficient)
         e = scale[:, np.newaxis] * utx

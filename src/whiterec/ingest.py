@@ -32,7 +32,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +119,8 @@ class SplitSpec:
             raise ValueError("foldin_fraction must be in (0, 1)")
         if self.min_user_interactions < 1 or self.min_item_interactions < 1:
             raise ValueError("minimum interaction counts must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def n_heldout_users(self, n_users: int) -> int:
         """Users drawn for each of validation and test out of ``n_users``."""
@@ -132,7 +133,7 @@ class InteractionMatrix:
     Rows are users, columns are items; stored entries are implicitly 1.
     The matrix is kept as canonical CSR arrays: row ``u``'s item indices
     are ``indices[indptr[u]:indptr[u + 1]]``, sorted and unique. Both
-    arrays are int32 when every index and ``nnz`` fit, as scipy would pick.
+    arrays are int32 when every index and ``nnz`` fit, else int64.
 
     ``csr`` is the arrays ``(indptr, indices, shape)``. They are copied,
     and a row whose columns are not strictly ascending is rejected.
@@ -179,12 +180,13 @@ class InteractionMatrix:
     def nnz(self) -> int:
         return len(self.indices)
 
-    @cached_property
-    def matrix(self):
-        """The matrix as a ``scipy.sparse.csr_matrix`` sharing these arrays."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((np.ones(self.nnz), self.indices, self.indptr), shape=self.shape)
+    def transpose(self) -> "InteractionMatrix":
+        """The items x users matrix: one stable sort of the entries by item
+        keeps each item's users ascending, so the result is canonical."""
+        order = np.argsort(self.indices, kind="stable")
+        return InteractionMatrix(
+            _csr(self.indices[order], self._entry_rows()[order], self.n_items, self.n_users),
+            self.item_ids, self.user_ids)
 
     def _entry_rows(self) -> np.ndarray:
         """The row of every stored entry, in storage order."""
@@ -302,7 +304,8 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
     UTF-8 byte order mark is dropped. Fields are stripped; an empty rating
     means no rating. Raises ParseError with the offending physical line
     number on a wrong column count, an empty id, a rating that is not a
-    finite float or a timestamp that is not an integer, and
+    finite float, a timestamp that is not an integer, a field longer than
+    ``csv.field_size_limit()`` or bytes that are not UTF-8, and
     EmptyDatasetError on empty input.
     """
     if fmt not in ("csv", "tsv"):
@@ -315,37 +318,44 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
     nan, isfinite, strip = math.nan, math.isfinite, str.strip
     first = True
     # utf-8-sig drops a leading byte order mark, so it cannot stick to the
-    # first field.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for row in reader:
-            fields = list(map(strip, row))
-            if not fields or fields == [""]:
-                continue
-            if first:
-                first = False
-                if _looks_like_header(fields):
+    # first field. The file is streamed: held whole as text it would cost
+    # about four bytes a character.
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            for row in reader:
+                fields = list(map(strip, row))
+                if not fields or fields == [""]:
                     continue
-            if len(fields) < 2 or len(fields) > 4:
-                raise ParseError(f"{path}: line {reader.line_num}: "
-                                 f"expected 2-4 columns, got {len(fields)}")
-            user, item, rating, timestamp = fields + [""] * (4 - len(fields))
-            if not user or not item:
-                raise ParseError(f"{path}: line {reader.line_num}: empty user or item id")
-            try:
-                if rating:
-                    value = float(rating)
-                    if not isfinite(value):
-                        raise ValueError(f"rating {rating!r} is not finite")
-                else:
-                    value = nan
-                if timestamp:
-                    int(timestamp)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-            users.append(user)
-            items.append(item)
-            ratings.append(value)
+                if first:
+                    first = False
+                    if _looks_like_header(fields):
+                        continue
+                if len(fields) < 2 or len(fields) > 4:
+                    raise ParseError(f"{path}: line {reader.line_num}: "
+                                     f"expected 2-4 columns, got {len(fields)}")
+                user, item, rating, timestamp = fields + [""] * (4 - len(fields))
+                if not user or not item:
+                    raise ParseError(f"{path}: line {reader.line_num}: empty user or item id")
+                try:
+                    if rating:
+                        value = float(rating)
+                        if not isfinite(value):
+                            raise ValueError(f"rating {rating!r} is not finite")
+                    else:
+                        value = nan
+                    if timestamp:
+                        int(timestamp)
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                users.append(user)
+                items.append(item)
+                ratings.append(value)
+    except UnicodeDecodeError:
+        _decode(path.read_bytes(), path)  # raises a ParseError naming the line
+        raise
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not users:
         raise EmptyDatasetError(f"{path}: no interaction records found")
     return InteractionLog._from_strings(users, items, ratings)
@@ -566,14 +576,24 @@ def _write_lines(path: Path, lines) -> None:
 def read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 text file; only "\\n" ends a line.
 
+    Bytes that are not UTF-8 are a ParseError naming the file and line.
     Form feeds, U+2028 and the other characters str.splitlines breaks at
     stay inside their line, and "\\r" is not translated. Every text file
     whiterec reads back line by line (split files, vocabularies, config
     files) goes through here, so line numbers are counted one way.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = _decode(Path(path).read_bytes(), path)
     return text.removesuffix("\n").split("\n") if text else []
+
+
+def _decode(data: bytes, path) -> str:
+    """``data`` as UTF-8 text; a ParseError names the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
 
 
 def save_split(outdir: str | Path, train: InteractionMatrix,

@@ -1,29 +1,41 @@
-"""Dense symmetric linear-algebra kernels shared by all solvers.
+"""Linear-algebra kernels shared by all solvers.
 
 Symmetric matrices are plain float64 ndarrays kept exactly symmetric by
 construction (see :func:`symmetrize`); every routine here returns arrays
 that satisfy ``a.T == a`` bit-for-bit where symmetry is promised.
+
+Interactions enter only through the CSR arrays of an
+:class:`~whiterec.ingest.InteractionMatrix`: their Grams are counted
+(:func:`gram`), and every product of a binary CSR matrix with a dense
+one, ranking's ``x @ B`` as well as ``X^T z``, is :func:`csr_matmul`.
+scipy is used for LAPACK only.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError, NotSPDError, NumericalError, SingularMatrixError
 from .ingest import InteractionMatrix
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 # Dense arrays (Gram matrices, densified interactions, similarity matrices)
 # larger than this many bytes are refused. The user-side Gram is |U| x |U|
 # and real datasets have |U| >> |I|, so this cap is what keeps an accidental
-# dual-form call from exhausting memory.
-GRAM_BYTE_CAP: int = 1 << 30
+# dual-form call from exhausting memory. ``cli.main`` sets it for one run.
+GRAM_BYTE_CAP: ContextVar[int] = ContextVar("GRAM_BYTE_CAP", default=1 << 30)
+
+# Pairs counted at once by the interaction Gram (see _pair_counts); a
+# block holds about 20 bytes of index arrays per pair.
+GRAM_BLOCK_PAIRS = 1 << 18
+
+# Output bytes csr_matmul forms at once. A block small enough to stay in
+# cache is three times faster than the whole X^T z at 2,500 items, and
+# bounds the workspace beyond the result.
+PRODUCT_BLOCK_BYTES = 1 << 20
 
 # Eigenvalues below RANK_RTOL * largest are treated as zero rank.
 RANK_RTOL = 1e-10
@@ -34,10 +46,11 @@ _SIGN_TOL = 1e-12
 def check_capacity(rows: int, cols: int, what: str = "Gram matrix") -> None:
     """Raise CapacityError if a dense rows x cols float64 array exceeds the cap."""
     needed = rows * cols * 8
-    if needed > GRAM_BYTE_CAP:
+    cap = GRAM_BYTE_CAP.get()
+    if needed > cap:
         raise CapacityError(
             f"{what} of shape {rows}x{cols} needs {needed} bytes, "
-            f"exceeding the cap of {GRAM_BYTE_CAP} bytes"
+            f"exceeding the cap of {cap} bytes"
         )
 
 
@@ -63,36 +76,93 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def features(M) -> sp.csr_matrix | np.ndarray:
-    """The matrix behind a feature matrix whose columns are items.
-
-    An InteractionMatrix gives its sparse users x items matrix; anything
-    else (for instance D x |I| item embeddings) is taken as a dense
-    float64 array.
-    """
-    if isinstance(M, InteractionMatrix):
-        return M.matrix
-    return np.asarray(M, dtype=np.float64)
-
-
 def gram(M, side: str = "items") -> np.ndarray:
-    """Dense Gram matrix of a feature matrix (see :func:`features`).
+    """Dense Gram matrix of a feature matrix whose columns are items.
 
-    side="items" returns M^T M (|I| x |I|); side="users" returns M M^T,
-    the Gram of the rows (|U| x |U| for interactions, D x D for
-    embeddings). This is the one place a Gram matrix is formed. Sparse M
-    is never densified.
+    M is an InteractionMatrix, or a dense float64 array such as D x |I|
+    item embeddings. side="items" returns M^T M (|I| x |I|); side="users"
+    returns M M^T, the Gram of the rows (|U| x |U| for interactions, D x D
+    for embeddings). This is the one place a Gram matrix is formed.
+    Interactions are never densified: their Gram is X^T X or X X^T
+    counted by :func:`_pair_counts`, exact integers, so it equals any
+    exact sparse product bit for bit.
     """
     if side not in ("items", "users"):
         raise ValueError(f"side must be 'items' or 'users', got {side!r}")
-    m = features(M)
+    m = M if isinstance(M, InteractionMatrix) else np.asarray(M, dtype=np.float64)
     dim = m.shape[1] if side == "items" else m.shape[0]
     check_capacity(dim, dim, f"{side}-side Gram matrix")
-    g = (m.T @ m) if side == "items" else (m @ m.T)
-    # Sums of 0/1 products are exact integers, and a dense A^T A pairs the
-    # same products in the same order for (i, j) and (j, i) (BLAS syrk
-    # fills one triangle and copies it), so g is already exactly symmetric.
-    return g.toarray() if isinstance(M, InteractionMatrix) else g
+    if isinstance(m, InteractionMatrix):
+        t = m.transpose()
+        return _pair_counts(t, m) if side == "items" else _pair_counts(m, t)
+    # A dense A^T A pairs the same products in the same order for (i, j)
+    # and (j, i) (BLAS syrk fills one triangle and copies it), so it is
+    # already exactly symmetric.
+    return m.T @ m if side == "items" else m @ m.T
+
+
+def _pair_counts(a: InteractionMatrix, b: InteractionMatrix) -> np.ndarray:
+    """The dense product a @ b of binary matrices, a's columns being b's rows.
+
+    Entry (r, c) of a meets each item j of b's row c once, and each such
+    pair adds 1 to out[r, j]. Pairs are made for a block of a's entries
+    at a time, GRAM_BLOCK_PAIRS at most unless one entry alone has more
+    (an entry has at most b.n_items partners), and added in place by
+    np.add.at, so the result is the only array of its size. Blocks follow
+    a's rows, which keeps each block's additions in a band of out. The
+    counts are integers, so their float64 sums are exact in any order.
+    """
+    n = b.n_items
+    out = np.zeros((a.n_users, n))
+    partners = np.diff(b.indptr)[a.indices]
+    ends = np.cumsum(partners)
+    row_start = a._entry_rows() * n
+    start = 0
+    while start < a.nnz:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + GRAM_BLOCK_PAIRS, "right")))
+        k = partners[start:stop]
+        # Pair p of entry e is item (p - first pair of e) of b's row c(e).
+        pos = np.repeat(b.indptr[a.indices[start:stop]] - (ends[start:stop] - k - done), k)
+        pos += np.arange(ends[stop - 1] - done)
+        keys = np.repeat(row_start[start:stop], k)
+        keys += b.indices[pos]
+        np.add.at(out.reshape(-1), keys, 1.0)
+        start = stop
+    return out
+
+
+def csr_matmul(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ b`` for every binary CSR row x, bitwise as scipy computes it.
+
+    Each row is summed from +0.0 over the rows of ``b`` its items select,
+    in storage order. That is the order of scipy's ``csr_matvecs`` and,
+    on the transposed CSR of X (each item's users ascending), of its CSC
+    product ``X^T @ b``, so results match both bit for bit, signed zeros
+    included. Rows are formed PRODUCT_BLOCK_BYTES of output at a time;
+    within a block they are visited longest first, which makes the rows
+    that still have an item at position p a prefix: one gather and add
+    per position rather than per row. An overflow is left as inf for the
+    caller's finiteness check.
+    """
+    # Rows of b are gathered, so they must be contiguous; a solver's
+    # Fortran-order output would make each gather strided.
+    b = np.ascontiguousarray(b)
+    result = np.empty((len(indptr) - 1, b.shape[1]))
+    step = max(1, PRODUCT_BLOCK_BYTES // (8 * max(b.shape[1], 1)))
+    for first in range(0, len(result), step):
+        block = indptr[first:first + step + 1]
+        lengths = np.diff(block)
+        order = np.argsort(-lengths, kind="stable")
+        starts = block[:-1][order]
+        # Rows holding more than p items, for p = 0 .. max length.
+        counts = len(lengths) - np.cumsum(np.bincount(lengths))
+        out = np.zeros((len(lengths), b.shape[1]))
+        with np.errstate(over="ignore"):
+            for p, c in enumerate(counts[:-1].tolist()):
+                out[:c] += b[indices[starts[:c] + p]]
+        result[first:first + len(lengths)][order] = out
+    return result
 
 
 def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:

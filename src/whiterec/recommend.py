@@ -3,10 +3,11 @@
 Every model kind ends as one dense item-item matrix B, and a user's scores
 are the row ``x @ B`` of their binary fold-in vector x. One blocked kernel
 serves every caller: fold-in rows are taken a block at a time, scored
-straight from their CSR arrays (:func:`_scores`, bitwise equal to scipy's
-CSR x dense product, so no scipy module is loaded), their seen items
-masked, and the top ``min(n, |I|)`` entries of each row picked with exact
-ties (score descending, then item index ascending). ``evaluate`` consumes
+straight from their CSR arrays (:func:`whiterec.linalg.csr_matmul`, the
+kernel that also forms X^T products for the solvers; it is bitwise equal
+to scipy's CSR x dense product, and loads no scipy module), their seen
+items masked, and the top ``min(n, |I|)`` entries of each row picked with
+exact ties (score descending, then item index ascending). ``evaluate`` consumes
 the blocks directly; ``batch_recommend``, ``score_user`` and ``top_n`` wrap
 them as Python lists.
 """
@@ -57,7 +58,7 @@ def score_user(y: np.ndarray, B: SimilarityMatrix) -> np.ndarray:
         raise ValueError(
             f"history indices out of range for a {B.dim}-item similarity matrix"
         )
-    return _scores(np.array([0, y.size]), y, B.values)[0]
+    return linalg.csr_matmul(np.array([0, y.size]), y, B.values)[0]
 
 
 def top_n(scores: np.ndarray, seen: np.ndarray, n: int) -> list[tuple[int, float]]:
@@ -90,31 +91,8 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix,
         indptr = foldin.indptr[start:start + rows + 1]
         indices = foldin.indices[indptr[0]:indptr[-1]]
         indptr = indptr - indptr[0]
-        yield (start, *_top_rows(_scores(indptr, indices, B.values), indptr, indices, n))
-
-
-def _scores(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ b`` for every binary CSR row x, bitwise as scipy computes it.
-
-    Each row is summed from +0.0 over the rows of ``b`` its items select,
-    in storage order: the order of scipy's ``csr_matvecs``, so results
-    match it bit for bit, signed zeros included. Rows are visited longest
-    first, which makes the rows that still have an item at position p a
-    prefix: one gather and add per position rather than per row. An
-    overflow is left as inf for the caller's finiteness check.
-    """
-    lengths = np.diff(indptr)
-    order = np.argsort(-lengths, kind="stable")
-    starts = indptr[:-1][order]
-    # Rows holding more than p items, for p = 0 .. max length.
-    counts = len(lengths) - np.cumsum(np.bincount(lengths))
-    out = np.zeros((len(lengths), b.shape[1]))
-    with np.errstate(over="ignore"):
-        for p, c in enumerate(counts[:-1].tolist()):
-            out[:c] += b[indices[starts[:c] + p]]
-    scores = np.empty_like(out)
-    scores[order] = out
-    return scores
+        scores = linalg.csr_matmul(indptr, indices, B.values)
+        yield (start, *_top_rows(scores, indptr, indices, n))
 
 
 def _top_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray,

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from whiterec import linalg
 from whiterec.ingest import InteractionLog, InteractionMatrix
 from whiterec.linalg import EigenDecomposition, symmetrize
 
@@ -32,6 +33,33 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def byte_cap():
+    """Call with a byte count to cap linalg's dense arrays for the rest of the test."""
+    tokens = []
+    yield lambda cap: tokens.append(linalg.GRAM_BYTE_CAP.set(cap))
+    for token in reversed(tokens):
+        linalg.GRAM_BYTE_CAP.reset(token)
+
+
+# Magnitudes far apart make a sum depend on its order; signed zeros make
+# +0.0 + -0.0 show. Every partial sum stays finite.
+KERNEL_VALUES = np.array([1e16, -1e16, 1.0, 0.1, -0.3, 0.0, -0.0, -0.0])
+
+
+def bitwise_equal(a, b):
+    """Equal arrays with equal sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def scipy_csr(X: InteractionMatrix):
+    """X as a scipy.sparse.csr_matrix built from its CSR arrays: the oracle
+    for the numpy kernels (scipy.sparse is a test dependency only)."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
+
+
 @dataclass(frozen=True)
 class RawInteraction:
     """One raw event: user did something with item, optionally rated/timestamped."""
@@ -56,7 +84,7 @@ def log_from_records(records) -> InteractionLog:
 
 def reconstruction_objective(X: InteractionMatrix, b: np.ndarray, lam: float) -> float:
     """||X - X B||_F^2 + lam ||B||_F^2, the quantity both solvers minimize."""
-    xb = X.matrix @ b
+    xb = scipy_csr(X) @ b
     resid = xb - X.toarray()
     return float(np.sum(resid * resid) + lam * np.sum(b * b))
 

@@ -85,18 +85,18 @@ class TestRidgeDual:
         assert p.config["lambda"] == d.config["lambda"]
         assert (p.config["form"], d.config["form"]) == ("primal", "dual")
 
-    def test_capacity_error_on_large_user_gram(self, rng, monkeypatch):
+    def test_capacity_error_on_large_user_gram(self, rng, byte_cap):
         X = random_interactions(rng, 10, 3)
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 10 * 10 * 8 - 1)
+        byte_cap(10 * 10 * 8 - 1)
         with pytest.raises(CapacityError):
             ridge_dual(X, 1.0)
         ridge_primal(X, 1.0)  # item Gram is 3x3, still fine
 
-    def test_capacity_error_on_dense_interactions(self, rng, monkeypatch):
+    def test_capacity_error_on_dense_interactions(self, rng, byte_cap):
         # The 4x4 user Gram fits in 128 bytes; the dense 4x50 X and the
         # 50x50 result do not.
         X = random_interactions(rng, 4, 50)
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 128)
+        byte_cap(128)
         with pytest.raises(CapacityError):
             ridge(X, 1.0)
 

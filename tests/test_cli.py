@@ -454,8 +454,7 @@ class TestTrainCommand:
         assert "error:" in err and "train.txt" in err and "Traceback" not in err
         assert not (out / "model_ridge.bin").exists()
 
-    def test_capacity_exit_3(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", linalg.GRAM_BYTE_CAP)
+    def test_capacity_exit_3(self, tmp_path):
         write_dataset(tmp_path / "data.csv")
         cfg_file = write_config(tmp_path, "gram_byte_cap = 64\n")
         # Preprocessing never builds a Gram matrix, so it passes even with
@@ -469,7 +468,7 @@ class TestTrainCommand:
         cfg_file = write_config(tmp_path, "gram_byte_cap = 64\n")
         assert main(["preprocess", "--config", str(cfg_file)]) == EXIT_OK
         assert main(["train", "--config", str(cfg_file), "--kind", "ridge"]) == EXIT_CAPACITY
-        assert linalg.GRAM_BYTE_CAP == 1 << 30
+        assert linalg.GRAM_BYTE_CAP.get() == 1 << 30
 
     def test_ridge_equals_zca_end_to_end(self, pipeline):
         tmp_path, _ = pipeline
@@ -643,6 +642,73 @@ class TestUsageErrors:
     def test_help_exit_0(self, capsys):
         assert main(["train", "--help"]) == EXIT_OK
         assert "usage:" in capsys.readouterr().out
+
+
+class TestBadInput:
+    """Malformed input ends with its documented exit code and one error
+    line naming the file and line, never a traceback."""
+
+    @staticmethod
+    def error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_log_not_utf8_exit_2(self, tmp_path, capsys):
+        write_dataset(tmp_path / "data.csv")
+        data = tmp_path / "data.csv"
+        n_lines = data.read_text().count("\n")
+        data.write_bytes(data.read_bytes() + "u\xe9,i2,5\n".encode("latin-1"))
+        code = main(["preprocess", "--data", str(data), "--output", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert f"{data}: line {n_lines + 1}: not UTF-8 text" in self.error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_foldin_not_utf8_exit_2(self, tmp_path, capsys):
+        model, users = tmp_path / "model.bin", tmp_path / "users.csv"
+        save_model(SimilarityMatrix(np.eye(2), "ridge", {"lambda": 1.0}), ["a", "b"], model)
+        users.write_bytes(b"alice,a\nb\xe9b,b\n")
+        code = main(["recommend", "--model", str(model), "--users", str(users),
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert f"{users}: line 2: not UTF-8 text" in self.error(capsys)
+
+    def test_sidecar_not_utf8_exit_2(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        assert cmd_train(config) == EXIT_OK
+        path = tmp_path / "out" / "test_users.txt"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        code = main(["evaluate", "--output", str(tmp_path / "out"),
+                     "--model", str(tmp_path / "out" / "model_ridge.bin")])
+        assert code == EXIT_IO
+        assert self.error(capsys).startswith(f"error: {path}: line 1: not UTF-8 text")
+
+    def test_config_not_utf8_exit_1(self, tmp_path, capsys):
+        write_dataset(tmp_path / "data.csv")
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes() + "# caf\xe9\n".encode("latin-1"))
+        assert main(["preprocess", "--config", str(cfg)]) == EXIT_GENERIC
+        assert self.error(capsys).startswith(f"error: {cfg}: line 7: not UTF-8 text")
+        assert not (tmp_path / "out").exists()
+
+    def test_field_over_csv_limit_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(f"u1,i1,5\nu1,i2,5\nu2,{'x' * 200_000},5\n")
+        limit = csv.field_size_limit()
+        code = main(["preprocess", "--data", str(data), "--output", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert f"{data}: line 3: field larger than field limit" in self.error(capsys)
+        assert csv.field_size_limit() == limit
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_rejected_before_reading(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="rng_seed must be >= 0, got -1"):
+            PipelineConfig(rng_seed=-1).validate()
+        write_dataset(tmp_path / "data.csv")
+        cfg = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(cfg), "--seed", "-1"]) == EXIT_GENERIC
+        assert "rng_seed must be >= 0, got -1" in self.error(capsys)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEndToEndDeterminism:

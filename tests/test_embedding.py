@@ -221,8 +221,8 @@ class TestEmbedEase:
         e = EmbeddingMatrix(rng.normal(size=(4, 9)))
         assert np.all(np.diag(embed_ease(e, 0.5).values) == 0.0)
 
-    def test_capacity_error(self, rng, monkeypatch):
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 8 * 8 * 8 - 1)
+    def test_capacity_error(self, rng, byte_cap):
+        byte_cap(8 * 8 * 8 - 1)
         e = EmbeddingMatrix(rng.normal(size=(2, 8)))
         from whiterec.errors import CapacityError
         with pytest.raises(CapacityError):
@@ -232,9 +232,9 @@ class TestEmbedEase:
 class TestItemSimilarityCapacity:
     @pytest.mark.parametrize("build", [embed_dot, lambda e: embed_ridge(e, 1.0)],
                              ids=["embed_dot", "embed_ridge"])
-    def test_capacity_error_on_item_similarity(self, rng, monkeypatch, build):
+    def test_capacity_error_on_item_similarity(self, rng, byte_cap, build):
         from whiterec.errors import CapacityError
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 128)
+        byte_cap(128)
         with pytest.raises(CapacityError):
             build(EmbeddingMatrix(rng.normal(size=(2, 50))))
 

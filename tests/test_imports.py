@@ -1,10 +1,14 @@
-"""Which commands load scipy.
+"""Which commands load scipy, and which parts of it.
 
-Only ``train`` builds a Gram matrix and factors it, so only ``train`` may
-load scipy. ``preprocess`` sorts and counts integers, and ``evaluate`` and
-``recommend`` score fold-in rows with a numpy kernel over the CSR arrays,
-so those three must run without any scipy module. Each check runs in a fresh interpreter, because this test process has
-scipy loaded already (pytest's ``filterwarnings`` imports ``scipy.sparse``).
+whiterec uses scipy for LAPACK only, through ``scipy.linalg``: every
+product with the interaction matrix X runs on its numpy CSR arrays. So
+``train`` may load ``scipy.linalg`` but never ``scipy.sparse``, and
+``train --kind zca``, which factors with numpy alone, loads no scipy
+module. ``preprocess`` sorts and counts integers, and ``evaluate`` and
+``recommend`` score fold-in rows with the same CSR kernel, so those three
+must run without any scipy module. Each check runs in a fresh
+interpreter, because this test process has scipy loaded already
+(pytest's ``filterwarnings`` imports ``scipy.sparse``).
 """
 
 import json
@@ -65,9 +69,19 @@ def test_evaluate_and_recommend_load_no_scipy(workdir):
         scipy_modules("preprocess", "--config", cfg)
     _, after_train = scipy_modules("train", "--config", cfg)
     assert "scipy.linalg" in after_train
+    assert [m for m in after_train if m.startswith("scipy.sparse")] == []
     model = str(workdir / "out" / "model_ridge.bin")
     for argv in (["evaluate", "--config", cfg, "--model", model],
                  ["recommend", "--config", cfg, "--model", model,
                   "--users", str(workdir / "users.csv")]):
         _, after_main = scipy_modules(*argv)
         assert after_main == [], argv[0]
+
+
+def test_zca_training_loads_no_scipy(workdir):
+    cfg = str(workdir / "run.cfg")
+    if not (workdir / "out" / "train.txt").exists():
+        scipy_modules("preprocess", "--config", cfg)
+    _, after_train = scipy_modules("train", "--config", cfg, "--kind", "zca")
+    assert after_train == []
+    assert (workdir / "out" / "model_zca.bin").exists()

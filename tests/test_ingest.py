@@ -22,7 +22,7 @@ from whiterec.ingest import (
     _parse_triplets,
 )
 
-from conftest import RawInteraction, log_from_records
+from conftest import RawInteraction, log_from_records, scipy_csr
 
 
 def spec(**kwargs):
@@ -98,7 +98,7 @@ def naive_split(X: InteractionMatrix, spec: SplitSpec):
     held-out user is rebuilt from their surviving items.
     """
     n_users = X.n_users
-    row_sizes = np.diff(X.matrix.indptr)
+    row_sizes = np.diff(X.indptr)
     if np.any(row_sizes < 2):
         bad = int(np.argmax(row_sizes < 2))
         raise SplitError(
@@ -135,7 +135,7 @@ def naive_split(X: InteractionMatrix, spec: SplitSpec):
 
     # Items must keep at least one training interaction; dropping items can
     # in turn empty a training row, so iterate to a fixed point.
-    train_sub = X.matrix[train_rows]
+    train_sub = scipy_csr(X)[train_rows]
     keep_rows = np.ones(train_sub.shape[0], dtype=bool)
     while True:
         col_counts = np.asarray(train_sub[keep_rows].sum(axis=0)).ravel()
@@ -159,7 +159,7 @@ def naive_split(X: InteractionMatrix, spec: SplitSpec):
     old_to_new[keep_items] = np.arange(int(keep_items.sum()))
     new_item_ids = [X.item_ids[j] for j in np.flatnonzero(keep_items)]
 
-    train_matrix = X.matrix[kept_train_rows][:, keep_items].tocsr()
+    train_matrix = scipy_csr(X)[kept_train_rows][:, keep_items].tocsr()
     train = InteractionMatrix(
         (train_matrix.indptr, train_matrix.indices, train_matrix.shape),
         [X.user_ids[u] for u in kept_train_rows],
@@ -349,7 +349,7 @@ class TestPreprocess:
                        spec(min_user_interactions=2, min_item_interactions=2))
         for u in range(X.n_users):
             assert len(row_items(X, u)) >= 2
-        cols = np.asarray(X.matrix.sum(axis=0)).ravel()
+        cols = np.asarray(scipy_csr(X).sum(axis=0)).ravel()
         assert cols.min() >= 2
 
     def test_deterministic(self):
@@ -362,8 +362,8 @@ class TestPreprocess:
         raw = all_pairs(3, 3)
         X = preprocess(log_from_records(raw),
                        spec(min_user_interactions=2, min_item_interactions=2))
-        assert np.asarray(X.matrix.sum(axis=1)).min() >= 1
-        assert np.asarray(X.matrix.sum(axis=0)).min() >= 1
+        assert np.asarray(scipy_csr(X).sum(axis=1)).min() >= 1
+        assert np.asarray(scipy_csr(X).sum(axis=0)).min() >= 1
 
 
     @settings(max_examples=300, deadline=None)
@@ -474,7 +474,7 @@ class TestSplit:
         X = InteractionMatrix.from_pairs(
             [u for u, items in enumerate(rows) for _ in items],
             [i for items in rows for i in sorted(items)], len(rows), 12)
-        before = [a.copy() for a in (X.matrix.indptr, X.matrix.indices, X.matrix.data)]
+        before = [a.copy() for a in (X.indptr, X.indices)]
         s = spec(heldout_user_fraction=heldout, foldin_fraction=foldin, rng_seed=seed)
         with warnings.catch_warnings(record=True) as expected_warnings:
             warnings.simplefilter("always")
@@ -487,7 +487,7 @@ class TestSplit:
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
             got = split_strong_generalization(X, s)
-        for a, b in zip(before, (X.matrix.indptr, X.matrix.indices, X.matrix.data)):
+        for a, b in zip(before, (X.indptr, X.indices)):
             np.testing.assert_array_equal(a, b)
         train, val, test = got
         assert train == expected[0]
@@ -556,11 +556,16 @@ class TestInteractionMatrix:
         for part in (train, val.foldin, val.targets, test.foldin, test.targets):
             assert_same_csr(part, coo_csr(*np.nonzero(part.toarray()), part.shape))
 
-    def test_matrix_is_csr_of_the_arrays(self):
-        X = InteractionMatrix.from_pairs([2, 0, 2], [1, 3, 0], 3, 4)
-        assert X.matrix.format == "csr"
-        assert X.matrix.toarray().tolist() == X.toarray().tolist()
-        assert np.shares_memory(X.matrix.indices, X.indices)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_pairs())
+    def test_transpose_matches_scipy(self, case):
+        n_users, n_items, pairs = case
+        X = InteractionMatrix.from_pairs([u for u, _ in pairs], [i for _, i in pairs],
+                                         n_users, n_items)
+        t = X.transpose()
+        assert_same_csr(t, scipy_csr(X).T.tocsr())
+        assert (t.user_ids, t.item_ids) == (X.item_ids, X.user_ids)
+        assert t.transpose() == X
 
     def test_repeated_column_rejected(self):
         with pytest.raises(ValueError, match="row 1 holds column 2 more than once"):

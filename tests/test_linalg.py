@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whiterec import linalg
+from whiterec.autoencoder import _shifted, whitened_gram
+from whiterec.embedding import svd_embed
 from whiterec.errors import CapacityError, NotSPDError, SingularMatrixError
 from whiterec.ingest import InteractionMatrix
 
-from conftest import random_interactions, reconstruct
+from conftest import (KERNEL_VALUES, bitwise_equal, random_interactions, reconstruct,
+                      scipy_csr)
 
 
 def naive_gram_items(dense):
@@ -56,8 +59,8 @@ class TestGram:
                 assert np.array_equal(g, g.T)
                 np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12)
 
-    def test_capacity_error(self, rng, monkeypatch):
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 100)
+    def test_capacity_error(self, rng, byte_cap):
+        byte_cap(100)
         X = random_interactions(rng, 8, 8)
         with pytest.raises(CapacityError):
             linalg.gram(X, "items")
@@ -65,6 +68,76 @@ class TestGram:
     def test_bad_side(self, rng):
         with pytest.raises(ValueError):
             linalg.gram(random_interactions(rng, 3, 3), "rows")
+
+
+@st.composite
+def interactions(draw):
+    """Up to 7 x 7, either side may be 0, empty rows and columns likely,
+    and sometimes one heavy row holding every item."""
+    n_users, n_items = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    pairs = []
+    if n_users and n_items:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n_users - 1),
+                                        st.integers(0, n_items - 1)), max_size=20))
+        if draw(st.booleans()):
+            heavy = draw(st.integers(0, n_users - 1))
+            pairs += [(heavy, j) for j in range(n_items)]
+    return InteractionMatrix.from_pairs([u for u, _ in pairs], [j for _, j in pairs],
+                                        n_users, n_items)
+
+
+class TestInteractionKernels:
+    """The Gram and X^T z from the CSR arrays equal scipy's sparse products
+    bit for bit (scipy is the oracle only)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(X=interactions(), budget=st.sampled_from([1, 2, 5, linalg.GRAM_BLOCK_PAIRS]))
+    def test_gram_matches_scipy(self, X, budget):
+        a = scipy_csr(X)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "GRAM_BLOCK_PAIRS", budget)
+            items, users = linalg.gram(X, "items"), linalg.gram(X, "users")
+        assert bitwise_equal(items, (a.T @ a).toarray())
+        assert bitwise_equal(users, (a @ a.T).toarray())
+
+    def test_gram_in_many_blocks_with_a_heavy_row(self, rng, monkeypatch):
+        dense = rng.random((40, 30)) < rng.random(30) * 0.4
+        dense[7] = True
+        X = InteractionMatrix.from_dense(dense)
+        a = scipy_csr(X)
+        monkeypatch.setattr(linalg, "GRAM_BLOCK_PAIRS", 13)
+        assert bitwise_equal(linalg.gram(X, "items"), (a.T @ a).toarray())
+        assert bitwise_equal(linalg.gram(X, "users"), (a @ a.T).toarray())
+
+    def test_empty_matrix_gram_is_zero(self):
+        X = InteractionMatrix.from_pairs([], [], 3, 4)
+        assert bitwise_equal(linalg.gram(X, "items"), np.zeros((4, 4)))
+        assert bitwise_equal(linalg.gram(X, "users"), np.zeros((3, 3)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(X=interactions(), seed=st.integers(0, 10**6), cols=st.integers(1, 4),
+           block_rows=st.sampled_from([1, 2, 3, None]), fortran=st.booleans())
+    def test_transpose_product_matches_scipy(self, X, seed, cols, block_rows, fortran):
+        z = np.random.default_rng(seed).choice(KERNEL_VALUES, size=(X.n_users, cols))
+        z = np.asfortranarray(z) if fortran else z
+        t = X.transpose()
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows:
+                mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * cols * block_rows)
+            got = linalg.csr_matmul(t.indptr, t.indices, z)
+        assert bitwise_equal(got, scipy_csr(X).T @ z)
+
+    def test_whitened_gram_matches_scipy_product(self, rng):
+        X = random_interactions(rng, 6, 9)
+        z = linalg.spd_solve(_shifted(linalg.gram(X, "users"), 2.0), X.toarray())
+        assert bitwise_equal(whitened_gram(X, 2.0), scipy_csr(X).T @ z)
+
+    def test_users_side_svd_embed_matches_scipy_product(self, rng):
+        X = random_interactions(rng, 6, 9, density=0.5)
+        eig = linalg.eigh(linalg.gram(X, "users"), k=3)
+        scale = 1.0 / np.sqrt(np.sqrt(eig.eigenvalues))
+        expected = scale[:, np.newaxis] * (scipy_csr(X).T @ eig.eigenvectors).T
+        assert bitwise_equal(svd_embed(X, 3).values, expected)
 
 
 class TestEigh:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whiterec import recommend
+from whiterec import linalg, recommend
 from whiterec.autoencoder import SimilarityMatrix
 from whiterec.ingest import HeldOutSet, InteractionMatrix
 from whiterec.recommend import (
@@ -15,6 +15,8 @@ from whiterec.recommend import (
     score_user,
     top_n,
 )
+
+from conftest import KERNEL_VALUES, bitwise_equal
 
 
 def sim(values, kind="ridge"):
@@ -72,11 +74,6 @@ class TestScoreUser:
         np.testing.assert_allclose(score_user(y, b), dense @ b.values, atol=1e-12)
 
 
-def bitwise_equal(a, b):
-    """Equal arrays with equal sign bits, so +0.0 and -0.0 differ."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def scipy_scores(indptr, indices, values):
     """The reference kernel: scipy's CSR x dense product of binary rows."""
     import scipy.sparse as sp
@@ -84,11 +81,6 @@ def scipy_scores(indptr, indices, values):
     x = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
                       shape=(len(indptr) - 1, values.shape[0]))
     return x @ values
-
-
-# Magnitudes far apart make a sum depend on its order; signed zeros make
-# +0.0 + -0.0 show. Every partial sum stays finite.
-KERNEL_VALUES = np.array([1e16, -1e16, 1.0, 0.1, -0.3, 0.0, -0.0, -0.0])
 
 
 class TestScoringKernel:
@@ -105,7 +97,7 @@ class TestScoringKernel:
         indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int32)
         indices = np.concatenate([np.zeros(0, np.int32), *rows]).astype(np.int32)
         expected = scipy_scores(indptr, indices, values)
-        assert bitwise_equal(recommend._scores(indptr, indices, values), expected)
+        assert bitwise_equal(linalg.csr_matmul(indptr, indices, values), expected)
 
         foldin = heldout([r.tolist() for r in rows], [[] for _ in rows], n_items).foldin
         with pytest.MonkeyPatch.context() as mp:
@@ -119,7 +111,7 @@ class TestScoringKernel:
     def test_signed_zeros_sum_from_positive_zero(self):
         values = np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0], [0.0, 0.0, 0.0]])
         indptr, indices = np.array([0, 0, 1, 3]), np.array([0, 0, 1])
-        got = recommend._scores(indptr, indices, values)
+        got = linalg.csr_matmul(indptr, indices, values)
         assert bitwise_equal(got, scipy_scores(indptr, indices, values))
         assert not np.signbit(got).any()
 

@@ -133,14 +133,14 @@ class TestZcaSimilarity:
         with pytest.raises(ValueError, match="finite"):
             zca_similarity(random_interactions(rng, 4, 4), eps)
 
-    def test_capacity_error(self, rng, monkeypatch):
+    def test_capacity_error(self, rng, byte_cap):
         X = random_interactions(rng, 10, 3)
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 10 * 10 * 8 - 1)
+        byte_cap(10 * 10 * 8 - 1)
         with pytest.raises(CapacityError):
             zca_similarity(X, 1.0)
 
-    def test_capacity_error_on_dense_interactions(self, rng, monkeypatch):
+    def test_capacity_error_on_dense_interactions(self, rng, byte_cap):
         X = random_interactions(rng, 4, 50)
-        monkeypatch.setattr(linalg, "GRAM_BYTE_CAP", 128)
+        byte_cap(128)
         with pytest.raises(CapacityError):
             zca_similarity(X, 1.0)
