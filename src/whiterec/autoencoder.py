@@ -73,16 +73,17 @@ def whitened_gram(M, lam: float) -> np.ndarray:
     closed form, for interactions X as for D x |I| embeddings E. Only the
     row-side Gram is inverted; the one |I| x |I| array created is the
     result, which is not symmetrized. For X the final product X^T z is
-    linalg.csr_matmul on X's transposed CSR.
+    linalg.csr_matmul on X's transposed CSR, the one the Gram was
+    counted with.
     """
     m = M if isinstance(M, InteractionMatrix) else np.asarray(M, dtype=np.float64)
     rows, items = m.shape
     linalg.check_capacity(rows, items, "dense feature matrix")
     linalg.check_capacity(items, items, "item similarity matrix")
-    shifted = _shifted(linalg.gram(m, side="users"), lam)
     if not isinstance(m, InteractionMatrix):
-        return m.T @ linalg.spd_solve(shifted, m)
+        return m.T @ linalg.spd_solve(_shifted(linalg.gram(m, side="users"), lam), m)
     t = m.transpose()
+    shifted = _shifted(linalg._interaction_gram(m, t, "users"), lam)
     return linalg.csr_matmul(t.indptr, t.indices, linalg.spd_solve(shifted, m.toarray()))
 
 

@@ -85,20 +85,31 @@ def gram(M, side: str = "items") -> np.ndarray:
     for embeddings). This is the one place a Gram matrix is formed.
     Interactions are never densified: their Gram is X^T X or X X^T
     counted by :func:`_pair_counts`, exact integers, so it equals any
-    exact sparse product bit for bit.
+    exact sparse product bit for bit. Counting needs X's transpose; a
+    caller that goes on to form X^T products calls
+    :func:`_interaction_gram` with the one it made.
     """
-    if side not in ("items", "users"):
-        raise ValueError(f"side must be 'items' or 'users', got {side!r}")
-    m = M if isinstance(M, InteractionMatrix) else np.asarray(M, dtype=np.float64)
-    dim = m.shape[1] if side == "items" else m.shape[0]
-    check_capacity(dim, dim, f"{side}-side Gram matrix")
-    if isinstance(m, InteractionMatrix):
-        t = m.transpose()
-        return _pair_counts(t, m) if side == "items" else _pair_counts(m, t)
+    if isinstance(M, InteractionMatrix):
+        return _interaction_gram(M, M.transpose(), side)
+    m = np.asarray(M, dtype=np.float64)
+    _check_gram(m.shape, side)
     # A dense A^T A pairs the same products in the same order for (i, j)
     # and (j, i) (BLAS syrk fills one triangle and copies it), so it is
     # already exactly symmetric.
     return m.T @ m if side == "items" else m @ m.T
+
+
+def _interaction_gram(X: InteractionMatrix, t: InteractionMatrix, side: str) -> np.ndarray:
+    """gram(X, side) counted with ``t = X.transpose()``."""
+    _check_gram(X.shape, side)
+    return _pair_counts(t, X) if side == "items" else _pair_counts(X, t)
+
+
+def _check_gram(shape: tuple[int, int], side: str) -> None:
+    if side not in ("items", "users"):
+        raise ValueError(f"side must be 'items' or 'users', got {side!r}")
+    dim = shape[1] if side == "items" else shape[0]
+    check_capacity(dim, dim, f"{side}-side Gram matrix")
 
 
 def _pair_counts(a: InteractionMatrix, b: InteractionMatrix) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from whiterec import cli, linalg
+from whiterec import cli, ingest, linalg
 from whiterec.autoencoder import SimilarityMatrix
 from whiterec.cli import (
     EXIT_CAPACITY,
@@ -664,6 +664,15 @@ class TestBadInput:
         assert f"{data}: line {n_lines + 1}: not UTF-8 text" in self.error(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_log_not_utf8_line_counts_carriage_returns(self, tmp_path, capsys):
+        # csv.reader ends a line at a lone "\r" too, so the bad byte is on
+        # line 2, where an empty id in its place is reported.
+        data, out = tmp_path / "data.csv", str(tmp_path / "out")
+        for body, what in ((b"u\xe9", "not UTF-8 text"), (b"", "empty user or item id")):
+            data.write_bytes(b"u1,i1,5\r" + body + b",i2,5\n")
+            assert main(["preprocess", "--data", str(data), "--output", out]) == EXIT_IO
+            assert f"{data}: line 2: {what}" in self.error(capsys)
+
     def test_foldin_not_utf8_exit_2(self, tmp_path, capsys):
         model, users = tmp_path / "model.bin", tmp_path / "users.csv"
         save_model(SimilarityMatrix(np.eye(2), "ridge", {"lambda": 1.0}), ["a", "b"], model)
@@ -709,6 +718,43 @@ class TestBadInput:
         assert main(["preprocess", "--config", str(cfg), "--seed", "-1"]) == EXIT_GENERIC
         assert "rng_seed must be >= 0, got -1" in self.error(capsys)
         assert not (tmp_path / "out").exists()
+
+
+class TestPlainLogFastPath:
+    """Logs shaped like the benchmark's are tokenized in bulk: the csv.reader
+    loop, the fallback, must not see them, or every log would take it."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain log reached csv.reader")
+
+    def test_benchmark_shaped_logs_skip_csv_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 600
+        rows = (rng.integers(0, 40, n).tolist(), rng.integers(0, 12, n).tolist(),
+                rng.choice([2, 4, 5], n).tolist(), range(1000, 1000 + n))
+        (tmp_path / "data.csv").write_text(
+            "user,item,rating,timestamp\n" + "".join(map("u{},i{},{},{}\n".format, *rows)))
+        users, model = tmp_path / "foldin.csv", tmp_path / "model.bin"
+        users.write_text("user,item\n" + "".join(f"n{u},i{u % 12}\n" for u in range(30)))
+        save_model(SimilarityMatrix(np.eye(12), "ridge", {"lambda": 1.0}),
+                   [f"i{j}" for j in range(12)], model)
+        monkeypatch.setattr(ingest.csv, "reader", self.refuse)
+        cfg = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(cfg)]) == EXIT_OK
+        assert main(["recommend", "--config", str(cfg), "--model", str(model),
+                     "--users", str(users)]) == EXIT_OK
+        assert (tmp_path / "out" / "recommendations.csv").exists()
+
+    def test_quoted_log_reaches_csv_reader(self, tmp_path, monkeypatch):
+        write_dataset(tmp_path / "data.csv")
+        data = tmp_path / "data.csv"
+        data.write_text('"u0",i0,5\n' + data.read_text())
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(ingest.csv, "reader", lambda *a, **k: calls.append(a) or reader(*a, **k))
+        assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestEndToEndDeterminism:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whiterec import ingest
 from whiterec.errors import EmptyDatasetError, ParseError, SplitError
 from whiterec.ingest import (
     HeldOutSet,
@@ -304,6 +305,141 @@ class TestLoadInteractions:
         got = _log_columns(load_interactions(p))
         assert got[:2] == expected[:2] and got[3:] == expected[3:]
         np.testing.assert_array_equal(got[2], expected[2])
+
+
+# Fields by column for logs the bulk tokenizer takes, and fields that send a
+# log, or a block of it, to the csv.reader loop or to an error.
+_PLAIN_COLUMNS = (
+    st.sampled_from(["u1", "u10", "U2", "1", "a_b", "user", "x" * 8]),
+    st.sampled_from(["i2", "i10", "x", "item", "-", "x" * 9]),
+    st.sampled_from(["5", "4.5", "+5", "1_0", "-2", ".5", "1e3", "007"]),
+    # int() refuses more than 4300 digits; the repeats keep such a field rare.
+    st.sampled_from(["100", "007", "0", "123456789012"] * 8 + ["9" * 4301]),
+)
+# Every str.isspace() character, the other ASCII controls, and characters
+# that str.strip, the csv module or UTF-8 treat specially.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+_OTHER_CHARS = [chr(c) for c in range(0x20) if not chr(c).isspace()] + ["\x7f", '"', "é",
+                                                                      "\ufeff", "١"]
+_ODD_CHARS = st.one_of(st.sampled_from(_WHITESPACE), st.sampled_from(_OTHER_CHARS))
+_ODD_FIELDS = st.one_of(
+    st.just(""),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "+5", "1_0", "-3", "0x1", "timestamp",
+                     '"q,x"', '"q""x"', '"a\nb"', "x" * 40]),
+    st.builds(str.__add__, st.sampled_from(["", "u1", "5"]), _ODD_CHARS),
+    st.builds(str.__add__, _ODD_CHARS, st.sampled_from(["", "i2", "7"])),
+)
+
+
+@st.composite
+def _log_texts(draw):
+    """A log as bytes, and its format.
+
+    It starts plain, one delimiter and 2-4 columns of plain fields, and up
+    to three edits each change one thing: a field, a line end, a column
+    count, the prefix, the format, or a byte that is not UTF-8.
+    """
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    fmt = "csv" if delimiter == "," else "tsv"
+    k = draw(st.integers(2, 4))
+    rows = [[draw(_PLAIN_COLUMNS[j]) for j in range(k)] for _ in range(draw(st.integers(0, 12)))]
+    ends = ["\n"] * len(rows)
+    header = draw(st.sampled_from([None, ["user", "item"], ["user", "item", "rating", "ts"],
+                                   ["User", "item_id", "x"]]))
+    prefix = draw(st.sampled_from(["", "\ufeff"]))
+    bad_byte = None
+    for edit in draw(st.lists(st.sampled_from(["field", "end", "width", "prefix", "format",
+                                               "byte"]), max_size=3)):
+        r = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if edit == "field" and rows:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(_ODD_FIELDS)
+        elif edit == "end" and rows:
+            ends[r] = draw(st.sampled_from(["\r\n", "\r", "\n\n", "\n \n", "\n\x0c\n"]))
+        elif edit == "width" and rows:
+            width = draw(st.sampled_from([1, k - 1, k + 1, 2 * k, 5]))
+            rows[r] = (rows[r] + [draw(_PLAIN_COLUMNS[1])] * 8)[:width]
+        elif edit == "prefix":
+            prefix = draw(st.sampled_from(["\n", "\r\n", " \n", "\ufeff\n", "\ufeff\ufeff"]))
+        elif edit == "format":
+            fmt = "tsv" if fmt == "csv" else "csv"
+        elif edit == "byte":
+            bad_byte = draw(st.integers(0, 10**6))
+    lines = [delimiter.join(row) + end for row, end in zip(rows, ends)]
+    if header:
+        lines.insert(0, delimiter.join(header) + "\n")
+    text = (prefix + "".join(lines)).encode("utf-8")
+    if draw(st.booleans()):
+        text = text.removesuffix(b"\n")
+    if bad_byte is not None:
+        at = bad_byte % (len(text) + 1)
+        text = text[:at] + b"\xe9" + text[at:]
+    return text, fmt
+
+
+def _load_outcome(path, fmt):
+    """load_interactions' columns, or its exception's type and message."""
+    try:
+        log = load_interactions(path, fmt)
+    except Exception as exc:
+        return type(exc), str(exc)
+    # Bytes, so NaN ratings compare equal.
+    return (log.users.tolist(), log.items.tolist(), log.ratings.tobytes(),
+            log.user_ids, log.item_ids)
+
+
+class TestBulkTokenizer:
+    """The bulk path gives the csv.reader loop's InteractionLog or error."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(log=_log_texts(), block=st.sampled_from([1, 7, 32, 1 << 16]),
+           limit=st.sampled_from([None, None, 8]))
+    def test_same_log_or_error_as_row_reader(self, tmp_path_factory, log, block, limit):
+        text, fmt = log
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_bytes(text)
+        default_limit = csv.field_size_limit()
+        try:
+            if limit:
+                csv.field_size_limit(limit)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "PARSE_BLOCK_BYTES", block)
+                got = _load_outcome(path, fmt)
+                mp.setattr(ingest, "_read_plain", lambda path, delimiter: None)
+                expected = _load_outcome(path, fmt)
+        finally:
+            csv.field_size_limit(default_limit)
+        assert got == expected
+
+    @pytest.mark.parametrize("text", [
+        "u1,,5\n", ",i1,5\n", "u1,i1,\n", "u1,i1,5,\n", "u1,i1,,7\n",
+        "u1 ,i1,5\n", "u1,i 1,5\n", "u1,i1\r\nu2,i2\r\n", "u1,i1,5\ru2,i2,5\n",
+        "u1,i1\nu2,i2,i3,i4\n", "u1,i1,5\nu2,i2\n", "u1,i1,5\nu2,i2,5,6,7\n", "u1,i1\n\nu2,i2\n",
+        "u1\ti1\t5\n", '"u1",i1,5\n', 'u1,"i,1",5\n', "u1,i1,nan\n", "u1,i1,1e309\n",
+        "u1,i1,+5\n", "u1,i1,1_0\n", "u1,i1,5,-3\n", "u1,i1,5,+5\n", "u1,i1,5,1_0\n",
+        f"u1,i1,5,{'9' * 4300}\n", f"u1,i1,5,{'9' * 4301}\n", "u\x00,i1\n", "u1,i\x0b\n",
+        "u1,i\x1c\n", "u\x7f,i1\n", "u\x85,i1\n", "u1,i\u2028\n", "\ufeffuser,item\nu1,i1\n",
+        "\ufeff\ufeffu1,i1\n", "user,item\n", "\ufeff", "\nuser,item\nu1,i1\n", "u1,i1,5",
+        "user,item,rating,timestamp\nu1,i1\n", "user\titem\nu1,i1\n", "u1\n",
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_near_plain_logs(self, tmp_path, monkeypatch, text, fmt):
+        # Each case is a plain log but for one thing that some rule of the
+        # bulk path must catch, or one that is still plain.
+        p = tmp_path / "log.csv"
+        p.write_text(text, "utf-8")
+        got = _load_outcome(p, fmt)
+        monkeypatch.setattr(ingest, "_read_plain", lambda path, delimiter: None)
+        assert got == _load_outcome(p, fmt)
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 16])
+    @pytest.mark.parametrize("prefix", ["", "\ufeffuser,item,rating,timestamp\n"])
+    def test_lines_straddling_blocks_stay_plain(self, tmp_path, monkeypatch, block, prefix):
+        p = tmp_path / "log.csv"
+        p.write_text(prefix + "".join(f"u{u % 7},i{u % 5},{u % 5 + 1},{u}\n" for u in range(50)))
+        monkeypatch.setattr(ingest, "PARSE_BLOCK_BYTES", block)
+        log = ingest._read_plain(p, ",")
+        assert log is not None
+        assert _log_columns(log) == _log_columns(ingest._read_rows(p, ","))
 
 
 class TestPreprocess:

@@ -132,6 +132,24 @@ class TestInteractionKernels:
         z = linalg.spd_solve(_shifted(linalg.gram(X, "users"), 2.0), X.toarray())
         assert bitwise_equal(whitened_gram(X, 2.0), scipy_csr(X).T @ z)
 
+    def test_users_side_paths_transpose_x_once(self, rng, monkeypatch):
+        X = random_interactions(rng, 6, 9, density=0.5)
+        t = X.transpose()
+        z = linalg.spd_solve(_shifted(linalg.gram(X, "users"), 2.0), X.toarray())
+        ridge = linalg.csr_matmul(t.indptr, t.indices, z)
+        eig = linalg.eigh(linalg.gram(X, "users"), k=3)
+        scale = 1.0 / np.sqrt(np.sqrt(eig.eigenvalues))
+        embedding = scale[:, np.newaxis] * linalg.csr_matmul(t.indptr, t.indices,
+                                                             eig.eigenvectors).T
+        calls = []
+        transpose = InteractionMatrix.transpose
+        monkeypatch.setattr(InteractionMatrix, "transpose",
+                            lambda m: calls.append(m) or transpose(m))
+        assert bitwise_equal(whitened_gram(X, 2.0), ridge)
+        assert len(calls) == 1
+        assert bitwise_equal(svd_embed(X, 3).values, embedding)
+        assert len(calls) == 2
+
     def test_users_side_svd_embed_matches_scipy_product(self, rng):
         X = random_interactions(rng, 6, 9, density=0.5)
         eig = linalg.eigh(linalg.gram(X, "users"), k=3)
