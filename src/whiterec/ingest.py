@@ -322,11 +322,11 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
     Expected columns: user, item[, rating[, timestamp]]. A header line is
     optional and detected by name on the first non-blank line; a leading
     UTF-8 byte order mark is dropped. Fields are stripped; an empty rating
-    means no rating. Raises ParseError with the offending physical line
-    number on a wrong column count, an empty id, a rating that is not a
-    finite float, a timestamp that is not an integer, a field longer than
-    ``csv.field_size_limit()`` or bytes that are not UTF-8, and
-    EmptyDatasetError on empty input.
+    means no rating. Raises ParseError with the physical line number of
+    the file's first error: a wrong column count, an empty id, a rating
+    that is not a finite float, a timestamp that is not an integer, a
+    field longer than ``csv.field_size_limit()`` or bytes that are not
+    UTF-8, and EmptyDatasetError on empty input.
 
     A plain log is tokenized in blocks (see :func:`_read_plain`): printable
     ASCII without quotes or whitespace, one delimiter-separated column
@@ -425,9 +425,13 @@ def _blocks(fh):
         yield rest + b"\n"
 
 
-def _read_rows(path: Path, delimiter: str) -> InteractionLog:
+def _read_rows(path: Path, delimiter: str, escaped: bool = False) -> InteractionLog:
     """load_interactions by one ``csv.reader`` row at a time: the reader of
-    every log that is not plain, and the source of every parse error."""
+    every log that is not plain, and the source of every parse error.
+
+    With ``escaped``, bytes that are not UTF-8 are read as escapes, and the
+    first row holding one raises the not-UTF-8 ParseError.
+    """
     users: list[str] = []
     items: list[str] = []
     ratings: list[float] = []
@@ -437,9 +441,10 @@ def _read_rows(path: Path, delimiter: str) -> InteractionLog:
     # first field. The file is streamed: held whole as text it would cost
     # about four bytes a character.
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8-sig",
+                  errors="surrogateescape" if escaped else "strict") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            for row in reader:
+            for row in _utf8_rows(reader, path) if escaped else reader:
                 fields = list(map(strip, row))
                 if not fields or fields == [""]:
                     continue
@@ -468,14 +473,28 @@ def _read_rows(path: Path, delimiter: str) -> InteractionLog:
                 items.append(item)
                 ratings.append(value)
     except UnicodeDecodeError:
-        # raises a ParseError naming the line as reader.line_num counts it
-        _decode(path.read_bytes(), path, csv_lines=True)
+        # The text layer decodes ahead of the reader, so a row before the
+        # bad byte may hold the log's first error: check the rows again
+        # with bad bytes escaped, up to the first row that holds one.
+        _read_rows(path, delimiter, escaped=True)
         raise
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not users:
         raise EmptyDatasetError(f"{path}: no interaction records found")
     return InteractionLog._from_strings(users, items, ratings)
+
+
+def _utf8_rows(reader, path: Path):
+    """The rows of a reader over surrogate-escaped text, up to the first
+    that holds an escaped byte, which is the file's first bad byte."""
+    for row in reader:
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError:
+            # raises a ParseError naming the line as reader.line_num counts it
+            _decode(path.read_bytes(), path, csv_lines=True)
+        yield row
 
 
 def _looks_like_header(fields: list[str]) -> bool:

@@ -8,14 +8,17 @@ Interactions enter only through the CSR arrays of an
 :class:`~whiterec.ingest.InteractionMatrix`: their Grams are counted
 (:func:`gram`), and every product of a binary CSR matrix with a dense
 one, ranking's ``x @ B`` as well as ``X^T z``, is :func:`csr_matmul`.
-scipy is used for LAPACK only.
+The Cholesky and top-k eigen routines are scipy's LAPACK wrappers, bound
+directly from its extension module (see :func:`_lapack`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -179,10 +182,11 @@ def csr_matmul(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray) -> np.nda
 def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    With k < n only the k largest eigenpairs are computed (LAPACK evr on
-    an index subset through scipy.linalg); otherwise, and for k=None, all
-    n come from np.linalg.eigh. The descending order and the sign rule
-    apply to the columns returned either way.
+    With k < n only the k largest eigenpairs are computed: LAPACK evr on
+    an index subset, the call ``scipy.linalg.eigh(..., subset_by_index=...)``
+    makes, through :func:`_lapack`. Otherwise, and for k=None, all n come
+    from np.linalg.eigh. The descending order and the sign rule apply to
+    the columns returned either way.
     """
     a = _square_finite(a)
     if a.size == 0:
@@ -194,18 +198,23 @@ def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
     if np.abs(a - a.T).max() > 1e-8 * max(1.0, np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
-    try:
-        if k is None or k >= n:
+    if k is None or k >= n:
+        try:
             w, v = np.linalg.eigh(symmetrize(a))
-        else:
-            import scipy.linalg
-
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+    else:
+        lapack = _lapack()
+        lwork, liwork, info = lapack.dsyevr_lwork(n, lower=1)
+        if info == 0:
             # The transpose of the exactly symmetric copy is the same matrix
             # in the Fortran order LAPACK works in, so it is not copied again.
-            w, v = scipy.linalg.eigh(symmetrize(a).T, subset_by_index=[n - k, n - 1],
-                                     overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+            w, v, m, _, info = lapack.dsyevr(
+                symmetrize(a).T, compute_v=1, range="I", il=n - k + 1, iu=n, lower=1,
+                lwork=int(lwork), liwork=int(liwork), overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"eigendecomposition failed (LAPACK evr info {info})")
+        w, v = w[:m], v[:, :m]
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     # Sign rule: first component of each eigenvector above _SIGN_TOL is positive.
@@ -225,18 +234,46 @@ def _square_finite(a) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, loaded alone.
+
+    Importing the ``scipy.linalg`` package around it costs 0.3-0.4 s,
+    mostly in scipy's array-API layer, which imports ``numpy.f2py``,
+    ``numpy.testing`` and ``numpy.ma``; ``import scipy`` and the extension
+    take about 20 ms. Its routines are the very objects
+    ``scipy.linalg.lapack`` exposes, so the results are the same bits.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    directory = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            # Under the package's own name, scipy.linalg.lapack and this
+            # module share one instance of the extension and its routines.
+            name = "scipy.linalg._flapack"
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension _flapack in {directory} "
+                      f"(scipy {scipy.__version__})")
+
+
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of symmetric positive definite a: potrf on one
     Fortran-order copy, so a is not written. The strict upper triangle
     keeps entries of a. spd_solve and spd_inverse share this factorization.
     """
-    from scipy.linalg import lapack
-
     a = _square_finite(a)
     # a is symmetric, so a C-ordered a is the Fortran-ordered array LAPACK
     # wants once transposed.
     work = np.array(a.T if a.flags.c_contiguous else a, order="F")
-    factor, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+    factor, info = _lapack().dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
     return factor
@@ -244,15 +281,13 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ z = b for symmetric positive definite a; neither is written."""
-    from scipy.linalg import lapack
-
     b = np.asarray(b, dtype=np.float64)
     factor = _cholesky(a)
     if b.shape[:1] != factor.shape[:1]:
         raise ValueError(f"dimension mismatch: a is {factor.shape}, b is {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
-    z, info = lapack.dpotrs(factor, b, lower=1)
+    z, info = _lapack().dpotrs(factor, b, lower=1)
     if info != 0:
         raise ValueError(f"LAPACK potrs rejected argument {-info}")
     return z
@@ -264,9 +299,7 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     potri overwrites the factor with the lower triangle of the inverse,
     which is then mirrored. a itself is not written.
     """
-    from scipy.linalg import lapack
-
-    factor, info = lapack.dpotri(_cholesky(a), lower=1, overwrite_c=1)
+    factor, info = _lapack().dpotri(_cholesky(a), lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
     # potri filled factor[i, j] for i >= j, so its C-ordered transpose holds

@@ -191,7 +191,7 @@ class TestEase:
     def test_inverse_is_the_only_item_sized_workspace(self, rng):
         n_items = 1200
         e = rng.normal(size=(4, n_items))
-        ease(e[:, :5], 1.0)  # load scipy.linalg outside the traced window
+        ease(e[:, :5], 1.0)  # bind the LAPACK extension outside the traced window
         output_bytes = n_items * n_items * 8
         tracemalloc.start()
         try:

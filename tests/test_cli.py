@@ -673,6 +673,13 @@ class TestBadInput:
             assert main(["preprocess", "--data", str(data), "--output", out]) == EXIT_IO
             assert f"{data}: line 2: {what}" in self.error(capsys)
 
+    def test_log_error_before_a_bad_byte_reported_first(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"u1,,5\nu\xe9,i,5\n")
+        code = main(["preprocess", "--data", str(data), "--output", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert f"{data}: line 1: empty user or item id" in self.error(capsys)
+
     def test_foldin_not_utf8_exit_2(self, tmp_path, capsys):
         model, users = tmp_path / "model.bin", tmp_path / "users.csv"
         save_model(SimilarityMatrix(np.eye(2), "ridge", {"lambda": 1.0}), ["a", "b"], model)

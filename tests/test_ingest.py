@@ -277,6 +277,21 @@ class TestLoadInteractions:
         log = self.load(tmp_path, "u1,i1\nuser,item\n")
         assert (log.user_ids, log.item_ids) == (["u1", "user"], ["i1", "item"])
 
+    @pytest.mark.parametrize("data, message", [
+        # The text layer decodes ahead of csv.reader: an error on a line
+        # before the bad byte is still the one reported.
+        (b"u1,,5\nu\xe9,i,5\n", "line 1: empty user or item id"),
+        (b"u1,i1,5\nu2\n" + b"u3,i3,5\n" * 2000 + b"u\xe9,i,5\n", "line 2: expected 2-4"),
+        (b"u1,i1,5\nu\xe9,i,5\nu3,,5\n", "line 2: not UTF-8 text"),
+        # The bad byte is in the record on lines 1-2, which has no other error.
+        (b'"u1\n\xe9",i,5\nu2,,5\n', "line 2: not UTF-8 text"),
+    ])
+    def test_first_error_before_a_bad_byte(self, tmp_path, data, message):
+        p = tmp_path / "data.csv"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"data.csv: {message}"):
+            load_interactions(p)
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         with pytest.raises(ParseError, match="line 3"):
             self.load(tmp_path, "\ufeff\nuser,item,rating\nu1,i1,abc\n")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from whiterec import linalg
 from whiterec.autoencoder import _shifted, whitened_gram
 from whiterec.embedding import svd_embed
-from whiterec.errors import CapacityError, NotSPDError, SingularMatrixError
+from whiterec.errors import CapacityError, NotSPDError, NumericalError, SingularMatrixError
 from whiterec.ingest import InteractionMatrix
 
 from conftest import (KERNEL_VALUES, bitwise_equal, random_interactions, reconstruct,
@@ -267,6 +267,57 @@ class TestEighTopK:
         kept = a.copy()
         linalg.eigh(a, k=2)
         np.testing.assert_array_equal(a, kept)
+
+
+class TestLapackBinding:
+    """_lapack(): scipy's LAPACK extension, bound without scipy.linalg."""
+
+    @pytest.mark.parametrize("name", ["dpotrf", "dpotrs", "dpotri", "dsyevr"])
+    def test_routines_are_scipys(self, name):
+        import scipy.linalg.lapack
+
+        assert getattr(linalg._lapack(), name) is getattr(scipy.linalg.lapack, name)
+
+    @pytest.mark.parametrize("rank", [None, 5])
+    def test_top_k_bitwise_equal_to_scipy_eigh(self, rng, rank):
+        import scipy.linalg
+
+        n = 12
+        b = rng.normal(size=(n if rank is None else rank, n))
+        a = linalg.symmetrize(b.T @ b)
+        for k in (1, n // 2, n - 1):
+            w, v = scipy.linalg.eigh(linalg.symmetrize(a).T, subset_by_index=[n - k, n - 1])
+            w, v = w[::-1], v[:, ::-1]
+            first = (np.abs(v) > linalg._SIGN_TOL).argmax(axis=0)
+            v = v * np.where(v[first, np.arange(k)] < 0.0, -1.0, 1.0)
+            eig = linalg.eigh(a, k)
+            assert bitwise_equal(eig.eigenvalues, w)
+            assert bitwise_equal(eig.eigenvectors, v)
+
+    def test_evr_failure_is_numerical_error(self, rng, monkeypatch):
+        real = linalg._lapack()
+        n, k = 6, 2
+
+        class Failing:
+            dsyevr_lwork = real.dsyevr_lwork
+
+            @staticmethod
+            def dsyevr(a, **kwargs):
+                return np.zeros(n), np.zeros((n, k)), 0, np.zeros(0, np.int32), 3
+
+        monkeypatch.setattr(linalg, "_lapack", Failing)
+        with pytest.raises(NumericalError, match="evr info 3"):
+            linalg.eigh(linalg.symmetrize(rng.normal(size=(n, n))), k)
+
+    def test_missing_extension_is_import_error(self, tmp_path, monkeypatch):
+        import scipy
+
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        with pytest.raises(ImportError) as info:
+            linalg._lapack.__wrapped__()
+        assert str(tmp_path / "scipy" / "linalg") in str(info.value)
+        assert f"scipy {scipy.__version__}" in str(info.value)
 
 
 class TestSpdSolve:
