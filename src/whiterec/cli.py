@@ -44,7 +44,7 @@ from .ingest import (
     save_split,
     split_strong_generalization,
 )
-from .recommend import batch_recommend, export_ranked_csv
+from .recommend import write_recommendations
 from .whitening import zca_similarity
 
 EXIT_OK = 0
@@ -333,18 +333,16 @@ def cmd_recommend(config: PipelineConfig, model_path: str | Path,
         row_of[users], cols[kept], len(row_users), len(item_ids),
         [log.user_ids[u] for u in row_users.tolist()], item_ids)
 
-    ranked = batch_recommend(foldin, sim, n)
-    all_unknown = len(log.user_ids) - len(np.unique(log.users[known]))
-    empty = sum(1 for rl in ranked if not rl.entries) + len(log.user_ids) - len(row_users)
-    if empty:
-        print(f"warning: {empty} users have no recommendations "
-              f"({all_unknown} with only unknown item ids)", file=sys.stderr)
-
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "recommendations.csv"
-    export_ranked_csv(ranked, foldin.user_ids, item_ids, out_path)
-    print(f"wrote {sum(len(rl.entries) for rl in ranked)} rows -> {out_path}")
+    lengths = write_recommendations(foldin, sim, n, item_ids, out_path)
+    all_unknown = len(log.user_ids) - len(np.unique(log.users[known]))
+    empty = int((lengths == 0).sum()) + len(log.user_ids) - len(row_users)
+    if empty:
+        print(f"warning: {empty} users have no recommendations "
+              f"({all_unknown} with only unknown item ids)", file=sys.stderr)
+    print(f"wrote {int(lengths.sum())} rows -> {out_path}")
     return EXIT_OK
 
 

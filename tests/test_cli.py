@@ -1,12 +1,14 @@
 import csv
 import json
+import os
+import time
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from whiterec import cli, ingest, linalg
+from whiterec import cli, ingest, linalg, recommend
 from whiterec.autoencoder import SimilarityMatrix
 from whiterec.cli import (
     EXIT_CAPACITY,
@@ -611,6 +613,84 @@ class TestRecommendCommand:
 
     def test_topn_zero_is_usage_error(self, tmp_path):
         assert self.recommend(tmp_path, "alice,item0\n", "-N", "0") == (EXIT_GENERIC, None)
+
+
+class TestRecommendWorkers:
+    """recommend with its rows split over forked workers (fork threshold forced to 1)."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        """Call with nothing: runs recommend on four users over three workers and
+        returns the exit code, after checking that no child outlived main and
+        that no DeprecationWarning was emitted."""
+        model, users = tmp_path / "model.bin", tmp_path / "users.csv"
+        values = np.arange(16.0).reshape(4, 4) / 8
+        save_model(SimilarityMatrix(values, "ridge", {"lambda": 1.0}),
+                   [f"item{j}" for j in range(4)], model)
+        users.write_text("alice,item0\nbob,item1\ncarol,item2\ndave,item3\ndave,item0\n")
+        monkeypatch.setattr(recommend, "FORK_MIN_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def run():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["recommend", "--model", str(model), "--users", str(users),
+                             "-N", "2", "--output", str(tmp_path / "out")])
+            assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            return code
+        return run
+
+    @staticmethod
+    def before_formatting(monkeypatch, parent=None, child=None):
+        """Call ``parent()`` before this process formats its shard, ``child()``
+        before a worker formats its own."""
+        pid, real = os.getpid(), recommend._format_shard
+
+        def formatter(*args):
+            action = parent if os.getpid() == pid else child
+            if action:
+                action()
+            yield from real(*args)
+        monkeypatch.setattr(recommend, "_format_shard", formatter)
+
+    def test_forked_run_matches_serial(self, run, tmp_path, monkeypatch, capsys):
+        assert run() == EXIT_OK
+        forked = (tmp_path / "out" / "recommendations.csv").read_bytes()
+        out = capsys.readouterr().out
+        monkeypatch.setattr(recommend, "FORK_MIN_ROWS", 10**9)
+        assert run() == EXIT_OK
+        assert (tmp_path / "out" / "recommendations.csv").read_bytes() == forked
+        assert capsys.readouterr().out == out
+        assert "wrote 8 rows" in out
+        assert forked.count(b"\r\n") == 9
+
+    def test_failing_worker_is_one_error_line(self, run, tmp_path, monkeypatch, capsys):
+        def broken():
+            raise RuntimeError("shard formatter broke")
+        self.before_formatting(monkeypatch, child=broken)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "recommendations.csv").write_bytes(b"previous")
+        assert run() == EXIT_GENERIC
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: ranking worker for fold-in rows 1-1 failed with status 1: "
+            "RuntimeError: shard formatter broke"]
+        assert "Traceback" not in captured.err and "wrote" not in captured.out
+        assert (tmp_path / "out" / "recommendations.csv").read_bytes() == b"previous"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["recommendations.csv"]
+
+    def test_failure_in_this_process_kills_the_workers(self, run, tmp_path, monkeypatch,
+                                                       capsys):
+        def broken():
+            raise ValueError("first shard broke")
+        self.before_formatting(monkeypatch, parent=broken, child=lambda: time.sleep(30))
+        started = time.monotonic()
+        assert run() == EXIT_GENERIC
+        assert time.monotonic() - started < 10  # the stalled workers were killed
+        assert capsys.readouterr().err.strip() == "error: first shard broke"
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestExitCodes:

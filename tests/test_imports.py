@@ -12,6 +12,10 @@ loads no scipy module. ``preprocess`` sorts and counts integers, and
 kernel, so those three must run without any scipy module. Each check
 runs in a fresh interpreter, because this test process has scipy loaded
 already (pytest's ``filterwarnings`` imports ``scipy.sparse``).
+
+``recommend`` splits its rows over workers with a bare ``os.fork``; it
+must not pull in ``multiprocessing``, ``concurrent`` or ``subprocess``,
+whose imports would add to every command's startup.
 """
 
 import json
@@ -115,3 +119,27 @@ def test_zca_training_loads_no_scipy(workdir, config):
     _, after_train = scipy_modules("train", "--config", config, "--kind", "zca")
     assert after_train == []
     assert (workdir / "out" / "model_zca.bin").exists()
+
+
+PROCESS_MODULES = ("multiprocessing", "concurrent", "subprocess")
+
+FORKING_SCRIPT = f"""
+import json, sys
+import whiterec.recommend
+from whiterec.cli import main
+whiterec.recommend.FORK_MIN_ROWS = 1
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                              if m.split(".")[0] in {PROCESS_MODULES!r}), {SCIPY_MODULES}]))
+"""
+
+
+def test_forking_recommend_loads_no_process_pool_or_scipy(workdir, config):
+    if not (workdir / "out" / "model_ridge.bin").exists():
+        scipy_modules("train", "--config", config)
+    code, process_modules, scipy_loaded = run_fresh(
+        FORKING_SCRIPT, "recommend", "--config", config, "--model",
+        str(workdir / "out" / "model_ridge.bin"), "--users", str(workdir / "users.csv"))
+    assert code == 0
+    assert process_modules == []
+    assert scipy_loaded == []

@@ -1,4 +1,7 @@
 import csv
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from whiterec.recommend import (
     export_ranked_csv,
     score_user,
     top_n,
+    write_recommendations,
 )
 
 from conftest import KERNEL_VALUES, bitwise_equal
@@ -329,3 +333,128 @@ class TestExport:
             export_ranked_csv(ranked, ["u", "v"], ["a"], path)  # item 5 has no id
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["recs.csv"]
+
+
+# Ids that csv.writer must quote, and text that is not ASCII.
+ID_TEXT = st.text(alphabet=st.sampled_from(list('ab,"\n\r é€😀')), max_size=4)
+
+
+def forced_workers(mp, cores):
+    """Fork for any non-empty output on ``cores`` cores; returns the fork counter."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    mp.setattr(recommend, "FORK_MIN_ROWS", 1)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    mp.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_writer_matches_export(foldin, values, n, item_ids, workers, directory):
+    """write_recommendations on ``workers`` cores writes the bytes of
+    export_ranked_csv(batch_recommend(...)) and forks workers - 1 children."""
+    B = sim(values)
+    ranked = batch_recommend(foldin, B, n)
+    expected = Path(directory) / "expected.csv"
+    export_ranked_csv(ranked, foldin.user_ids, item_ids, expected)
+    got = Path(directory) / "got.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        forks = forced_workers(mp, workers)
+        lengths = write_recommendations(foldin, B, n, item_ids, got)
+    assert got.read_bytes() == expected.read_bytes()
+    assert lengths.tolist() == [len(rl.entries) for rl in ranked]
+    rows = int(lengths.sum())
+    assert len(forks) == max(1, min(workers, rows, foldin.n_users)) - 1
+    assert sorted(p.name for p in Path(directory).iterdir()) == ["expected.csv", "got.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriteRecommendations:
+    """The streaming, sharded writer against batch_recommend + export_ranked_csv."""
+
+    # Users 2 and 4 have seen every item; items 1, 2 and 3 tie for user 0.
+    ROWS = [[0], [1, 3], [0, 1, 2, 3, 4], [], [4, 3, 2, 1, 0], [2]]
+    USER_IDS = ["plain", "a,b", 'say "hi"', "line\nbreak", "é€", "😀,\r"]
+    ITEM_IDS = ["i0", "x,y", '"q"', "two\nlines", "ü"]
+
+    @classmethod
+    def case(cls):
+        values = np.zeros((5, 5))
+        values[0, 1:4] = 0.5
+        values[1] = [0.25, 0.0, -0.0, 0.5, 1e-300]
+        values[3, 0] = -1.5
+        foldin = InteractionMatrix.from_pairs(
+            [u for u, row in enumerate(cls.ROWS) for _ in row],
+            [i for row in cls.ROWS for i in row],
+            len(cls.ROWS), 5, cls.USER_IDS, cls.ITEM_IDS)
+        return foldin, values
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    def test_bytes_match_export(self, tmp_path, workers, n):
+        foldin, values = self.case()
+        assert_writer_matches_export(foldin, values, n, self.ITEM_IDS, workers, tmp_path)
+
+    def test_one_user_shards(self, tmp_path):
+        foldin, values = self.case()
+        assert_writer_matches_export(foldin, values, 2, self.ITEM_IDS, len(self.ROWS), tmp_path)
+
+    def test_without_fork_runs_serially(self, tmp_path, monkeypatch):
+        foldin, values = self.case()
+        serial = tmp_path / "serial.csv"
+        write_recommendations(foldin, sim(values), 3, self.ITEM_IDS, serial)
+        monkeypatch.setattr(recommend, "FORK_MIN_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.delattr(os, "fork")
+        path = tmp_path / "recs.csv"
+        write_recommendations(foldin, sim(values), 3, self.ITEM_IDS, path)
+        assert path.read_bytes() == serial.read_bytes()
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(recommend, "FORK_MIN_ROWS", 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert recommend._worker_count(10, 6) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert recommend._worker_count(10, 6) == 1
+
+    def test_worker_count_rule(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        rows = recommend.FORK_MIN_ROWS
+        assert [recommend._worker_count(k * rows, 100) for k in (0, 1, 2, 3, 9)] == [1, 1, 2, 3, 4]
+        assert recommend._worker_count(9 * rows, 2) == 2
+        assert recommend._worker_count(9 * rows, 0) == 1
+
+    def test_bad_model_raises_before_any_fork(self, tmp_path, monkeypatch):
+        foldin, values = self.case()
+        values[2, 2] = np.nan
+        forks = forced_workers(monkeypatch, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            write_recommendations(foldin, sim(values), 3, self.ITEM_IDS, tmp_path / "r.csv")
+        assert forks == [] and list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 8), n_users=st.integers(0, 7),
+           n=st.integers(1, 10), workers=st.integers(1, 3), block_rows=st.integers(1, 3),
+           ids=st.lists(ID_TEXT, min_size=15, max_size=15))
+    def test_random_inputs_match_export(self, seed, n_items, n_users, n, workers,
+                                        block_rows, ids):
+        gen = np.random.default_rng(seed)
+        values = np.round(gen.normal(size=(n_items, n_items)), 1)  # rounding forces ties
+        rows = []
+        for _ in range(n_users):
+            shape = gen.integers(3)
+            rows.append([] if shape == 0 else list(range(n_items)) if shape == 1
+                        else np.flatnonzero(gen.random(n_items) < 0.4).tolist())
+        foldin = InteractionMatrix.from_pairs(
+            [u for u, row in enumerate(rows) for _ in row], [i for row in rows for i in row],
+            n_users, n_items, ids[:n_users], ids[7:7 + n_items])
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * block_rows)
+            assert_writer_matches_export(foldin, values, n, ids[7:7 + n_items], workers,
+                                         directory)
