@@ -26,7 +26,7 @@ from .embedding import (
     save_embeddings,
     svd_embed,
 )
-from .evalmetrics import EvalReport, evaluate, ndcg_at_r, recall_at_r
+from .evalmetrics import EvalReport, evaluate
 from .ingest import (
     HeldOutSet,
     InteractionLog,
@@ -38,7 +38,6 @@ from .ingest import (
     save_split,
     split_strong_generalization,
 )
-from .recommend import RankedList, batch_recommend, score_user, top_n
 from .whitening import (
     WhiteningTransform,
     fit_zca,
@@ -55,11 +54,9 @@ __all__ = [
     "HeldOutSet",
     "InteractionLog",
     "InteractionMatrix",
-    "RankedList",
     "SimilarityMatrix",
     "SplitSpec",
     "WhiteningTransform",
-    "batch_recommend",
     "ease",
     "ease_decompose",
     "embed_dot",
@@ -70,18 +67,14 @@ __all__ = [
     "load_embeddings",
     "load_interactions",
     "load_split",
-    "ndcg_at_r",
     "preprocess",
-    "recall_at_r",
     "ridge",
     "ridge_dual",
     "ridge_primal",
     "save_embeddings",
     "save_split",
-    "score_user",
     "split_strong_generalization",
     "svd_embed",
-    "top_n",
     "whiten",
     "whitened_gram",
     "zca_similarity",

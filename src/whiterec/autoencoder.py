@@ -80,10 +80,10 @@ def whitened_gram(M, lam: float) -> np.ndarray:
     rows, items = m.shape
     linalg.check_capacity(rows, items, "dense feature matrix")
     linalg.check_capacity(items, items, "item similarity matrix")
+    shifted = _shifted(linalg.gram(m, side="users"), lam)
     if not isinstance(m, InteractionMatrix):
-        return m.T @ linalg.spd_solve(_shifted(linalg.gram(m, side="users"), lam), m)
+        return m.T @ linalg.spd_solve(shifted, m)
     t = m.transpose()
-    shifted = _shifted(linalg._interaction_gram(m, t, "users"), lam)
     return linalg.csr_matmul(t.indptr, t.indices, linalg.spd_solve(shifted, m.toarray()))
 
 

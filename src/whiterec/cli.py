@@ -131,6 +131,8 @@ class PipelineConfig:
             raise ConfigError(f"cutoffs must be positive, got {list(self.cutoffs)}")
         if self.data_format not in ("csv", "tsv"):
             raise ConfigError(f"data_format must be csv or tsv, got {self.data_format!r}")
+        if not self.output_dir:
+            raise ConfigError("output directory must not be empty")
 
 
 _INT_KEYS = {"min_user_interactions", "min_item_interactions", "rng_seed",
@@ -255,9 +257,12 @@ def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
     kind = KINDS[config.kind]
     if not kind.uses_embedding_dim:
         return kind.build(train, config.lam)
-    # Embedding kinds share the factorization step.
-    d = min(train.n_items - 1, config.embedding_dim) if train.n_items > 1 else 1
-    d = min(d, train.n_users)
+    # Embedding kinds share the factorization step, which has at most
+    # min(|U|, |I|) dimensions.
+    d = min(config.embedding_dim, train.n_users, train.n_items)
+    if d < config.embedding_dim:
+        print(f"warning: embedding_dim {config.embedding_dim} exceeds min(|U|, |I|) = {d} "
+              f"of the train split; training with {d}", file=sys.stderr)
     emb = embedding_mod.svd_embed(train, d)
     embedding_mod.save_embeddings(
         emb, train.item_ids, Path(config.output_dir) / "embeddings.bin"

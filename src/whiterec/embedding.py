@@ -59,11 +59,7 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
             f"[1, {min(X.n_users, X.n_items)}], got {d}"
         )
     items_side = X.n_items <= X.n_users
-    if items_side:
-        eig = linalg.eigh(linalg.gram(X, side="items"), k=d)
-    else:
-        t = X.transpose()
-        eig = linalg.eigh(linalg._interaction_gram(X, t, "users"), k=d)
+    eig = linalg.eigh(linalg.gram(X, side="items" if items_side else "users"), k=d)
     sq = np.maximum(eig.eigenvalues, 0.0)
     rank_tol = linalg.RANK_RTOL * max(eig.eigenvalues[0], 0.0)
     deficient = sq <= rank_tol
@@ -79,6 +75,7 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
         e = np.sqrt(sigma)[:, np.newaxis] * eig.eigenvectors.T
     else:
         # V_d = X^T U_d / sigma, so E = sigma^{-1/2} U_d^T X.
+        t = X.transpose()
         utx = linalg.csr_matmul(t.indptr, t.indices, eig.eigenvectors).T
         scale = np.zeros(d)
         np.divide(1.0, np.sqrt(sigma), out=scale, where=~deficient)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ class EvalReport:
     means: dict[tuple[str, int], float]
     per_user: dict[tuple[str, int], np.ndarray]
     n_users_evaluated: int
-    excluded_users: dict[str, int] = field(default_factory=dict)
-    evaluated_rows: list[int] = field(default_factory=list)
+    excluded_users: dict[str, int]
+    evaluated_rows: list[int]
 
     def mean(self, metric: str, r: int) -> float:
         return self.means[(metric, r)]
@@ -153,7 +153,6 @@ def export_per_user_csv(report: EvalReport, user_ids: list[str],
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "metric", "cutoff", "value"])
-        rows = report.evaluated_rows or list(range(report.n_users_evaluated))
         for (metric, r), values in sorted(report.per_user.items()):
-            for u, value in zip(rows, values):
+            for u, value in zip(report.evaluated_rows, values):
                 writer.writerow([user_ids[u], metric, r, repr(float(value))])

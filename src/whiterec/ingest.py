@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -141,6 +142,10 @@ class SplitSpec:
             raise ValueError("minimum interaction counts must be >= 1")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        # A NaN threshold would keep every rating: ~(r < nan) is all True.
+        if self.rating_threshold is not None and not math.isfinite(self.rating_threshold):
+            raise ValueError(
+                f"rating_threshold must be finite or none, got {self.rating_threshold}")
 
     def n_heldout_users(self, n_users: int) -> int:
         """Users drawn for each of validation and test out of ``n_users``."""
@@ -152,11 +157,12 @@ class InteractionMatrix:
 
     Rows are users, columns are items; stored entries are implicitly 1.
     The matrix is kept as canonical CSR arrays: row ``u``'s item indices
-    are ``indices[indptr[u]:indptr[u + 1]]``, sorted and unique. Both
-    arrays are int32 when every index and ``nnz`` fit, else int64.
+    are ``indices[indptr[u]:indptr[u + 1]]``, sorted and unique, int64.
 
     ``csr`` is the arrays ``(indptr, indices, shape)``. They are copied,
-    and a row whose columns are not strictly ascending is rejected.
+    and a row whose columns are not strictly ascending is rejected. A
+    matrix is not modified after it is built, so its transpose is made
+    once and kept (see :meth:`transpose`).
     """
 
     def __init__(self, csr, user_ids: list[str], item_ids: list[str]):
@@ -174,9 +180,8 @@ class InteractionMatrix:
             raise ValueError("CSR row pointers do not match the matrix")
         if len(indices) and (indices.min() < 0 or indices.max() >= n_items):
             raise ValueError(f"column index outside the {n_users} x {n_items} matrix")
-        dtype = _index_dtype(len(indices), *shape)
-        self.indptr = indptr.astype(dtype)
-        self.indices = indices.astype(dtype)
+        self.indptr = indptr.astype(np.int64)
+        self.indices = indices.astype(np.int64)
         self.shape = shape
         self.user_ids = list(user_ids)
         self.item_ids = list(item_ids)
@@ -201,8 +206,12 @@ class InteractionMatrix:
         return len(self.indices)
 
     def transpose(self) -> "InteractionMatrix":
-        """The items x users matrix: one stable sort of the entries by item
-        keeps each item's users ascending, so the result is canonical."""
+        """The items x users matrix, made on the first call and kept."""
+        return self._transposed
+
+    @functools.cached_property
+    def _transposed(self) -> "InteractionMatrix":
+        # A stable sort by item keeps each item's users ascending: canonical.
         order = np.argsort(self.indices, kind="stable")
         return InteractionMatrix(
             _csr(self.indices[order], self._entry_rows()[order], self.n_items, self.n_users),
@@ -275,11 +284,6 @@ def _unique(a: np.ndarray) -> np.ndarray:
     first = np.ones(len(a), dtype=bool)
     first[1:] = a[1:] != a[:-1]
     return a[first]
-
-
-def _index_dtype(*sizes: int) -> type:
-    """int32 when every size fits in it, else int64."""
-    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):

@@ -35,9 +35,11 @@ GRAM_BYTE_CAP: ContextVar[int] = ContextVar("GRAM_BYTE_CAP", default=1 << 30)
 # block holds about 20 bytes of index arrays per pair.
 GRAM_BLOCK_PAIRS = 1 << 18
 
-# Output bytes csr_matmul forms at once. A block small enough to stay in
-# cache is three times faster than the whole X^T z at 2,500 items, and
-# bounds the workspace beyond the result.
+# Output bytes csr_matmul forms at once, and so the bytes of scores
+# ranking holds at once (recommend.ranked_blocks). A block small enough to
+# stay in cache is three times faster than the whole X^T z at 2,500
+# items, and bounds the workspace beyond the result; larger score blocks
+# are no faster and raise peak memory.
 PRODUCT_BLOCK_BYTES = 1 << 20
 
 # Eigenvalues below RANK_RTOL * largest are treated as zero rank.
@@ -87,32 +89,22 @@ def gram(M, side: str = "items") -> np.ndarray:
     returns M M^T, the Gram of the rows (|U| x |U| for interactions, D x D
     for embeddings). This is the one place a Gram matrix is formed.
     Interactions are never densified: their Gram is X^T X or X X^T
-    counted by :func:`_pair_counts`, exact integers, so it equals any
-    exact sparse product bit for bit. Counting needs X's transpose; a
-    caller that goes on to form X^T products calls
-    :func:`_interaction_gram` with the one it made.
+    counted by :func:`_pair_counts` from X and its kept transpose, exact
+    integers, so it equals any exact sparse product bit for bit.
     """
-    if isinstance(M, InteractionMatrix):
-        return _interaction_gram(M, M.transpose(), side)
-    m = np.asarray(M, dtype=np.float64)
-    _check_gram(m.shape, side)
+    if side not in ("items", "users"):
+        raise ValueError(f"side must be 'items' or 'users', got {side!r}")
+    interactions = isinstance(M, InteractionMatrix)
+    m = M if interactions else np.asarray(M, dtype=np.float64)
+    dim = m.shape[1] if side == "items" else m.shape[0]
+    check_capacity(dim, dim, f"{side}-side Gram matrix")
+    if interactions:
+        t = m.transpose()
+        return _pair_counts(t, m) if side == "items" else _pair_counts(m, t)
     # A dense A^T A pairs the same products in the same order for (i, j)
     # and (j, i) (BLAS syrk fills one triangle and copies it), so it is
     # already exactly symmetric.
     return m.T @ m if side == "items" else m @ m.T
-
-
-def _interaction_gram(X: InteractionMatrix, t: InteractionMatrix, side: str) -> np.ndarray:
-    """gram(X, side) counted with ``t = X.transpose()``."""
-    _check_gram(X.shape, side)
-    return _pair_counts(t, X) if side == "items" else _pair_counts(X, t)
-
-
-def _check_gram(shape: tuple[int, int], side: str) -> None:
-    if side not in ("items", "users"):
-        raise ValueError(f"side must be 'items' or 'users', got {side!r}")
-    dim = shape[1] if side == "items" else shape[0]
-    check_capacity(dim, dim, f"{side}-side Gram matrix")
 
 
 def _pair_counts(a: InteractionMatrix, b: InteractionMatrix) -> np.ndarray:

@@ -37,10 +37,6 @@ from .autoencoder import SimilarityMatrix
 from .errors import WhiterecError
 from .ingest import InteractionMatrix
 
-# Bytes of float64 scores held at once; a block has this many bytes' worth
-# of fold-in rows. Larger blocks are no faster and raise peak memory.
-SCORE_BLOCK_BYTES = 1 << 20
-
 # Output rows each worker of write_recommendations must have: a worker
 # with fewer costs more to fork and collect than it saves. Fresh
 # ``recommend`` processes on a 2-core VM, one process against two (medians
@@ -107,7 +103,8 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix, n: int,
         )
     if not np.isfinite(B.values).all():
         raise ValueError(f"{B.kind} similarity matrix has non-finite entries")
-    rows = max(1, SCORE_BLOCK_BYTES // (8 * max(B.dim, 1)))
+    # A score block is exactly the output block csr_matmul forms.
+    rows = max(1, linalg.PRODUCT_BLOCK_BYTES // (8 * max(B.dim, 1)))
     linalg.check_capacity(rows, B.dim, "score block")
     stop = foldin.n_users if stop is None else stop
     return (_ranked_block(foldin, B, n, first, min(first + rows, stop))

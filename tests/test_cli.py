@@ -30,7 +30,10 @@ from whiterec.cli import (
 )
 from whiterec.errors import (CapacityError, ConfigError, NotSPDError, ParseError,
                              VocabularyMismatchError)
+from whiterec.embedding import load_embeddings
 from whiterec.ingest import HeldOutSet, InteractionMatrix, SplitSpec, save_split
+
+from conftest import random_interactions
 
 
 def write_dataset(path, n_users=40, n_items=10, seed=99):
@@ -492,6 +495,51 @@ class TestTrainCommand:
             blobs.append((tmp_path / sub / "model_ease.bin").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("shape", [(30, 8), (8, 30)], ids=["tall", "wide"])
+    def test_every_kind_forms_its_grams_in_linalg_gram(self, tmp_path, monkeypatch, shape):
+        # Every Gram of X is counted inside linalg.gram: none escapes its
+        # span in a traced run.
+        X = random_interactions(np.random.default_rng(7), *shape)
+        grams, inside = [], []
+        gram, pair_counts = linalg.gram, linalg._pair_counts
+
+        def spy_gram(M, side="items"):
+            grams.append(side)
+            inside.append(True)
+            try:
+                return gram(M, side)
+            finally:
+                inside.pop()
+
+        def spy_pair_counts(a, b):
+            assert inside, "a Gram of X was counted outside linalg.gram"
+            return pair_counts(a, b)
+
+        monkeypatch.setattr(linalg, "gram", spy_gram)
+        monkeypatch.setattr(linalg, "_pair_counts", spy_pair_counts)
+        for kind, spec in KINDS.items():
+            grams.clear()
+            config = base_config(tmp_path, kind=kind, output_dir=str(tmp_path),
+                                 embedding_dim=4 if spec.uses_embedding_dim else None)
+            cli.train_similarity(config, X)
+            assert grams, kind
+
+    @pytest.mark.parametrize("wide, dim, trained", [(False, 6, 6), (False, 9, 6), (True, 7, 6)])
+    def test_embedding_dim_capped_at_smaller_side(self, tmp_path, capsys, wide, dim, trained):
+        dense = np.vstack([np.eye(6), [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0]]])
+        X = InteractionMatrix.from_dense(dense.T if wide else dense)
+        config = base_config(tmp_path, kind="embed_ridge", embedding_dim=dim,
+                             output_dir=str(tmp_path))
+        cli.train_similarity(config, X)
+        emb, _ = load_embeddings(tmp_path / "embeddings.bin")
+        assert emb.values.shape == (trained, X.n_items)
+        err = capsys.readouterr().err
+        if dim == trained:
+            assert err == ""
+        else:
+            assert err == (f"warning: embedding_dim {dim} exceeds min(|U|, |I|) = {trained} "
+                           f"of the train split; training with {trained}\n")
+
 
 class TestEvaluateCommand:
     def test_metrics_in_range(self, pipeline, capsys):
@@ -805,6 +853,36 @@ class TestBadInput:
         assert main(["preprocess", "--config", str(cfg), "--seed", "-1"]) == EXIT_GENERIC
         assert "rng_seed must be >= 0, got -1" in self.error(capsys)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_rating_threshold_rejected_before_reading(self, tmp_path, capsys,
+                                                                 threshold):
+        # A NaN threshold kept every rating; the data file does not exist,
+        # so a late check would exit 2 on it.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_path = {tmp_path / 'missing.csv'}\n"
+                       f"output = {tmp_path / 'out'}\nrating_threshold = {threshold}\n")
+        assert main(["preprocess", "--config", str(cfg)]) == EXIT_GENERIC
+        assert (f"rating_threshold must be finite or none, got {float(threshold)}"
+                in self.error(capsys))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_empty_output_rejected(self, tmp_path, monkeypatch, capsys, via):
+        # An empty output would write every artifact into the working directory.
+        write_dataset(tmp_path / "data.csv")
+        cfg = write_config(tmp_path)
+        argv = ["preprocess", "--config", str(cfg)]
+        if via == "config":
+            cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\noutput =\n")
+        else:
+            argv += ["--output", ""]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(argv) == EXIT_GENERIC
+        assert "output directory must not be empty" in self.error(capsys)
+        assert list(work.iterdir()) == []
 
 
 class TestPlainLogFastPath:

@@ -6,7 +6,7 @@ import pytest
 
 from whiterec.errors import EvaluationError
 from whiterec.evalmetrics import evaluate, export_per_user_csv, ndcg_at_r, recall_at_r
-from whiterec import recommend
+from whiterec import linalg
 from whiterec.recommend import RankedList
 
 from test_recommend import heldout, naive_rank, sim
@@ -169,7 +169,7 @@ class TestEvaluate:
             targs.append([] if u % 3 == 1 else sorted(items[5:5 + u % 5 + 1].tolist()))
         H = heldout(folds, targs, n_items)
         cutoffs = [1, 3, 8, 20]
-        monkeypatch.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * block_rows)
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n_items * block_rows)
         report = evaluate(H, sim(values), cutoffs)
         evaluable = [u for u, t in enumerate(targs) if t]
         assert report.evaluated_rows == evaluable

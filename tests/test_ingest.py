@@ -661,7 +661,7 @@ def coo_csr(rows, cols, shape) -> sp.csr_matrix:
 def assert_same_csr(X: InteractionMatrix, m: sp.csr_matrix):
     assert X.shape == m.shape
     for got, expected in ((X.indptr, m.indptr), (X.indices, m.indices)):
-        assert got.dtype == expected.dtype
+        assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
 
 

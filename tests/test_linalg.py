@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,14 +143,16 @@ class TestInteractionKernels:
         scale = 1.0 / np.sqrt(np.sqrt(eig.eigenvalues))
         embedding = scale[:, np.newaxis] * linalg.csr_matmul(t.indptr, t.indices,
                                                              eig.eigenvectors).T
-        calls = []
-        transpose = InteractionMatrix.transpose
-        monkeypatch.setattr(InteractionMatrix, "transpose",
-                            lambda m: calls.append(m) or transpose(m))
-        assert bitwise_equal(whitened_gram(X, 2.0), ridge)
-        assert len(calls) == 1
-        assert bitwise_equal(svd_embed(X, 3).values, embedding)
-        assert len(calls) == 2
+        # Count the transposes made, on a copy of X with none made yet.
+        made = []
+        make = InteractionMatrix.__dict__["_transposed"].func
+        spy = functools.cached_property(lambda m: made.append(m) or make(m))
+        spy.__set_name__(InteractionMatrix, "_transposed")
+        monkeypatch.setattr(InteractionMatrix, "_transposed", spy)
+        Y = InteractionMatrix((X.indptr, X.indices, X.shape), X.user_ids, X.item_ids)
+        assert bitwise_equal(whitened_gram(Y, 2.0), ridge)
+        assert bitwise_equal(svd_embed(Y, 3).values, embedding)
+        assert len(made) == 1 and made[0] is Y
 
     def test_users_side_svd_embed_matches_scipy_product(self, rng):
         X = random_interactions(rng, 6, 9, density=0.5)

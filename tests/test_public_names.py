@@ -31,3 +31,10 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(f"whiterec.{module_name}"),
                                        name, None))]
     assert missing == []
+
+
+def test_list_shaped_oracles_not_exported():
+    # No command runs them; they stay in their modules for tests and the tracer.
+    oracles = {"RankedList", "batch_recommend", "score_user", "top_n",
+               "recall_at_r", "ndcg_at_r"}
+    assert oracles.isdisjoint(whiterec.__all__)

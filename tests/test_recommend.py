@@ -105,7 +105,7 @@ class TestScoringKernel:
 
         foldin = heldout([r.tolist() for r in rows], [[] for _ in rows], n_items).foldin
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * 3)
+            mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n_items * 3)
             for start, items, scores, lengths in recommend.ranked_blocks(
                     foldin, sim(values), n_items):
                 for r, length in enumerate(lengths.tolist()):
@@ -281,7 +281,7 @@ class TestBatchRecommend:
         foldin = heldout(rows, [[] for _ in rows], n_items).foldin
         with pytest.MonkeyPatch.context() as mp:
             # Blocks of block_rows users, so most cases span several blocks.
-            mp.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * block_rows)
+            mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n_items * block_rows)
             ranked = batch_recommend(foldin, sim(values), n)
         assert [rl.user for rl in ranked] == list(range(n_users))
         for rl, row, expected in zip(ranked, rows, naive_rank(rows, values, n)):
@@ -455,6 +455,6 @@ class TestWriteRecommendations:
             [u for u, row in enumerate(rows) for _ in row], [i for row in rows for i in row],
             n_users, n_items, ids[:n_users], ids[7:7 + n_items])
         with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recommend, "SCORE_BLOCK_BYTES", 8 * n_items * block_rows)
+            mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n_items * block_rows)
             assert_writer_matches_export(foldin, values, n, ids[7:7 + n_items], workers,
                                          directory)
