@@ -6,7 +6,8 @@ entry per payload column. Header fields are struct codes ("I", "d") or
 "s", a uint32 byte length followed by UTF-8.
 
 Reading rejects what no writer produces: wrong magic or version,
-truncation, trailing bytes, non-finite payload values, undecodable text.
+truncation, trailing bytes, non-finite payload values, undecodable text,
+a vocabulary that repeats an id.
 Writing goes through :func:`atomic_open`, which every whiterec file writer
 uses: a reader sees the old file or the complete new one, never a part.
 """
@@ -99,7 +100,17 @@ class Layout:
         vocab = [unpack("s") for _ in range(cols)]
         if offset != len(buf):
             raise ParseError(f"{path}: {len(buf) - offset} trailing bytes after the vocabulary")
+        reject_repeated_ids(vocab, path, "vocabulary entry")
         return header, values, vocab
+
+
+def reject_repeated_ids(ids: list[str], path: str | Path, unit: str) -> None:
+    """A ParseError naming the first id that repeats, counting ids from 1."""
+    if len(set(ids)) != len(ids):
+        first: dict[str, int] = {}
+        for k, x in enumerate(ids, start=1):
+            if first.setdefault(x, k) != k:
+                raise ParseError(f"{path}: {unit} {k}: id {x!r} repeats {unit} {first[x]}")
 
 
 def _text(value: str) -> bytes:

@@ -7,8 +7,8 @@ suppressed later, at ranking time); EASE constrains diag(B) = 0 via
 Lagrange multipliers and stays closed form. The dual ridge form
 M^T (M M^T + lam I)^{-1} M is the item Gram of the ZCA-whitened features,
 so one function (:func:`whitened_gram`) serves interactions and
-embeddings alike. Every lam I shift, and so every lam > 0 check, is in
-:func:`_shifted`."""
+embeddings alike, for ridge and for EASE on wide M. Every lam I shift, and
+so every lam > 0 check, is in :func:`_shifted`."""
 
 from __future__ import annotations
 
@@ -91,10 +91,21 @@ def ease(M, lam: float) -> EaseSolution:
     """Zero-diagonal closed form B = I - P_hat diagMat(1 / diag(P_hat)).
 
     M is any feature matrix (see linalg.gram): interactions X, or
-    embeddings E with E^T E in place of X^T X.
+    embeddings E with E^T E in place of X^T X. As in ridge, the smaller Gram
+    is inverted: wide M (more items than rows) takes P_hat by the Woodbury
+    identity, (I - whitened_gram(M, lam)) / lam, the more accurate route there.
     """
-    # G is dropped once shifted, so at most two |I| x |I| arrays are live.
-    p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam))
+    rows, items = M.shape
+    if items <= rows:
+        # G is dropped once shifted, so at most two |I| x |I| arrays are live.
+        p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam))
+    else:
+        # (I - W) / lam in W's own array: 0 - W, then + 1 on the diagonal, are
+        # the bits of I - W.
+        p_hat = whitened_gram(M, lam)
+        np.subtract(0.0, p_hat, out=p_hat)
+        p_hat[np.diag_indices(items)] += 1.0
+        p_hat /= lam
     d = np.diag(p_hat).copy()
     if not np.all(d > 0.0):
         raise NumericalError(

@@ -129,6 +129,8 @@ class PipelineConfig:
             raise ConfigError(f"gram_byte_cap must be >= 1, got {self.gram_byte_cap}")
         if not self.cutoffs or any(r < 1 for r in self.cutoffs):
             raise ConfigError(f"cutoffs must be positive, got {list(self.cutoffs)}")
+        if len(set(self.cutoffs)) != len(self.cutoffs):
+            raise ConfigError(f"cutoffs must not repeat, got {list(self.cutoffs)}")
         if self.data_format not in ("csv", "tsv"):
             raise ConfigError(f"data_format must be csv or tsv, got {self.data_format!r}")
         if not self.output_dir:

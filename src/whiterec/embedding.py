@@ -4,9 +4,9 @@ Embeddings are the D x |I| matrix E = S^{1/2} V^T taken from the top-D
 singular triplets of the interaction matrix. The triplets come from the
 top-D eigenpairs of whichever Gram matrix is smaller (the other
 eigenpairs are never computed), not from a general SVD of the full
-matrix. The ridge autoencoder on embeddings uses the dual D x D form, so
-its cost scales with D rather than |I|; the EASE variant has no such
-shortcut and goes through the |I| x |I| inverse.
+matrix. Both autoencoders on embeddings invert only the D x D Gram, so
+their cost follows D rather than |I|: ridge is the whitened embedding
+Gram, and EASE (for D < |I|) its zero-diagonal normalization.
 """
 
 from __future__ import annotations
@@ -103,8 +103,9 @@ def embed_ridge(e: EmbeddingMatrix, lam: float) -> SimilarityMatrix:
 def embed_ease(e: EmbeddingMatrix, lam: float) -> SimilarityMatrix:
     """EASE on embeddings: the usual closed form with Gram E^T E.
 
-    The zero-diagonal constraint forces the |I| x |I| inverse, so unlike
-    embed_ridge this is the expensive path.
+    For D < |I|, ease takes (E^T E + lam I)^{-1} from the D x D Gram by the
+    Woodbury identity, as (I - whitened_gram(E, lam)) / lam: the same solve
+    as embed_ridge, then the zero-diagonal step.
     """
     b = ease(e.values, lam).B.values
     return SimilarityMatrix(b, "embed_ease", {"lambda": lam, "embedding_dim": e.dim})

@@ -114,6 +114,8 @@ def evaluate(H: HeldOutSet, B: SimilarityMatrix, cutoffs: list[int]) -> EvalRepo
         raise ValueError("cutoffs must be non-empty")
     if any(r < 1 for r in cutoffs):
         raise ValueError(f"cutoffs must all be >= 1, got {cutoffs}")
+    if len(set(cutoffs)) != len(cutoffs):
+        raise ValueError(f"cutoffs must not repeat, got {cutoffs}")
     indptr, indices = H.targets.indptr, H.targets.indices
     n_targets = np.diff(indptr)
     blocks = []

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import atomic_open
+from .artifact import atomic_open, reject_repeated_ids
 from .errors import EmptyDatasetError, ParseError, SplitError
 
 _HEADER_NAMES = {
@@ -807,9 +807,5 @@ def load_split(outdir: str | Path) -> tuple[InteractionMatrix, HeldOutSet, HeldO
 def _read_vocabulary(path: Path) -> list[str]:
     """The ids of a split sidecar; a repeated id is a ParseError naming its line."""
     ids = read_lines(path)
-    if len(set(ids)) != len(ids):
-        first: dict[str, int] = {}
-        for k, x in enumerate(ids, start=1):
-            if first.setdefault(x, k) != k:
-                raise ParseError(f"{path}: line {k}: id {x!r} repeats line {first[x]}")
+    reject_repeated_ids(ids, path, "line")
     return ids

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,8 +190,14 @@ class TestEase:
             ease(random_interactions(rng, 4, 3), 1.0)
 
     def test_inverse_is_the_only_item_sized_workspace(self, rng):
-        n_items = 1200
-        e = rng.normal(size=(4, n_items))
+        self.assert_two_item_sized_arrays(rng.normal(size=(4, 1200)))  # wide
+
+    def test_tall_route_has_the_same_workspace(self, rng):
+        self.assert_two_item_sized_arrays(rng.normal(size=(1250, 1200)))
+
+    @staticmethod
+    def assert_two_item_sized_arrays(e):
+        n_items = e.shape[1]
         ease(e[:, :5], 1.0)  # bind the LAPACK extension outside the traced window
         output_bytes = n_items * n_items * 8
         tracemalloc.start()
@@ -200,11 +207,92 @@ class TestEase:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # B and P_hat are returned, so two |I| x |I| arrays must exist; the
-        # Gram is dropped once shifted, and the shifted copy once inverted,
-        # so a third item-sized intermediate would push the peak to 3x.
+        # B and P_hat are returned, so two |I| x |I| arrays must exist. Tall
+        # M drops the Gram once shifted, and the shifted copy once inverted;
+        # wide M turns the whitened Gram into P_hat in place. A third
+        # item-sized intermediate would push the peak to 3x.
         assert sol.B.dim == sol.p_hat.shape[0] == n_items
         assert peak - before < 2.5 * output_bytes
+
+
+def exact_ease(m, lam):
+    """EASE's B for the exact values of float m and lam, in rational arithmetic."""
+    rows, n = m.shape
+    f = [[Fraction(float(v)) for v in row] for row in m]
+    # Gauss-Jordan on [M^T M + lam I | I]; the left block is SPD, so no pivoting.
+    a = [[sum(f[k][i] * f[k][j] for k in range(rows)) + Fraction(lam) * (i == j)
+          for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    p = [row[n:] for row in a]
+    return np.array([[0.0 if i == j else float(-p[i][j] / p[j][j]) for j in range(n)]
+                     for i in range(n)])
+
+
+# Wide feature matrices, and the relative Frobenius error of EASE's B they
+# must meet against exact_ease for every lam in TestEaseRoutes.LAMBDAS.
+WIDE_CASES = {
+    "E 3x6": (np.random.default_rng(18).normal(size=(3, 6)), 1e-12),
+    "E 4x8": (np.random.default_rng(19).normal(size=(4, 8)), 1e-12),
+    "X 4x9, rows 0 and 3 equal": (InteractionMatrix.from_dense([
+        [0, 1, 1, 0, 0, 0, 0, 0, 1],
+        [0, 1, 1, 0, 1, 1, 1, 1, 0],
+        [1, 0, 1, 0, 0, 0, 0, 1, 1],
+        [0, 1, 1, 0, 0, 0, 0, 0, 1]]), 1e-12),
+    # Row 1 holds item 5 alone, so e_5 lies in the row space: W_55 -> 1 as
+    # lam -> 0 and 1 - W_55 cancels. At lam = 1e-6 this route loses 8.1e-12
+    # here, and inverting the item Gram 8.6e-11.
+    "X 3x7, rows 0 and 2 equal, item 5 explained": (InteractionMatrix.from_dense([
+        [1, 0, 1, 1, 1, 1, 0],
+        [0, 0, 0, 0, 0, 1, 0],
+        [1, 0, 1, 1, 1, 1, 0]]), 1e-11),
+}
+
+
+class TestEaseRoutes:
+    """ease inverts the smaller Gram: wide M goes through the Woodbury identity."""
+
+    LAMBDAS = [1.0, 1e-2, 1e-4, 1e-6]
+
+    @pytest.mark.parametrize("case", WIDE_CASES)
+    def test_wide_matches_exact_reference(self, case):
+        # The item Gram of a wide M is rank-deficient, so inverting it loses
+        # 1e-10 or more of B by lam = 1e-6 on every case here.
+        m, bound = WIDE_CASES[case]
+        dense = m.toarray() if isinstance(m, InteractionMatrix) else m
+        for lam in self.LAMBDAS:
+            expected = exact_ease(dense, lam)
+            assert fro(ease(m, lam).B.values - expected) <= bound * fro(expected), lam
+
+    def test_tall_and_square_keep_the_item_inverse(self):
+        rng = np.random.default_rng(19)
+        tall = (rng.random((9, 4)) < 0.5).astype(np.float64)
+        tall[5] = tall[0]
+        cases = [rng.normal(size=(5, 5)), rng.normal(size=(7, 4)),
+                 InteractionMatrix.from_dense(tall)]
+        for m in cases:
+            for lam in self.LAMBDAS:
+                shifted = linalg.gram(m, "items")
+                shifted[np.diag_indices_from(shifted)] += lam
+                assert np.array_equal(ease(m, lam).p_hat, linalg.spd_inverse(shifted))
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["E", "X"])
+    @pytest.mark.parametrize("shape, calls", [
+        ((4, 9), ["users"]),
+        ((9, 4), ["items", "inverse"]),
+        ((5, 5), ["items", "inverse"]),
+    ], ids=["wide", "tall", "square"])
+    def test_inverts_the_smaller_gram(self, rng, monkeypatch, dense, shape, calls):
+        seen = []
+        gram, spd_inverse = linalg.gram, linalg.spd_inverse
+        monkeypatch.setattr(linalg, "gram", lambda M, side: seen.append(side) or gram(M, side))
+        monkeypatch.setattr(linalg, "spd_inverse",
+                            lambda a: seen.append("inverse") or spd_inverse(a))
+        ease(rng.normal(size=shape) if dense else random_interactions(rng, *shape), 1.0)
+        assert seen == calls
 
 
 class TestEaseDecompose:

@@ -146,6 +146,15 @@ class TestConfig:
         assert main(["preprocess", "--config", str(p), "--output", str(tmp_path)]) == EXIT_GENERIC
         assert f"gram_byte_cap must be >= 1, got {cap}" in capsys.readouterr().err
 
+    def test_repeated_cutoffs_rejected_before_reading(self, tmp_path, capsys):
+        # The model does not exist: a late check would exit 2 on it, and with
+        # no check the report listed [10, 10, 3] over metrics for 10 and 3.
+        with pytest.raises(ConfigError, match="cutoffs must not repeat"):
+            PipelineConfig(cutoffs=(10, 10, 3)).validate()
+        assert main(["evaluate", "--model", str(tmp_path / "ghost.bin"), "--cutoffs",
+                     "10,10,3", "--output", str(tmp_path)]) == EXIT_GENERIC
+        assert "cutoffs must not repeat, got [10, 10, 3]" in capsys.readouterr().err
+
     def test_every_flag_sets_its_field(self):
         args = build_parser().parse_args([
             "recommend", "--model", "m.bin", "--users", "u.csv", "--format", "tsv",
@@ -781,6 +790,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         return err
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    def test_model_vocabulary_repeats_an_id_exit_2(self, pipeline, capsys, command):
+        tmp_path, config = pipeline
+        cmd_train(config)
+        out = tmp_path / "out"
+        model = out / "model_ridge.bin"
+        sim, items = load_model(model)
+        save_model(sim, [items[0], *items[:-1]], model)
+        (tmp_path / "users.csv").write_text(f"alice,{items[1]}\n")
+        argv = {"evaluate": [], "recommend": ["--users", str(tmp_path / "users.csv")]}
+        code = main([command, "--model", str(model), "--output", str(out), *argv[command]])
+        assert code == EXIT_IO
+        assert (f"{model}: vocabulary entry 2: id {items[0]!r} repeats vocabulary entry 1"
+                in self.error(capsys))
+        assert not (out / "recommendations.csv").exists()
+        assert not (out / "eval_test_ridge.json").exists()
 
     def test_log_not_utf8_exit_2(self, tmp_path, capsys):
         write_dataset(tmp_path / "data.csv")

@@ -292,6 +292,12 @@ class TestPersistence:
         with pytest.raises(ParseError, match="truncated"):
             load_embeddings(path)
 
+    def test_repeated_id_rejected(self, tmp_path, rng):
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingMatrix(rng.normal(size=(2, 3))), ["x", "y", "x"], path)
+        with pytest.raises(ParseError, match="vocabulary entry 3: id 'x' repeats vocabulary entry 1"):
+            load_embeddings(path)
+
     def test_vocab_size_checked(self, rng, tmp_path):
         e = EmbeddingMatrix(rng.normal(size=(2, 3)))
         with pytest.raises(ValueError):

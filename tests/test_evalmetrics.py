@@ -199,6 +199,8 @@ class TestEvaluate:
             evaluate(H, b, [])
         with pytest.raises(ValueError):
             evaluate(H, b, [0])
+        with pytest.raises(ValueError, match="cutoffs must not repeat"):
+            evaluate(H, b, [2, 2, 1])
 
     def test_report_json_shape(self):
         b = sim(np.eye(3))

@@ -98,15 +98,17 @@ GOLDEN = {
             "9a32954ade4d9d52f63402035d2e14de8237571370a1c943c6d7011d7b6ad39e",
         "embeddings.bin": EMBEDDINGS,
     },
+    # Re-pinned (model and recommendations): wide E takes the Woodbury route,
+    # which rounds the last bits differently (4.8e-16 relative); ranks unchanged.
     "embed_ease": {
         "recommendations.csv":
-            "39108b44370c0021812f224e23750401ff209e2b2cb23323bdc0128b9371a3d9",
+            "605193caf9ffa7a353b2080a939ae02fad85c588e96938650f6929e79c1d3a73",
         "eval_test_embed_ease.json":
             "0b3928f5dc1f43bfa9fb21b667c838cc11d7eeee95b3aef243b6bd6399c7c1cb",
         "eval_test_embed_ease_per_user.csv":
             "c154df9085d10ae51812e70d13ea637198c3ea4c8e560c73bddda56de2981152",
         "model_embed_ease.bin":
-            "879a951cf7d180a3edadbdf128a8582612cfef42ed62371a4e17649eb2de6138",
+            "8e938ae9bfe92be1453171b426bc48a01b81ad05a3feb9b46871a48beffcbf8a",
         "embeddings.bin": EMBEDDINGS,
     },
 }
@@ -141,8 +143,10 @@ def write_inputs(tmp_path, n_users=200, n_items=30, seed=7):
         writer.writerow(("stranger", "unknown item"))
 
 
-def _digest(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _moved(out, golden):
+    """The names of the pinned files whose bytes differ from their digest."""
+    return [name for name, digest in golden.items()
+            if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest]
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
@@ -159,8 +163,7 @@ def test_golden_outputs(tmp_path, kind):
     assert main(["evaluate", "--model", model, *common]) == EXIT_OK
     assert main(["recommend", "--model", model, "--users", str(tmp_path / "users.csv"),
                  "-N", "7", *common]) == EXIT_OK
-    got = {name: _digest(out / name) for name in GOLDEN[kind]}
-    assert got == GOLDEN[kind]
+    assert _moved(out, GOLDEN[kind]) == []
 
 
 def test_golden_split(tmp_path):
@@ -168,5 +171,4 @@ def test_golden_split(tmp_path):
     out = tmp_path / "out"
     assert main(["preprocess", "--data", str(tmp_path / "data.csv"), "--output", str(out),
                  "--seed", "3"]) == EXIT_OK
-    got = {name: _digest(out / name) for name in GOLDEN_SPLIT}
-    assert got == GOLDEN_SPLIT
+    assert _moved(out, GOLDEN_SPLIT) == []
