@@ -67,39 +67,52 @@ class Layout:
             fh.write(b"".join(_text(item) for item in vocab))
 
     def read(self, path: str | Path) -> tuple[tuple, np.ndarray, list[str]]:
-        """Return (header, values, vocab), copying the payload out once."""
-        buf = memoryview(Path(path).read_bytes())
-        if buf[:8] != self.magic:
-            raise ParseError(f"{path}: bad magic {bytes(buf[:8])!r}, expected {self.magic!r}")
-        offset = 8
+        """Return (header, values, vocab); the payload is read straight into
+        its array, the one copy of it that is made."""
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            magic = fh.read(8)
+            if magic != self.magic:
+                raise ParseError(f"{path}: bad magic {magic!r}, expected {self.magic!r}")
+            offset = 8
 
-        def take(n: int) -> memoryview:
-            nonlocal offset
-            if offset + n > len(buf):
-                raise ParseError(f"{path}: truncated file (wanted {n} bytes at "
-                                 f"offset {offset} of {len(buf)})")
+            def truncated(n: int) -> ParseError:
+                return ParseError(f"{path}: truncated file (wanted {n} bytes at "
+                                  f"offset {offset} of {size})")
+
+            def take(n: int) -> bytes:
+                nonlocal offset
+                data = fh.read(n) if offset + n <= size else b""
+                if len(data) < n:
+                    raise truncated(n)
+                offset += n
+                return data
+
+            def unpack(code: str):
+                if code != "s":
+                    return struct.unpack("<" + code, take(struct.calcsize(code)))[0]
+                try:
+                    return str(take(unpack("I")), "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}: invalid UTF-8 before offset {offset}") from exc
+
+            version = unpack("I")
+            if version != self.version:
+                raise ParseError(f"{path}: unsupported version {version}")
+            header = tuple(unpack(code) for code in self.fields)
+            rows, cols = self.shape(header)
+            n = rows * cols * 8
+            if offset + n > size:  # checked before the array is made
+                raise truncated(n)
+            values = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(values.reshape(-1).view(np.uint8)) < n:
+                raise truncated(n)
             offset += n
-            return buf[offset - n:offset]
-
-        def unpack(code: str):
-            if code != "s":
-                return struct.unpack("<" + code, take(struct.calcsize(code)))[0]
-            try:
-                return str(take(unpack("I")), "utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: invalid UTF-8 before offset {offset}") from exc
-
-        version = unpack("I")
-        if version != self.version:
-            raise ParseError(f"{path}: unsupported version {version}")
-        header = tuple(unpack(code) for code in self.fields)
-        rows, cols = self.shape(header)
-        values = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
-        if not np.isfinite(values).all():
-            raise ParseError(f"{path}: payload contains non-finite values")
-        vocab = [unpack("s") for _ in range(cols)]
-        if offset != len(buf):
-            raise ParseError(f"{path}: {len(buf) - offset} trailing bytes after the vocabulary")
+            if not np.isfinite(values).all():
+                raise ParseError(f"{path}: payload contains non-finite values")
+            vocab = [unpack("s") for _ in range(cols)]
+        if offset != size:
+            raise ParseError(f"{path}: {size - offset} trailing bytes after the vocabulary")
         reject_repeated_ids(vocab, path, "vocabulary entry")
         return header, values, vocab
 

@@ -233,7 +233,8 @@ def cmd_preprocess(config: PipelineConfig) -> int:
     if not config.data_path:
         raise ConfigError("preprocess needs a data path (config data_path or --data)")
     spec = config.split_spec()
-    X = preprocess(load_interactions(config.data_path, config.data_format), spec)
+    X = preprocess(load_interactions(config.data_path, config.data_format,
+                                     spec.rating_threshold), spec)
     train, validation, test = split_strong_generalization(X, spec)
     n_drawn = spec.n_heldout_users(X.n_users)
     outdir = Path(config.output_dir)

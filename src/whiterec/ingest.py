@@ -8,12 +8,14 @@ divided into a fold-in part (given to the model) and a target part (what
 the model is scored against).
 
 A raw log is parsed into an :class:`InteractionLog`: integer user and item
-codes plus ratings, one array element per event. A plain log (printable
-ASCII, no quotes, one column count, no empty field) is split in blocks
-of bytes; any other log, and any log with an error, is read by a
-``csv.reader`` row loop, the only source of parse errors. Filtering
-works on those arrays only; id strings are looked at again just to sort
-the survivors.
+codes plus ratings, one array element per event; given a rating
+threshold, only the events that count as positive are kept, dropped
+before their ids are encoded. A plain log (printable ASCII, no quotes,
+one column count, no empty field) is split in blocks of bytes, in
+newline-aligned byte ranges over forked workers; any other log, and any
+log with an error, is read by a ``csv.reader`` row loop, the only source
+of parse errors. Filtering works on those arrays only; id strings are
+looked at again just to sort the survivors.
 
 The split draws the validation and test users from one seeded
 permutation, then each held-out user's fold-in items, user by user, into
@@ -36,13 +38,17 @@ import csv
 import functools
 import itertools
 import math
+import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from . import workers
 from .artifact import atomic_open, reject_repeated_ids
 from .errors import EmptyDatasetError, ParseError, SplitError
 
@@ -57,13 +63,21 @@ _HEADER_NAMES = {
 # 70 MiB with 64 KiB blocks and 95 MiB with 4 MiB blocks.
 PARSE_BLOCK_BYTES = 1 << 16
 
+# Bytes of a plain log that each worker of load_interactions must have:
+# a worker with fewer costs more to fork and collect than it saves.
+# load_interactions with a threshold on leading parts of a benchmark log,
+# one worker against two on a 2-core VM (in-process medians of 15, two
+# runs each): 256 KiB 10 against 18 ms, 512 KiB 19 against 26-29 ms,
+# 1 MiB 38-41 against 31-33 ms, 2 MiB 77-81 against 52-57 ms.
+PARSE_MIN_BYTES = 1 << 19
+
 # Bytes a plain log may hold besides the delimiter and "\n": printable
 # ASCII other than the quote character, which the csv module reads as
 # itself and str.strip leaves alone.
 _PLAIN_BYTES = np.zeros(256, dtype=bool)
 _PLAIN_BYTES[0x21:0x80] = True
 _PLAIN_BYTES[ord('"')] = False
-_NL = ord("\n")
+_NL, _0, _9 = ord("\n"), ord("0"), ord("9")
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +334,8 @@ class HeldOutSet:
         return self.foldin.n_items
 
 
-def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
+def load_interactions(path: str | Path, fmt: str = "csv",
+                      rating_threshold: float | None = None) -> InteractionLog:
     """Parse a CSV/TSV interaction log into an InteractionLog.
 
     Expected columns: user, item[, rating[, timestamp]]. A header line is
@@ -332,31 +347,95 @@ def load_interactions(path: str | Path, fmt: str = "csv") -> InteractionLog:
     field longer than ``csv.field_size_limit()`` or bytes that are not
     UTF-8, and EmptyDatasetError on empty input.
 
-    A plain log is tokenized in blocks (see :func:`_read_plain`): printable
-    ASCII without quotes or whitespace, one delimiter-separated column
-    count on every line, no empty field, ratings finite and timestamps
-    digits. Any other file, and any file with an error, is read by the
-    ``csv.reader`` loop of :func:`_read_rows`, which is the only source of
-    error messages; both readers give the same InteractionLog.
+    With a ``rating_threshold``, each event rated below it is dropped once
+    its row is checked and before its ids are encoded, so the log holds
+    only positive events (see :meth:`InteractionLog.positives`), and a log
+    left with none is an EmptyDatasetError. The result is the log read
+    without a threshold, filtered by ``positives`` and encoded again.
+
+    A plain log is tokenized in blocks, on every usable core (see
+    :func:`_read_plain`): printable ASCII without quotes or whitespace,
+    one delimiter-separated column count on every line, no empty field,
+    ratings finite and timestamps digits. Any other file, and any file
+    with an error, is read by the ``csv.reader`` loop of
+    :func:`_read_rows`, which is the only source of error messages; both
+    readers give the same InteractionLog.
     """
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"format must be 'csv' or 'tsv', got {fmt!r}")
     delimiter = "," if fmt == "csv" else "\t"
     path = Path(path)
-    log = _read_plain(path, delimiter)
-    return log if log is not None else _read_rows(path, delimiter)
+    log = _read_plain(path, delimiter, rating_threshold)
+    return log if log is not None else _read_rows(path, delimiter, rating_threshold)
 
 
-def _read_plain(path: Path, delimiter: str) -> InteractionLog | None:
-    """The log of a plain file, or None if any block of it is not plain.
+def _read_plain(path: Path, delimiter: str,
+                threshold: float | None = None) -> InteractionLog | None:
+    """The log of a plain regular file, or None if any part of it is not
+    plain, no event is kept, or the file is not a regular file.
+
+    The first line is read as the header rule says, and the column count
+    k is that of the first data line; a blank one gives k = 1, which is
+    left to the row reader. The data lines are cut into newline-aligned
+    byte ranges, one per worker (usable cores, at most one per
+    PARSE_MIN_BYTES). This process parses the first range, and a forked
+    child each other one (:func:`_range_bytes`); each range's ids are
+    encoded on their own, and their codes are mapped onto the ids of the
+    ranges before it, so the log is the one a single pass would give.
+    """
+    # A stream (a pipe, or a FIFO) can be neither cut into byte ranges nor
+    # read twice, so the row reader takes it, unopened, from its first byte.
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    d = delimiter.encode()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        start = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
+        fh.seek(start)
+        first = fh.readline()
+        header = first.removesuffix(b"\n")
+        if header.isascii() and _looks_like_header(header.decode().split(delimiter)):
+            start += len(first)
+            first = fh.readline()
+        k = first.count(d) + 1
+        if not first or not 2 <= k <= 4:
+            return None
+        n_workers = workers.worker_count(size - start, PARSE_MIN_BYTES)
+        bounds = [start]
+        for cut in range(1, n_workers):
+            # Each range ends at the first line start at or after its cut.
+            fh.seek(start + (size - start) * cut // n_workers - 1)
+            bounds.append(fh.tell() + len(fh.readline()))
+        bounds.append(size)
+    ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    jobs = [(f"parsing worker for bytes {a}-{b - 1} of {path}",
+             _range_bytes(path, a, b, k, delimiter, threshold)) for a, b in ranges[1:]]
+    with workers.forked(jobs) as results:
+        parts = [_parse_range(path, *ranges[0], k, delimiter, threshold)]
+        while parts[-1] is not None and len(parts) < len(ranges):
+            data = next(results)
+            parts.append(_from_bytes(data) if data else None)
+    # An empty log is left to the row reader too, for its error message.
+    if parts[-1] is None or not sum(map(len, parts)):
+        return None
+    return _join(parts)
+
+
+def _parse_range(path: Path, start: int, stop: int, k: int, delimiter: str,
+                 threshold: float | None) -> InteractionLog | None:
+    """The positive events of bytes ``start:stop`` of a log of k-field
+    lines, ids encoded in order of first appearance in the range; None if
+    the range is not plain.
 
     A block is plain when one numpy pass over its bytes finds only
     printable ASCII other than ``"``, the delimiter and ``\\n``, every line
-    made of the first data line's 2-4 fields, no empty field and none
-    longer than ``csv.field_size_limit()``. Then ``csv.reader`` would split
-    it at the same places and stripping would change no field, so a split
-    on the delimiter gives its rows. The first line is read as the header
-    rule says; a blank one is left to the row reader.
+    made of k fields, no empty field and none longer than
+    ``csv.field_size_limit()``. Then ``csv.reader`` would split it at the
+    same places and stripping would change no field. The separators give
+    each byte's column: the ratings are split out of the block for
+    ``float``, the timestamps must be ASCII digits, and only the kept rows'
+    user and item bytes become strings. Every row is checked before the
+    threshold drops any.
     """
     d = ord(delimiter)
     allowed = _PLAIN_BYTES.copy()
@@ -367,59 +446,105 @@ def _read_plain(path: Path, delimiter: str) -> InteractionLog | None:
     users: list[str] = []
     items: list[str] = []
     ratings: list[np.ndarray] = []
-    k = None
     with open(path, "rb") as fh:
-        for n, block in enumerate(_blocks(fh)):
-            if n == 0:
-                block = block.removeprefix(codecs.BOM_UTF8)
-                # A blank first line gives k = 1 below, so it is left to the
-                # row reader, which skips it.
-                first = block[:block.index(b"\n")]
-                if first.isascii() and _looks_like_header(first.decode().split(delimiter)):
-                    block = block[len(first) + 1:]
-                    if not block:
-                        continue
+        fh.seek(start)
+        for block in _blocks(fh, stop - start):
             a = np.frombuffer(block, np.uint8)
             if not allowed[a].all():
                 return None
             pos = np.flatnonzero((a == _NL) | (a == d))
-            seps = a[pos]
-            if k is None:
-                k = int(np.argmax(seps == _NL)) + 1
-                if not 2 <= k <= 4:
-                    return None
             if len(pos) % k:
                 return None
-            seps = seps.reshape(-1, k)
+            seps = a[pos].reshape(-1, k)
             width = np.diff(pos, prepend=-1).reshape(-1, k) - 1
             if ((seps[:, -1] != _NL).any() or (seps[:, :-1] != d).any()
                     or width.min() < 1 or width.max() > limit
                     or (k == 4 and digits and width[:, 3].max() > digits)):
                 return None
             rows = len(seps)
-            fields = block[:-1].decode("ascii").replace("\n", delimiter).split(delimiter)
-            users += fields[0::k]
-            items += fields[1::k]
+            # The column of every byte; a separator counts with the field it ends.
+            col = np.repeat(np.tile(np.arange(k, dtype=np.int8), rows), width.ravel() + 1)
+            keep = np.ones(rows, dtype=bool)
             if k == 2:
-                ratings.append(np.full(rows, math.nan))
-                continue
-            try:
-                values = np.fromiter(map(float, fields[2::k]), np.float64, rows)
-            except ValueError:
-                return None
-            if not np.isfinite(values).all() or (k == 4 and not "".join(fields[3::k]).isdigit()):
-                return None
-            ratings.append(values)
-    if not users:
-        return None
+                values = np.full(rows, math.nan)
+            else:
+                try:
+                    values = np.fromiter(map(float, _text(a[col == 2], delimiter)),
+                                         np.float64, rows)
+                except ValueError:
+                    return None
+                stamps = a[col == 3]
+                if not (np.isfinite(values).all()
+                        and ((stamps == _NL) | ((stamps >= _0) & (stamps <= _9))).all()):
+                    return None
+                if threshold is not None:
+                    keep = ~(values < threshold)
+            # Only the kept rows' ids are made into strings.
+            ids = a[(col < 2) & np.repeat(keep, width.sum(axis=1) + k)]
+            fields = _text(ids, delimiter)
+            users += fields[0:-1:2]
+            items += fields[1::2]
+            ratings.append(values[keep])
     return InteractionLog._from_strings(users, items, np.concatenate(ratings))
 
 
-def _blocks(fh):
-    """The bytes of ``fh`` in blocks of about PARSE_BLOCK_BYTES, each cut
-    after its last newline; a last line without one is given one."""
+def _text(a: np.ndarray, delimiter: str) -> list[str]:
+    """The fields of plain bytes ``a``, each ended by the delimiter or a
+    newline, and then an empty string."""
+    return a.tobytes().decode("ascii").replace("\n", delimiter).split(delimiter)
+
+
+def _range_bytes(path: Path, start: int, stop: int, k: int, delimiter: str,
+                 threshold: float | None) -> Iterator[bytes]:
+    """:func:`_parse_range` as the bytes :func:`_from_bytes` reads, or none at
+    all if the range is not plain: the event count and the byte length of
+    the user vocabulary as int64, the user codes, item codes and ratings,
+    then the user and the item vocabulary, each joined by newlines (a plain
+    id holds none)."""
+    part = _parse_range(path, start, stop, k, delimiter, threshold)
+    if part is not None:
+        user_ids = "\n".join(part.user_ids).encode("ascii")
+        yield np.array([len(part), len(user_ids)], np.int64).tobytes()
+        yield from (part.users.tobytes(), part.items.tobytes(), part.ratings.tobytes(),
+                    user_ids, "\n".join(part.item_ids).encode("ascii"))
+
+
+def _from_bytes(data: bytes) -> InteractionLog:
+    """The InteractionLog of a range that :func:`_range_bytes` sent."""
+    n, n_user_bytes = np.frombuffer(data, np.int64, 2).tolist()
+    users, items, ratings = (np.frombuffer(data, dtype, n, 16 + 8 * n * j)
+                             for j, dtype in enumerate((np.int64, np.int64, np.float64)))
+    vocab = data[16 + 24 * n:].decode("ascii")
+    user_ids, item_ids = vocab[:n_user_bytes], vocab[n_user_bytes:]
+    # Ids are never empty, so an empty text is an empty vocabulary.
+    return InteractionLog(users, items, ratings, user_ids.split("\n") if user_ids else [],
+                          item_ids.split("\n") if item_ids else [])
+
+
+def _join(parts: list[InteractionLog]) -> InteractionLog:
+    """The logs of consecutive ranges as one log."""
+    users, user_ids = _join_codes([(part.users, part.user_ids) for part in parts])
+    items, item_ids = _join_codes([(part.items, part.item_ids) for part in parts])
+    return InteractionLog(users, items, np.concatenate([part.ratings for part in parts]),
+                          user_ids, item_ids)
+
+
+def _join_codes(columns: list[tuple[np.ndarray, list[str]]]) -> tuple[np.ndarray, list[str]]:
+    """One column of codes and its vocabulary from ``(codes, ids)`` per range:
+    each range's new ids are appended in range order, and its codes mapped
+    through one int array, as if the ranges had been encoded as one."""
+    index: dict[str, int] = {}
+    joined = [np.fromiter((index.setdefault(x, len(index)) for x in ids), np.int64,
+                          len(ids))[codes] for codes, ids in columns]
+    return np.concatenate(joined), list(index)
+
+
+def _blocks(fh, size: int):
+    """The next ``size`` bytes of ``fh`` in blocks of about PARSE_BLOCK_BYTES,
+    each cut after its last newline; a last line without one is given one."""
     rest = b""
-    while chunk := fh.read(PARSE_BLOCK_BYTES):
+    while chunk := fh.read(min(PARSE_BLOCK_BYTES, size)):
+        size -= len(chunk)
         rest += chunk
         cut = rest.rfind(b"\n") + 1
         if cut:
@@ -429,7 +554,8 @@ def _blocks(fh):
         yield rest + b"\n"
 
 
-def _read_rows(path: Path, delimiter: str, escaped: bool = False) -> InteractionLog:
+def _read_rows(path: Path, delimiter: str, threshold: float | None = None,
+               escaped: bool = False) -> InteractionLog:
     """load_interactions by one ``csv.reader`` row at a time: the reader of
     every log that is not plain, and the source of every parse error.
 
@@ -441,6 +567,7 @@ def _read_rows(path: Path, delimiter: str, escaped: bool = False) -> Interaction
     ratings: list[float] = []
     nan, isfinite, strip = math.nan, math.isfinite, str.strip
     first = True
+    below = 0  # events rated below the threshold
     # utf-8-sig drops a leading byte order mark, so it cannot stick to the
     # first field. The file is streamed: held whole as text it would cost
     # about four bytes a character.
@@ -473,6 +600,9 @@ def _read_rows(path: Path, delimiter: str, escaped: bool = False) -> Interaction
                         int(timestamp)
                 except ValueError as exc:
                     raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                if threshold is not None and value < threshold:  # NaN is kept
+                    below += 1
+                    continue
                 users.append(user)
                 items.append(item)
                 ratings.append(value)
@@ -485,7 +615,8 @@ def _read_rows(path: Path, delimiter: str, escaped: bool = False) -> Interaction
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not users:
-        raise EmptyDatasetError(f"{path}: no interaction records found")
+        raise EmptyDatasetError(f"{path}: all interactions removed by the rating threshold"
+                                if below else f"{path}: no interaction records found")
     return InteractionLog._from_strings(users, items, ratings)
 
 

@@ -23,18 +23,15 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import linalg
+from . import linalg, workers
 from .artifact import atomic_open
 from .autoencoder import SimilarityMatrix
-from .errors import WhiterecError
 from .ingest import InteractionMatrix
 
 # Output rows each worker of write_recommendations must have: a worker
@@ -202,44 +199,28 @@ def write_recommendations(foldin: InteractionMatrix, B: SimilarityMatrix, n: int
     n), foldin.user_ids, item_ids, path)``, but ranked blocks turn into CSV
     text as they come, and no ``RankedList`` is built. The rows are cut
     into contiguous shards, one per worker (see :func:`_worker_count`).
-    Each shard after the first is ranked and formatted by a child made
-    with ``os.fork``, which sends its bytes back through a pipe; this
-    process formats the first shard meanwhile, then appends the others in
-    order. A row's list does not depend on the rows ranked with it, so the
-    file is the same whatever the number of workers. A failed worker is a
-    ``WhiterecError``; every child is reaped before this returns, and
-    killed first if anything failed.
+    Each shard after the first is ranked and formatted by a forked child
+    (:func:`whiterec.workers.forked`), which sends its bytes back through a
+    pipe; this process formats the first shard meanwhile, then appends the
+    others in order. A row's list does not depend on the rows ranked with
+    it, so the file is the same whatever the number of workers. A failed
+    worker is a ``WhiterecError``; every child is reaped before this
+    returns, and killed first if anything failed.
     """
     lengths = np.minimum(n, B.dim - np.diff(foldin.indptr))
-    workers = _worker_count(int(lengths.sum()), foldin.n_users)
-    bounds = [foldin.n_users * k // workers for k in range(workers + 1)]
+    n_workers = _worker_count(int(lengths.sum()), foldin.n_users)
+    bounds = [foldin.n_users * k // n_workers for k in range(n_workers + 1)]
     # Called here, so a bad model raises in this process before any fork.
     shards = [ranked_blocks(foldin, B, n, start, stop)
               for start, stop in zip(bounds, bounds[1:])]
     users, items = _csv_fields(foldin.user_ids), _csv_fields(item_ids)
-    pending: dict[int, IO[bytes]] = {}  # pid -> pipe of each child not yet reaped
-    try:
-        for shard in shards[1:]:
-            pid, pipe = _fork(_format_shard(shard, users, items))
-            pending[pid] = pipe
-        with atomic_open(path, "wb") as fh:
-            fh.write(CSV_HEADER)
-            fh.writelines(_format_shard(shards[0], users, items))
-            for k, (pid, pipe) in enumerate(list(pending.items()), 1):
-                with pipe:
-                    data = pipe.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del pending[pid]
-                if code:
-                    raise WhiterecError(
-                        f"ranking worker for fold-in rows {bounds[k]}-{bounds[k + 1] - 1} "
-                        f"failed with status {code}: {data.decode('utf-8', 'replace')}")
-                fh.write(data)
-    finally:
-        for pid, pipe in pending.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    jobs = [(f"ranking worker for fold-in rows {start}-{stop - 1}",
+             _format_shard(shard, users, items))
+            for start, stop, shard in zip(bounds[1:], bounds[2:], shards[1:])]
+    with workers.forked(jobs) as shard_bytes, atomic_open(path, "wb") as fh:
+        fh.write(CSV_HEADER)
+        fh.writelines(_format_shard(shards[0], users, items))
+        fh.writelines(shard_bytes)
     return lengths
 
 
@@ -248,11 +229,7 @@ def _worker_count(rows: int, users: int) -> int:
 
     Without ``os.fork`` there is one worker, this process.
     """
-    if not hasattr(os, "fork"):
-        return 1
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    cores = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    return max(1, min(cores, rows // FORK_MIN_ROWS, users))
+    return max(1, min(workers.worker_count(rows, FORK_MIN_ROWS), users))
 
 
 def _format_shard(blocks: Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
@@ -264,36 +241,3 @@ def _format_shard(blocks: Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray
             for user, row_items, row_scores, length in zip(
                 users[first:first + len(lengths)], ranked.tolist(), scores.tolist(),
                 lengths.tolist())).encode("utf-8")
-
-
-def _fork(chunks: Iterator[bytes]) -> tuple[int, IO[bytes]]:
-    """Produce ``chunks`` in a forked child: its pid and the pipe its bytes arrive on.
-
-    The child sends nothing before its last chunk is made, so it works
-    through its whole shard while this process formats the first one,
-    instead of stalling on a full pipe. On an error it sends the message
-    instead and exits with code 1. It always leaves by
-    ``os._exit``: no cleanup of this process runs twice, and no buffered
-    output is flushed twice.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            try:
-                data, code = list(chunks), 0
-            except BaseException as exc:
-                data = [f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")]
-            with open(write_end, "wb") as pipe:
-                pipe.writelines(data)
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, open(read_end, "rb")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from whiterec.artifact import Layout, atomic_open
-from whiterec.cli import EXIT_IO, EXIT_OK, PipelineConfig, cmd_preprocess, cmd_train, main
+from whiterec.autoencoder import SimilarityMatrix
+from whiterec.cli import (EXIT_IO, EXIT_OK, PipelineConfig, cmd_preprocess, cmd_train,
+                          load_model, main, save_model)
 from whiterec.embedding import load_embeddings
 from whiterec.errors import ParseError
 
@@ -44,6 +47,23 @@ def test_wrong_version(tmp_path):
     TOY.write(path, ("k", 1.0, 1), np.zeros((1, 2)), ["a", "b"])
     with pytest.raises(ParseError, match="version"):
         Layout(b"TOY-FILE", 4, "sdI", TOY.shape).read(path)
+
+
+def test_load_model_peaks_near_one_payload(tmp_path):
+    # The payload is read into its array, not read whole and then copied.
+    n = 300
+    values = np.random.default_rng(0).normal(size=(n, n))
+    path = tmp_path / "model.bin"
+    save_model(SimilarityMatrix(values, "ridge", {"lambda": 1.0}), [f"i{j}" for j in range(n)],
+               path)
+    tracemalloc.start()
+    try:
+        sim, _ = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(sim.values, values)
+    assert values.nbytes <= peak < 1.3 * values.nbytes
 
 
 @pytest.fixture(scope="module")

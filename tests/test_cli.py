@@ -948,6 +948,52 @@ class TestPlainLogFastPath:
         assert len(calls) == 1
 
 
+class TestPreprocessWorkers:
+    """preprocess with its log parsed over forked workers, and without os.fork."""
+
+    @staticmethod
+    def preprocess(tmp_path, name):
+        """main(["preprocess", ...]) into out_<name>; returns the exit code and
+        each written file's bytes, after checking that no child outlived main
+        and that no DeprecationWarning was emitted."""
+        out = tmp_path / f"out_{name}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["preprocess", "--config", str(write_config(tmp_path)),
+                         "--output", str(out)])
+        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    def test_forked_and_forkless_runs_match_one_process(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(5)
+        n = 900
+        rows = (rng.integers(0, 60, n).tolist(), rng.integers(0, 15, n).tolist(),
+                rng.integers(1, 6, n).tolist(), range(1000, 1000 + n))
+        (tmp_path / "data.csv").write_text(
+            "user,item,rating,timestamp\n" + "".join(map("u{},i{},{},{}\n".format, *rows)))
+        code, serial = self.preprocess(tmp_path, "serial")
+        assert code == EXIT_OK and "train.txt" in serial
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        assert self.preprocess(tmp_path, "forked") == (EXIT_OK, serial)
+        assert len(forks) == 2
+        monkeypatch.delattr(os, "fork")
+        assert self.preprocess(tmp_path, "forkless") == (EXIT_OK, serial)
+
+    def test_every_rating_below_threshold(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "data.csv").write_text("".join(f"u{u},i{u % 3},3\n" for u in range(40)))
+        monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", 1)
+        assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_GENERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "all interactions removed by the rating threshold" in err
+
+
 class TestEndToEndDeterminism:
     def test_pipeline_twice_bit_identical(self, tmp_path):
         write_dataset(tmp_path / "data.csv")

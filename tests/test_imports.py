@@ -13,9 +13,10 @@ kernel, so those three must run without any scipy module. Each check
 runs in a fresh interpreter, because this test process has scipy loaded
 already (pytest's ``filterwarnings`` imports ``scipy.sparse``).
 
-``recommend`` splits its rows over workers with a bare ``os.fork``; it
-must not pull in ``multiprocessing``, ``concurrent`` or ``subprocess``,
-whose imports would add to every command's startup.
+``preprocess`` parses its log, and ``recommend`` writes its rows, over
+workers made with a bare ``os.fork``; forced to fork, neither may pull in
+``multiprocessing``, ``concurrent`` or ``subprocess``, whose imports would
+add to every command's startup, nor any scipy module.
 """
 
 import json
@@ -124,14 +125,26 @@ def test_zca_training_loads_no_scipy(workdir, config):
 PROCESS_MODULES = ("multiprocessing", "concurrent", "subprocess")
 
 FORKING_SCRIPT = f"""
-import json, sys
-import whiterec.recommend
+import json, os, sys
+import whiterec.ingest, whiterec.recommend
 from whiterec.cli import main
+os.sched_getaffinity = lambda pid: {{0, 1}}
+whiterec.ingest.PARSE_MIN_BYTES = 1
 whiterec.recommend.FORK_MIN_ROWS = 1
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
                               if m.split(".")[0] in {PROCESS_MODULES!r}), {SCIPY_MODULES}]))
 """
+
+
+def test_forking_preprocess_loads_no_process_pool_or_scipy(workdir):
+    code, process_modules, scipy_loaded = run_fresh(
+        FORKING_SCRIPT, "preprocess", "--config", str(workdir / "run.cfg"),
+        "--output", str(workdir / "out_forked"))
+    assert code == 0
+    assert process_modules == []
+    assert scipy_loaded == []
+    assert (workdir / "out_forked" / "train.txt").exists()
 
 
 def test_forking_recommend_loads_no_process_pool_or_scipy(workdir, config):

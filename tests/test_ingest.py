@@ -1,5 +1,7 @@
 import csv
+import os
 import re
+import signal
 import warnings
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whiterec import ingest
-from whiterec.errors import EmptyDatasetError, ParseError, SplitError
+from whiterec.errors import EmptyDatasetError, ParseError, SplitError, WhiterecError
 from whiterec.ingest import (
     HeldOutSet,
+    InteractionLog,
     InteractionMatrix,
     SplitSpec,
     load_interactions,
@@ -391,10 +394,10 @@ def _log_texts(draw):
     return text, fmt
 
 
-def _load_outcome(path, fmt):
-    """load_interactions' columns, or its exception's type and message."""
+def _outcome(load):
+    """``load()``'s columns, or its exception's type and message."""
     try:
-        log = load_interactions(path, fmt)
+        log = load()
     except Exception as exc:
         return type(exc), str(exc)
     # Bytes, so NaN ratings compare equal.
@@ -402,13 +405,55 @@ def _load_outcome(path, fmt):
             log.user_ids, log.item_ids)
 
 
-class TestBulkTokenizer:
-    """The bulk path gives the csv.reader loop's InteractionLog or error."""
+def _load_outcome(path, fmt, threshold=None):
+    """load_interactions' columns, or its exception's type and message."""
+    return _outcome(lambda: load_interactions(path, fmt, threshold))
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(log=_log_texts(), block=st.sampled_from([1, 7, 32, 1 << 16]),
-           limit=st.sampled_from([None, None, 8]))
-    def test_same_log_or_error_as_row_reader(self, tmp_path_factory, log, block, limit):
+
+def _row_reader_outcome(path, fmt, threshold=None):
+    """What load_interactions must give: the row reader's log filtered by
+    ``positives(threshold)`` and encoded again, or the row reader's error."""
+    def load():
+        log = ingest._read_rows(path, "," if fmt == "csv" else "\t")
+        keep = log.positives(threshold)
+        if not keep.any():
+            raise EmptyDatasetError(f"{path}: all interactions removed by the rating threshold")
+        return InteractionLog._from_strings([log.user_ids[c] for c in log.users[keep].tolist()],
+                                            [log.item_ids[c] for c in log.items[keep].tolist()],
+                                            log.ratings[keep])
+    return _outcome(load)
+
+
+def parse_workers(mp, cores):
+    """Make load_interactions fork for any plain log on ``cores`` cores;
+    returns the fork counter."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    mp.setattr(ingest, "PARSE_MIN_BYTES", 1)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    mp.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_THRESHOLDS = st.one_of(st.none(), st.floats(-3.0, 11.0), st.sampled_from([4.5, 5.0]))
+
+
+class TestBulkTokenizer:
+    """The bulk path gives the csv.reader loop's InteractionLog or error,
+    filtered by the rating threshold, on one worker and on several."""
+
+    @staticmethod
+    def check(tmp_path_factory, log, block, limit, threshold, cores=None):
         text, fmt = log
         path = tmp_path_factory.mktemp("log") / "log.csv"
         path.write_bytes(text)
@@ -418,12 +463,30 @@ class TestBulkTokenizer:
                 csv.field_size_limit(limit)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ingest, "PARSE_BLOCK_BYTES", block)
-                got = _load_outcome(path, fmt)
-                mp.setattr(ingest, "_read_plain", lambda path, delimiter: None)
-                expected = _load_outcome(path, fmt)
+                expected = _row_reader_outcome(path, fmt, threshold)
+                if cores:
+                    parse_workers(mp, cores)
+                got = _load_outcome(path, fmt, threshold)
         finally:
             csv.field_size_limit(default_limit)
         assert got == expected
+        assert_no_child_left()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(log=_log_texts(), block=st.sampled_from([1, 7, 32, 1 << 16]),
+           limit=st.sampled_from([None, None, 8]), threshold=_THRESHOLDS)
+    def test_same_log_or_error_as_row_reader(self, tmp_path_factory, log, block, limit,
+                                             threshold):
+        self.check(tmp_path_factory, log, block, limit, threshold)
+
+    # Each forked example costs a fork or two of the test process.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log=_log_texts(), block=st.sampled_from([1, 7, 1 << 16]),
+           limit=st.sampled_from([None, None, 8]), threshold=_THRESHOLDS,
+           cores=st.sampled_from([2, 3]))
+    def test_forked_same_log_or_error_as_row_reader(self, tmp_path_factory, log, block, limit,
+                                                    threshold, cores):
+        self.check(tmp_path_factory, log, block, limit, threshold, cores)
 
     @pytest.mark.parametrize("text", [
         "u1,,5\n", ",i1,5\n", "u1,i1,\n", "u1,i1,5,\n", "u1,i1,,7\n",
@@ -434,7 +497,8 @@ class TestBulkTokenizer:
         f"u1,i1,5,{'9' * 4300}\n", f"u1,i1,5,{'9' * 4301}\n", "u\x00,i1\n", "u1,i\x0b\n",
         "u1,i\x1c\n", "u\x7f,i1\n", "u\x85,i1\n", "u1,i\u2028\n", "\ufeffuser,item\nu1,i1\n",
         "\ufeff\ufeffu1,i1\n", "user,item\n", "\ufeff", "\nuser,item\nu1,i1\n", "u1,i1,5",
-        "user,item,rating,timestamp\nu1,i1\n", "user\titem\nu1,i1\n", "u1\n",
+        "user,item,rating,timestamp\nu1,i1\n", "user\titem\nu1,i1\n", "u1\n", "u1,i1,5,9x\n",
+        "u1,i1,5,1/0\n", "u1,i1,5,1:0\n",
     ])
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
     def test_near_plain_logs(self, tmp_path, monkeypatch, text, fmt):
@@ -443,7 +507,7 @@ class TestBulkTokenizer:
         p = tmp_path / "log.csv"
         p.write_text(text, "utf-8")
         got = _load_outcome(p, fmt)
-        monkeypatch.setattr(ingest, "_read_plain", lambda path, delimiter: None)
+        monkeypatch.setattr(ingest, "_read_plain", lambda *args: None)
         assert got == _load_outcome(p, fmt)
 
     @pytest.mark.parametrize("block", [1, 5, 1 << 16])
@@ -455,6 +519,132 @@ class TestBulkTokenizer:
         log = ingest._read_plain(p, ",")
         assert log is not None
         assert _log_columns(log) == _log_columns(ingest._read_rows(p, ","))
+
+    # 60 plain lines, so that with three workers line 50 is in the last range.
+    PLAIN_LINES = [f"u{u % 7},i{u % 5},{u % 5 + 1},{u}\n" for u in range(60)]
+
+    @pytest.mark.parametrize("line, what", [
+        ("u1,,5,9\n", "line 51: empty user or item id"),
+        ("u1,i1,x,9\n", "line 51: could not convert string to float: 'x'"),
+        ("u1,i1,5,9,9\n", "line 51: expected 2-4 columns, got 5"),
+        ("u1,i1,5,9x\n", "line 51: invalid literal for int()"),
+        ("u1,i1,5,9\nu2,,5,9\n", "line 52: empty user or item id"),
+        ('u1,"i 1",5,9\n', None), ("u1,i1,5,9\r\n", None), ("u\u00e9,i1,5,9\n", None),
+        ("u1,i1,5,9\n\n", None), ("user,item,rating,timestamp\n", "line 51: could not convert"),
+    ])
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_later_range_falls_back_or_fails(self, tmp_path, monkeypatch, line, what, cores):
+        # Line 51 is not plain, or holds the log's first error; both need
+        # the row reader, though the ranges before it are plain.
+        p = tmp_path / "log.csv"
+        p.write_text("".join(self.PLAIN_LINES[:50]) + line + "".join(self.PLAIN_LINES[50:]))
+        expected = _row_reader_outcome(p, "csv", 3.0)
+        forks = parse_workers(monkeypatch, cores)
+        called, read_rows = [], ingest._read_rows
+        monkeypatch.setattr(ingest, "_read_rows",
+                            lambda *args: called.append(1) or read_rows(*args))
+        got = _load_outcome(p, "csv", 3.0)
+        assert got == expected and called == [1] and len(forks) == cores - 1
+        if what:
+            assert got[0] is ParseError and what in got[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("header", ["", "user,item,rating,timestamp\n"])
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_later_ranges_keep_header_like_lines_as_data(self, tmp_path, monkeypatch, header,
+                                                        cores):
+        lines = [f"u{u % 7},i{u % 5}\n" for u in range(60)]
+        lines[50] = "user,item\n"
+        p = tmp_path / "log.csv"
+        p.write_text(header.replace(",rating,timestamp", "") + "".join(lines))
+        expected = _row_reader_outcome(p, "csv")
+        forks = parse_workers(monkeypatch, cores)
+        monkeypatch.setattr(ingest, "_read_rows", None)  # the bulk path must not fall back
+        got = _load_outcome(p, "csv")
+        assert got == expected and "user" in got[3] and "item" in got[4]
+        assert len(forks) == cores - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_threshold_drops_before_encoding(self, tmp_path, monkeypatch, cores):
+        # u0 and i0 occur only in events rated below the threshold, so they
+        # get no code, and the kept events' codes start at 0.
+        p = tmp_path / "log.csv"
+        p.write_text("".join(f"u0,i0,1,{t}\n" for t in range(10))
+                     + "".join(f"u{u % 7 + 1},i{u % 5 + 1},{u % 4 + 2},{u}\n" for u in range(60)))
+        forks = parse_workers(monkeypatch, cores)
+        log = load_interactions(p, "csv", 2.0)
+        assert len(forks) == cores - 1
+        assert "u0" not in log.user_ids and "i0" not in log.item_ids
+        assert log.users[0] == log.items[0] == 0 and len(log) == 60
+        assert _outcome(lambda: log) == _row_reader_outcome(p, "csv", 2.0)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_every_event_below_threshold(self, tmp_path, monkeypatch, cores):
+        p = tmp_path / "log.csv"
+        p.write_text("".join(self.PLAIN_LINES))
+        parse_workers(monkeypatch, cores)
+        with pytest.raises(EmptyDatasetError,
+                           match="log.csv: all interactions removed by the rating threshold"):
+            load_interactions(p, "csv", 6.0)
+        p.write_text("user,item,rating\n")
+        with pytest.raises(EmptyDatasetError, match="log.csv: no interaction records found"):
+            load_interactions(p, "csv", 6.0)
+
+    def test_dead_worker_is_an_error_after_every_child_is_reaped(self, tmp_path, monkeypatch):
+        p = tmp_path / "log.csv"
+        p.write_text("".join(self.PLAIN_LINES))
+        parse_workers(monkeypatch, 3)
+        pid, real = os.getpid(), ingest._parse_range
+
+        def parse(path, start, *args):
+            if os.getpid() != pid and start > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(path, start, *args)
+        monkeypatch.setattr(ingest, "_parse_range", parse)
+        with pytest.raises(WhiterecError, match=r"parsing worker for bytes \d+-\d+ of .*log.csv "
+                                                r"failed with status -9"):
+            load_interactions(p, "csv")
+        assert_no_child_left()
+
+    def test_one_worker_per_parse_min_bytes(self, tmp_path, monkeypatch):
+        header = "user,item,rating,timestamp\n"
+        p = tmp_path / "log.csv"
+        p.write_text(header + "".join(self.PLAIN_LINES))
+        data_bytes = p.stat().st_size - len(header)
+        forks = parse_workers(monkeypatch, 8)
+        for per_worker, n_workers in ((data_bytes + 1, 1), (data_bytes, 1),
+                                      (data_bytes // 2, 2), (data_bytes // 3, 3)):
+            monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", per_worker)
+            forks.clear()
+            load_interactions(p)
+            assert len(forks) == n_workers - 1
+
+    @pytest.mark.parametrize("middle", ["", '"u1",i1,5,9\n'])
+    def test_stream_is_read_whole_by_the_row_reader(self, tmp_path, monkeypatch, middle):
+        # A pipe, as `--data <(zcat log.gz)` gives, can be neither cut into
+        # ranges nor read twice: a bulk pass that stopped at the quoted
+        # line would leave the row reader only the lines after it.
+        text = "".join(self.PLAIN_LINES) * 40 + middle + "".join(self.PLAIN_LINES)
+        regular = tmp_path / "log.csv"
+        regular.write_text(text)
+        read_end, write_end = os.pipe()
+        with open(write_end, "w") as fh:  # the text fits in the pipe's buffer
+            fh.write(text)
+        parse_workers(monkeypatch, 2)
+        try:
+            got = _load_outcome(f"/dev/fd/{read_end}", "csv", 3.0)
+        finally:
+            os.close(read_end)
+        assert got == _load_outcome(regular, "csv", 3.0)
+
+    def test_without_fork_one_process(self, tmp_path, monkeypatch):
+        p = tmp_path / "log.csv"
+        p.write_text("".join(self.PLAIN_LINES))
+        expected = _row_reader_outcome(p, "csv", 3.0)
+        parse_workers(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        assert _load_outcome(p, "csv", 3.0) == expected
 
 
 class TestPreprocess:
