@@ -44,7 +44,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -379,7 +378,7 @@ def _read_plain(path: Path, delimiter: str,
     left to the row reader. The data lines are cut into newline-aligned
     byte ranges, one per worker (usable cores, at most one per
     PARSE_MIN_BYTES). This process parses the first range, and a forked
-    child each other one (:func:`_range_bytes`); each range's ids are
+    child each other one (:func:`_parse_range`); each range's ids are
     encoded on their own, and their codes are mapped onto the ids of the
     ranges before it, so the log is the one a single pass would give.
     """
@@ -409,12 +408,12 @@ def _read_plain(path: Path, delimiter: str,
         bounds.append(size)
     ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
     jobs = [(f"parsing worker for bytes {a}-{b - 1} of {path}",
-             _range_bytes(path, a, b, k, delimiter, threshold)) for a, b in ranges[1:]]
+             functools.partial(_parse_range, path, a, b, k, delimiter, threshold))
+            for a, b in ranges[1:]]
     with workers.forked(jobs) as results:
         parts = [_parse_range(path, *ranges[0], k, delimiter, threshold)]
         while parts[-1] is not None and len(parts) < len(ranges):
-            data = next(results)
-            parts.append(_from_bytes(data) if data else None)
+            parts.append(next(results))
     # An empty log is left to the row reader too, for its error message.
     if parts[-1] is None or not sum(map(len, parts)):
         return None
@@ -492,33 +491,6 @@ def _text(a: np.ndarray, delimiter: str) -> list[str]:
     """The fields of plain bytes ``a``, each ended by the delimiter or a
     newline, and then an empty string."""
     return a.tobytes().decode("ascii").replace("\n", delimiter).split(delimiter)
-
-
-def _range_bytes(path: Path, start: int, stop: int, k: int, delimiter: str,
-                 threshold: float | None) -> Iterator[bytes]:
-    """:func:`_parse_range` as the bytes :func:`_from_bytes` reads, or none at
-    all if the range is not plain: the event count and the byte length of
-    the user vocabulary as int64, the user codes, item codes and ratings,
-    then the user and the item vocabulary, each joined by newlines (a plain
-    id holds none)."""
-    part = _parse_range(path, start, stop, k, delimiter, threshold)
-    if part is not None:
-        user_ids = "\n".join(part.user_ids).encode("ascii")
-        yield np.array([len(part), len(user_ids)], np.int64).tobytes()
-        yield from (part.users.tobytes(), part.items.tobytes(), part.ratings.tobytes(),
-                    user_ids, "\n".join(part.item_ids).encode("ascii"))
-
-
-def _from_bytes(data: bytes) -> InteractionLog:
-    """The InteractionLog of a range that :func:`_range_bytes` sent."""
-    n, n_user_bytes = np.frombuffer(data, np.int64, 2).tolist()
-    users, items, ratings = (np.frombuffer(data, dtype, n, 16 + 8 * n * j)
-                             for j, dtype in enumerate((np.int64, np.int64, np.float64)))
-    vocab = data[16 + 24 * n:].decode("ascii")
-    user_ids, item_ids = vocab[:n_user_bytes], vocab[n_user_bytes:]
-    # Ids are never empty, so an empty text is an empty vocabulary.
-    return InteractionLog(users, items, ratings, user_ids.split("\n") if user_ids else [],
-                          item_ids.split("\n") if item_ids else [])
 
 
 def _join(parts: list[InteractionLog]) -> InteractionLog:

@@ -15,13 +15,14 @@ them as Python lists.
 the fold-in rows into contiguous shards, one per worker: as many workers
 as usable cores, but at most one per ``FORK_MIN_ROWS`` output rows, and
 one where ``os.fork`` is missing. Each shard after the first is ranked
-and formatted in a forked child and read back in order, so the file has
-the same bytes as one process writes.
+and formatted in a forked child, which returns its rows as one bytes
+value; written in shard order, the file has the bytes one process writes.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -200,12 +201,12 @@ def write_recommendations(foldin: InteractionMatrix, B: SimilarityMatrix, n: int
     text as they come, and no ``RankedList`` is built. The rows are cut
     into contiguous shards, one per worker (see :func:`_worker_count`).
     Each shard after the first is ranked and formatted by a forked child
-    (:func:`whiterec.workers.forked`), which sends its bytes back through a
-    pipe; this process formats the first shard meanwhile, then appends the
-    others in order. A row's list does not depend on the rows ranked with
-    it, so the file is the same whatever the number of workers. A failed
-    worker is a ``WhiterecError``; every child is reaped before this
-    returns, and killed first if anything failed.
+    (:func:`whiterec.workers.forked`), which returns its rows joined into
+    one bytes value; this process streams the first shard meanwhile, then
+    appends the others in order. A row's list does not depend on the rows
+    ranked with it, so the file is the same whatever the number of
+    workers. A failed worker is a ``WhiterecError``; every child is reaped
+    before this returns, and killed first if anything failed.
     """
     lengths = np.minimum(n, B.dim - np.diff(foldin.indptr))
     n_workers = _worker_count(int(lengths.sum()), foldin.n_users)
@@ -214,8 +215,9 @@ def write_recommendations(foldin: InteractionMatrix, B: SimilarityMatrix, n: int
     shards = [ranked_blocks(foldin, B, n, start, stop)
               for start, stop in zip(bounds, bounds[1:])]
     users, items = _csv_fields(foldin.user_ids), _csv_fields(item_ids)
+    # Each job joins its shard's rows; the generator runs only in the child.
     jobs = [(f"ranking worker for fold-in rows {start}-{stop - 1}",
-             _format_shard(shard, users, items))
+             functools.partial(b"".join, _format_shard(shard, users, items)))
             for start, stop, shard in zip(bounds[1:], bounds[2:], shards[1:])]
     with workers.forked(jobs) as shard_bytes, atomic_open(path, "wb") as fh:
         fh.write(CSV_HEADER)

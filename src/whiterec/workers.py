@@ -1,20 +1,21 @@
-"""Forked workers that send their bytes back through pipes.
+"""Forked workers that return their jobs' values through pipes.
 
 ``load_interactions`` and ``write_recommendations`` each cut their input
 into contiguous parts, one per worker: as many workers as usable cores,
 but at most one per measured amount of work (:func:`worker_count`). This
 process does the first part while a child made with ``os.fork`` does each
-of the others (:func:`forked`), and reads their bytes back in order. A bare
-``os.fork`` is used because importing ``multiprocessing``, ``concurrent``
-or ``subprocess`` would add to every command's startup.
+of the others (:func:`forked`), and unpickles their values in order. A
+bare ``os.fork`` is used because importing ``multiprocessing``,
+``concurrent`` or ``subprocess`` would add to every command's startup.
 """
 
 from __future__ import annotations
 
 import os
+import pickle  # loaded by numpy already: no cost at startup
 import signal
 from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from .errors import WhiterecError
 
@@ -33,19 +34,19 @@ def worker_count(work: int, min_work: int) -> int:
 
 
 @contextmanager
-def forked(jobs: list[tuple[str, Iterator[bytes]]]) -> Iterator[Iterator[bytes]]:
-    """Make each job's chunks in a forked child; gives the children's bytes in job order.
+def forked(jobs: list[tuple[str, Callable[[], Any]]]) -> Iterator[Iterator[Any]]:
+    """Call each job in a forked child; gives the jobs' return values in job order.
 
-    ``jobs`` are ``(name, chunks)`` pairs, and ``chunks`` is only iterated
-    in the child. Every child is forked on entry. The iterator this gives
-    reaps each child as it reads its bytes; a child that failed is a
+    ``jobs`` are ``(name, job)`` pairs, and ``job`` is only called in the
+    child. Every child is forked on entry. The iterator this gives reaps
+    each child as it reads its value; a child that failed is a
     ``WhiterecError`` naming the job, with the child's message. On leaving,
     every child not yet reaped is killed and reaped.
     """
     pending: dict[int, tuple[str, IO[bytes]]] = {}  # pid -> job name and pipe
     try:
-        for name, chunks in jobs:
-            pid, pipe = _fork(chunks)
+        for name, job in jobs:
+            pid, pipe = _fork(job)
             pending[pid] = name, pipe
         yield _collect(pending)
     finally:
@@ -55,8 +56,8 @@ def forked(jobs: list[tuple[str, Iterator[bytes]]]) -> Iterator[Iterator[bytes]]
             os.waitpid(pid, 0)
 
 
-def _collect(pending: dict[int, tuple[str, IO[bytes]]]) -> Iterator[bytes]:
-    """Each pending child's bytes in order, reaping it and removing it from ``pending``."""
+def _collect(pending: dict[int, tuple[str, IO[bytes]]]) -> Iterator[Any]:
+    """Each pending child's value in order, reaping it and removing it from ``pending``."""
     for pid, (name, pipe) in list(pending.items()):
         with pipe:
             data = pipe.read()
@@ -65,17 +66,18 @@ def _collect(pending: dict[int, tuple[str, IO[bytes]]]) -> Iterator[bytes]:
         if code:
             raise WhiterecError(
                 f"{name} failed with status {code}: {data.decode('utf-8', 'replace')}")
-        yield data
+        # Only the bytes of a child that exited with status 0 are a pickle.
+        yield pickle.loads(data)
 
 
-def _fork(chunks: Iterator[bytes]) -> tuple[int, IO[bytes]]:
-    """Produce ``chunks`` in a forked child: its pid and the pipe its bytes arrive on.
+def _fork(job: Callable[[], Any]) -> tuple[int, IO[bytes]]:
+    """Call ``job`` in a forked child: its pid and the pipe its pickled value arrives on.
 
-    The child sends nothing before its last chunk is made, so it works
-    through its whole part while this process does its own, instead of
-    stalling on a full pipe. On an error it sends the message instead and
-    exits with code 1. It always leaves by ``os._exit``: no cleanup of this
-    process runs twice, and no buffered output is flushed twice.
+    The child sends nothing before ``job`` returns, so it works through its
+    whole part while this process does its own, instead of stalling on a
+    full pipe. On an error it sends the message instead and exits with
+    code 1. It always leaves by ``os._exit``: no cleanup of this process
+    runs twice, and no buffered output is flushed twice.
     """
     read_end, write_end = os.pipe()
     try:
@@ -89,11 +91,11 @@ def _fork(chunks: Iterator[bytes]) -> tuple[int, IO[bytes]]:
         try:
             os.close(read_end)
             try:
-                data, code = list(chunks), 0
+                data, code = pickle.dumps(job(), pickle.HIGHEST_PROTOCOL), 0
             except BaseException as exc:
-                data = [f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")]
+                data = f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")
             with open(write_end, "wb") as pipe:
-                pipe.writelines(data)
+                pipe.write(data)
         finally:
             os._exit(code)
     os.close(write_end)

@@ -993,6 +993,24 @@ class TestPreprocessWorkers:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "all interactions removed by the rating threshold" in err
 
+    def test_raising_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        write_dataset(tmp_path / "data.csv")
+        monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pid, real = os.getpid(), ingest._parse_range
+
+        def parse(*args):
+            if os.getpid() != pid:
+                raise RuntimeError("range parser broke")
+            return real(*args)
+        monkeypatch.setattr(ingest, "_parse_range", parse)
+        assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_GENERIC
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        err = capsys.readouterr().err
+        assert err.startswith("error: parsing worker for bytes ") and err.count("\n") == 1
+        assert err.endswith(" failed with status 1: RuntimeError: range parser broke\n")
+
 
 class TestEndToEndDeterminism:
     def test_pipeline_twice_bit_identical(self, tmp_path):

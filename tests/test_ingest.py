@@ -607,6 +607,42 @@ class TestBulkTokenizer:
             load_interactions(p, "csv")
         assert_no_child_left()
 
+    def test_raising_worker_is_an_error_after_every_child_is_reaped(self, tmp_path,
+                                                                    monkeypatch):
+        p = tmp_path / "log.csv"
+        p.write_text("".join(self.PLAIN_LINES))
+        parse_workers(monkeypatch, 3)
+        pid, real = os.getpid(), ingest._parse_range
+
+        def parse(path, start, *args):
+            if os.getpid() != pid:
+                raise RuntimeError(f"range at {start} broke")
+            return real(path, start, *args)
+        monkeypatch.setattr(ingest, "_parse_range", parse)
+        with pytest.raises(WhiterecError, match=r"^parsing worker for bytes (\d+)-\d+ of .*log.csv "
+                                                r"failed with status 1: RuntimeError: range at "
+                                                r"\1 broke$"):
+            load_interactions(p, "csv")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_range_with_no_kept_event(self, tmp_path, monkeypatch, cores):
+        # 30 lines of one length, so three workers get 10 lines each; the
+        # middle ten are rated below the threshold, and their range's log
+        # has no event and empty vocabularies.
+        p = tmp_path / "log.csv"
+        p.write_text("".join(f"u{u % 7},i{u % 5},{1 if 10 <= u < 20 else 5},{1000 + u}\n"
+                             for u in range(30)))
+        line = len(p.read_text()) // 30
+        middle = ingest._parse_range(p, 10 * line, 20 * line, 4, ",", 3.0)
+        assert len(middle) == 0 and middle.user_ids == middle.item_ids == []
+        expected = _row_reader_outcome(p, "csv", 3.0)
+        forks = parse_workers(monkeypatch, cores)
+        monkeypatch.setattr(ingest, "_read_rows", None)  # an empty range is still plain
+        assert _load_outcome(p, "csv", 3.0) == expected
+        assert len(forks) == cores - 1
+        assert_no_child_left()
+
     def test_one_worker_per_parse_min_bytes(self, tmp_path, monkeypatch):
         header = "user,item,rating,timestamp\n"
         p = tmp_path / "log.csv"
