@@ -1,11 +1,10 @@
 """SVD item embeddings and similarity models computed on top of them.
 
 Embeddings are the D x |I| matrix E = S^{1/2} V^T taken from the top-D
-singular triplets of the interaction matrix. The triplets come from the
-top-D eigenpairs of whichever Gram matrix is smaller (the other
-eigenpairs are never computed), not from a general SVD of the full
-matrix. Both autoencoders on embeddings invert only the D x D Gram, so
-their cost follows D rather than |I|: ridge is the whitened embedding
+singular triplets of the interaction matrix, which linalg.spectrum reads
+from the smaller Gram (the zca kind reads it at full rank), not from a
+general SVD. Both autoencoders on embeddings invert only the D x D Gram,
+so their cost follows D rather than |I|: ridge is the whitened embedding
 Gram, and EASE (for D < |I|) its zero-diagonal normalization.
 """
 
@@ -45,12 +44,8 @@ class EmbeddingMatrix:
 def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
     """Top-d singular triplets of X folded into E = S_d^{1/2} V_d^T.
 
-    Works through the top-d eigenpairs of the smaller Gram matrix, and
-    computes no others: eigenvalues of X^T X (or X X^T) are the squared
-    singular values, and the missing singular factor is recovered by one
-    product X^T U_d, linalg.csr_matmul on X's transposed CSR. Near-zero
-    squared eigenvalues are clamped before the square roots; if d exceeds
-    the numerical rank (judged against the top eigenvalue) the trailing
+    The triplets come from linalg.spectrum. If d exceeds the numerical
+    rank (judged against the top squared singular value) the trailing
     rows of E are zeroed and a warning is emitted.
     """
     if not 1 <= d <= min(X.n_users, X.n_items):
@@ -58,11 +53,8 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
             f"embedding dim must be in [1, min(|U|, |I|)] = "
             f"[1, {min(X.n_users, X.n_items)}], got {d}"
         )
-    items_side = X.n_items <= X.n_users
-    eig = linalg.eigh(linalg.gram(X, side="items" if items_side else "users"), k=d)
-    sq = np.maximum(eig.eigenvalues, 0.0)
-    rank_tol = linalg.RANK_RTOL * max(eig.eigenvalues[0], 0.0)
-    deficient = sq <= rank_tol
+    sq, rows, items_side = linalg.spectrum(X, d)
+    deficient = sq <= linalg.RANK_RTOL * sq[0]
     if np.any(deficient):
         warnings.warn(
             f"requested {d} embedding dimensions but numerical rank is "
@@ -70,16 +62,12 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
             stacklevel=2,
         )
     sigma = np.sqrt(sq)
-    if items_side:
-        # E_i: = sqrt(sigma_i) * (i-th eigenvector of X^T X)^T
-        e = np.sqrt(sigma)[:, np.newaxis] * eig.eigenvectors.T
-    else:
-        # V_d = X^T U_d / sigma, so E = sigma^{-1/2} U_d^T X.
-        t = X.transpose()
-        utx = linalg.csr_matmul(t.indptr, t.indices, eig.eigenvectors).T
-        scale = np.zeros(d)
-        np.divide(1.0, np.sqrt(sigma), out=scale, where=~deficient)
-        e = scale[:, np.newaxis] * utx
+    # rows is V_d^T, or U_d^T X = S_d V_d^T on the users side, so E scales
+    # it by sigma^{1/2} or by sigma^{-1/2}.
+    scale = np.sqrt(sigma)
+    if not items_side:
+        np.divide(1.0, scale, out=scale, where=~deficient)
+    e = scale[:, np.newaxis] * rows
     e[deficient, :] = 0.0
     return EmbeddingMatrix(values=e, singular_values=sigma)
 

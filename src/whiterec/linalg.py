@@ -216,6 +216,23 @@ def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The one eigen step on X = U S V^T: its top k singular directions.
+
+    Returns (sq, rows, items_side): the k largest eigenvalues of the
+    smaller Gram, X^T X or X X^T (no others are computed), clamped at 0;
+    and the k x |I| rows, V_k^T on the items side, or on the users side
+    U_k^T X = S_k V_k^T, one csr_matmul on X's transposed CSR.
+    """
+    items_side = X.n_items <= X.n_users
+    eig = eigh(gram(X, side="items" if items_side else "users"), k=k)
+    sq = np.maximum(eig.eigenvalues, 0.0)
+    if items_side:
+        return sq, eig.eigenvectors.T, items_side
+    t = X.transpose()
+    return sq, csr_matmul(t.indptr, t.indices, eig.eigenvectors).T, items_side
+
+
 def _square_finite(a) -> np.ndarray:
     """a as a float64 array; ValueError unless it is square and finite."""
     a = np.asarray(a, dtype=np.float64)

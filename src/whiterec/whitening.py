@@ -1,4 +1,4 @@
-"""Explicit zero-phase (ZCA) whitening and its item-similarity form.
+"""Zero-phase (ZCA) whitening and its item-similarity form.
 
 A whitening transform maps a D x N data matrix M to W = P M such that the
 raw covariance W W^T becomes the identity. The ZCA choice of P is the
@@ -7,6 +7,10 @@ to the original coordinate axes. Applying it to an interaction matrix
 (users as feature dimensions, items as samples) and taking W^T W yields
 exactly the ridge autoencoder's similarity matrix with eps playing the
 role of the regularization weight.
+
+fit_zca and whiten form P and W as the paper writes them; zca_similarity,
+the zca kind, works in X's eigenbasis (linalg.spectrum), where P is
+diagonal and W^T W = V diag(sigma^2 / (sigma^2 + eps)) V^T.
 """
 
 from __future__ import annotations
@@ -53,18 +57,19 @@ def whiten(t: WhiteningTransform, m: np.ndarray) -> np.ndarray:
 
 
 def zca_similarity(X: InteractionMatrix, eps: float) -> SimilarityMatrix:
-    """Item similarity from explicitly whitened interactions: W^T W.
+    """Item similarity of the ZCA-whitened interactions, W^T W for W = P X.
 
-    Treats users as feature dimensions and items as samples, whitens the
-    densified interaction matrix, and returns the Gram of the whitened
-    columns. Numerically identical to the ridge solution at lam = eps.
+    U^T W = diag(s) rows for linalg.spectrum's rows at full rank, with s =
+    sigma / sqrt(sigma^2 + eps) on the items side (rows = V^T) and
+    1 / sqrt(sigma^2 + eps) on the users side (rows = S V^T); W^T W is
+    their Gram. Numerically identical to the ridge solution at lam = eps.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be > 0 and finite for interaction data, got {eps}")
-    linalg.check_capacity(X.n_users, X.n_users, "user-side covariance")
-    linalg.check_capacity(X.n_users, X.n_items, "dense (and whitened) interaction matrix")
     linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")
-    dense = X.toarray()
-    t = fit_zca(dense, eps)
-    b = linalg.gram(whiten(t, dense), side="items")
+    sq, rows, items_side = linalg.spectrum(X, min(X.n_users, X.n_items))
+    s = 1.0 / np.sqrt(sq + eps)
+    if items_side:
+        s *= np.sqrt(sq)
+    b = linalg.gram(s[:, np.newaxis] * rows, side="items")
     return SimilarityMatrix(b, "zca", {"lambda": eps})

@@ -16,6 +16,10 @@ def pytest_runtest_logreport(report):
         print(f"\n[acceptance] {status} {report.nodeid.split('::')[-1]}")
 
 
+# The regularization weights the identity checks sweep.
+LAMBDAS = (0.1, 1.0, 10.0, 200.0)
+
+
 def random_interactions(rng, n_users, n_items, density=0.35) -> InteractionMatrix:
     """Random binary matrix with every row and column non-empty."""
     dense = (rng.random((n_users, n_items)) < density).astype(np.float64)

@@ -21,7 +21,7 @@ from whiterec.ingest import InteractionMatrix, SplitSpec, split_strong_generaliz
 from whiterec.recommend import RankedList
 from whiterec.whitening import fit_zca, whiten, zca_similarity
 
-LAMBDAS = (0.1, 1.0, 10.0, 200.0)
+from conftest import LAMBDAS
 
 
 def fro(a):
@@ -69,9 +69,13 @@ def test_criterion_02_zca_identity_chain():
         z = zca_similarity(X, eps).values
         p = ridge_primal(X, eps).values
         d = ridge_dual(X, eps).values
+        # The paper's explicit route: W = P X with P fitted on dense X.
+        dense = X.toarray()
+        w = linalg.gram(whiten(fit_zca(dense, eps), dense), side="items")
         scale = max(fro(p), 1e-30)
         assert fro(z - p) <= 1e-8 * scale
         assert fro(z - d) <= 1e-8 * scale
+        assert fro(w - p) <= 1e-8 * scale
     assert time.perf_counter() - started < 30.0
 
 

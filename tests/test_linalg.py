@@ -273,6 +273,30 @@ class TestEighTopK:
         np.testing.assert_array_equal(a, kept)
 
 
+class TestSpectrum:
+    """spectrum(X, k): X's singular directions from the smaller Gram."""
+
+    @pytest.mark.parametrize("shape", [(9, 5), (5, 9), (6, 6)])
+    def test_full_rank_rebuilds_the_gram(self, rng, shape):
+        # X^T X = V S^2 V^T = (S V^T)^T (S V^T), on either side.
+        X = random_interactions(rng, *shape)
+        k = min(shape)
+        sq, rows, items_side = linalg.spectrum(X, k)
+        assert items_side == (shape[1] <= shape[0])
+        assert rows.shape == (k, shape[1])
+        singular = np.linalg.svd(X.toarray(), compute_uv=False)
+        np.testing.assert_allclose(sq, singular ** 2, rtol=0.0, atol=1e-10 * sq[0])
+        weights = sq if items_side else np.ones(k)
+        g = linalg.gram(X, "items")
+        np.testing.assert_allclose((rows.T * weights) @ rows, g, rtol=0.0, atol=1e-10 * g.max())
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
+    def test_rank_one_clamps_at_zero(self, shape):
+        sq, _, _ = linalg.spectrum(InteractionMatrix.from_dense(np.ones(shape)), 3)
+        assert sq[0] == pytest.approx(12.0) and np.all(sq[1:] >= 0.0)
+        assert np.all(sq[1:] <= 1e-12)
+
+
 class TestLapackBinding:
     """_lapack(): scipy's LAPACK extension, bound without scipy.linalg."""
 

@@ -1,13 +1,16 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from whiterec import linalg
-from whiterec.autoencoder import ridge_dual, ridge_primal
+from whiterec.autoencoder import ridge, ridge_dual, ridge_primal
 from whiterec.errors import CapacityError, SingularMatrixError
 from whiterec.ingest import InteractionMatrix
 from whiterec.whitening import fit_zca, whiten, zca_similarity
 
-from conftest import random_interactions
+from conftest import LAMBDAS, random_interactions
 
 
 def fro(a):
@@ -133,11 +136,50 @@ class TestZcaSimilarity:
         with pytest.raises(ValueError, match="finite"):
             zca_similarity(random_interactions(rng, 4, 4), eps)
 
+    @pytest.mark.parametrize("shape", [(12, 7), (7, 12)])
+    def test_rank_deficient_input(self, rng, shape):
+        # Repeated columns and an empty row: zero singular values on both
+        # sides, which the whitening must shrink without a warning.
+        dense = (rng.random(shape) < 0.4).astype(np.float64)
+        dense[:, 1] = dense[:, -1] = dense[:, 0]
+        dense[2] = 0.0
+        assert np.linalg.matrix_rank(dense) < min(shape)
+        X = InteractionMatrix.from_dense(dense)
+        for eps in LAMBDAS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                z = zca_similarity(X, eps).values
+            p = ridge_primal(X, eps).values
+            d = ridge_dual(X, eps).values
+            assert fro(z - p) <= 1e-8 * fro(p)
+            assert fro(z - d) <= 1e-8 * fro(p)
+
     def test_capacity_error(self, rng, byte_cap):
+        # Only the |I| x |I| result is dense: a cap below the 10 x 10 user
+        # covariance still trains, and one below the 3 x 3 result does not.
         X = random_interactions(rng, 10, 3)
         byte_cap(10 * 10 * 8 - 1)
+        p = ridge(X, 1.0).values
+        assert fro(zca_similarity(X, 1.0).values - p) <= 1e-8 * fro(p)
+        byte_cap(3 * 3 * 8 - 1)
         with pytest.raises(CapacityError):
             zca_similarity(X, 1.0)
+
+    def test_peak_is_about_three_item_sized_arrays(self):
+        # More users than items: the |U| x |U| covariance alone would be 9
+        # item-sized arrays, the dense X 3.
+        rng = np.random.default_rng(3)
+        X = InteractionMatrix.from_dense((rng.random((3000, 1000)) < 0.01).astype(np.float64))
+        zca_similarity(random_interactions(rng, 8, 5), 1.0)
+        item_sized = X.n_items * X.n_items * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            zca_similarity(X, 200.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3.5 * item_sized
 
     def test_capacity_error_on_dense_interactions(self, rng, byte_cap):
         X = random_interactions(rng, 4, 50)
