@@ -119,10 +119,15 @@ def evaluate(H: HeldOutSet, B: SimilarityMatrix, cutoffs: list[int]) -> EvalRepo
     indptr, indices = H.targets.indptr, H.targets.indices
     n_targets = np.diff(indptr)
     blocks = []
+    target_rows = None
     for start, items, _, _ in ranked_blocks(H.foldin, B, max(cutoffs)):
         stop = start + len(items)
         evaluable = n_targets[start:stop] > 0
-        target = np.zeros((stop - start, H.n_items), dtype=bool)
+        if target_rows is None:
+            # The first block is the largest; every block reuses its mask.
+            target_rows = np.empty((stop - start, H.n_items), dtype=bool)
+        target = target_rows[:stop - start]
+        target.fill(False)
         target[np.repeat(np.arange(stop - start), n_targets[start:stop]),
                indices[indptr[start]:indptr[stop]]] = True
         # Entries past a row's length are fold-in items, never targets.

@@ -39,7 +39,9 @@ GRAM_BLOCK_PAIRS = 1 << 18
 # ranking holds at once (recommend.ranked_blocks). A block small enough to
 # stay in cache is three times faster than the whole X^T z at 2,500
 # items, and bounds the workspace beyond the result; larger score blocks
-# are no faster and raise peak memory.
+# are no faster and raise peak memory. Ranking's whole workspace is 27
+# bytes per score entry (recommend._Workspace), 3.4 MiB per pass at this
+# size, and evaluate's target mask adds 1 byte more.
 PRODUCT_BLOCK_BYTES = 1 << 20
 
 # Eigenvalues below RANK_RTOL * largest are treated as zero rank.
@@ -48,9 +50,11 @@ RANK_RTOL = 1e-10
 _SIGN_TOL = 1e-12
 
 
-def check_capacity(rows: int, cols: int, what: str = "Gram matrix") -> None:
-    """Raise CapacityError if a dense rows x cols float64 array exceeds the cap."""
-    needed = rows * cols * 8
+def check_capacity(rows: int, cols: int, what: str = "Gram matrix",
+                   entry_bytes: int = 8) -> None:
+    """Raise CapacityError if rows x cols entries of ``entry_bytes`` each
+    (a float64 array by default) exceed the cap."""
+    needed = rows * cols * entry_bytes
     cap = GRAM_BYTE_CAP.get()
     if needed > cap:
         raise CapacityError(
@@ -138,7 +142,14 @@ def _pair_counts(a: InteractionMatrix, b: InteractionMatrix) -> np.ndarray:
     return out
 
 
-def csr_matmul(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray) -> np.ndarray:
+def product_rows(cols: int) -> int:
+    """Rows of one csr_matmul output block with ``cols`` columns: PRODUCT_BLOCK_BYTES
+    of float64, and at least one row."""
+    return max(1, PRODUCT_BLOCK_BYTES // (8 * max(cols, 1)))
+
+
+def csr_matmul(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray,
+               out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """``x @ b`` for every binary CSR row x, bitwise as scipy computes it.
 
     Each row is summed from +0.0 over the rows of ``b`` its items select,
@@ -150,25 +161,44 @@ def csr_matmul(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray) -> np.nda
     that still have an item at position p a prefix: one gather and add
     per position rather than per row. An overflow is left as inf for the
     caller's finiteness check.
+
+    ``out`` receives the (rows, cols) result, cols being ``b.shape[1]``.
+    ``work`` is float64 scratch of shape (2, m, cols), m at least
+    min(rows, product_rows(cols)): an accumulator and a gather target.
+    Both are C-contiguous and overlap neither ``b`` nor each other. Either
+    one not given is allocated once per call, and every block reuses it,
+    so a caller scoring block after block (ranking) passes its own and
+    faults in no fresh pages. Every index must select a row of ``b``; that
+    is checked once per call (IndexError), so the gathers need not.
     """
     # Rows of b are gathered, so they must be contiguous; a solver's
     # Fortran-order output would make each gather strided.
     b = np.ascontiguousarray(b)
-    result = np.empty((len(indptr) - 1, b.shape[1]))
-    step = max(1, PRODUCT_BLOCK_BYTES // (8 * max(b.shape[1], 1)))
-    for first in range(0, len(result), step):
+    rows, cols = len(indptr) - 1, b.shape[1]
+    used = indices[indptr[0]:indptr[-1]]
+    if used.size and (used.min() < 0 or used.max() >= b.shape[0]):
+        raise IndexError(f"CSR column index outside the {b.shape[0]} rows of b")
+    step = max(1, min(rows, product_rows(cols)))
+    if out is None:
+        out = np.empty((rows, cols))
+    sums, gathered = np.empty((2, step, cols)) if work is None else work
+    for first in range(0, rows, step):
         block = indptr[first:first + step + 1]
         lengths = np.diff(block)
         order = np.argsort(-lengths, kind="stable")
         starts = block[:-1][order]
         # Rows holding more than p items, for p = 0 .. max length.
         counts = len(lengths) - np.cumsum(np.bincount(lengths))
-        out = np.zeros((len(lengths), b.shape[1]))
+        acc = sums[:len(lengths)]
+        acc.fill(0.0)
         with np.errstate(over="ignore"):
             for p, c in enumerate(counts[:-1].tolist()):
-                out[:c] += b[indices[starts[:c] + p]]
-        result[first:first + len(lengths)][order] = out
-    return result
+                # The default mode="raise" stages the gather in a fresh
+                # array; the indices were checked above.
+                acc[:c] += np.take(b, indices[starts[:c] + p], axis=0,
+                                   out=gathered[:c], mode="clip")
+        out[first:first + len(lengths)][order] = acc
+    return out
 
 
 def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:

@@ -7,9 +7,11 @@ straight from their CSR arrays (:func:`whiterec.linalg.csr_matmul`, the
 kernel that also forms X^T products for the solvers; it is bitwise equal
 to scipy's CSR x dense product, and loads no scipy module), their seen
 items masked, and the top ``min(n, |I|)`` entries of each row picked with
-exact ties (score descending, then item index ascending). ``evaluate`` consumes
-the blocks directly; ``batch_recommend``, ``score_user`` and ``top_n`` wrap
-them as Python lists.
+exact ties (score descending, then item index ascending). A pass makes
+its block-sized arrays once, at its first block, and every block reuses
+them (:class:`_Workspace`), so it faults in no fresh pages per block.
+``evaluate`` consumes the blocks directly; ``batch_recommend``,
+``score_user`` and ``top_n`` wrap them as Python lists.
 
 ``write_recommendations`` turns the blocks straight into CSV rows. It cuts
 the fold-in rows into contiguous shards, one per worker: as many workers
@@ -81,7 +83,8 @@ def top_n(scores: np.ndarray, seen: np.ndarray, n: int) -> list[tuple[int, float
     seen = np.unique(np.asarray(seen, dtype=np.int64))
     if seen.size and (seen[0] < 0 or seen[-1] >= scores.shape[1]):
         raise ValueError(f"seen indices out of range for {scores.shape[1]} items")
-    items, values, lengths = _top_rows(scores, np.array([0, seen.size]), seen, n)
+    items, values, lengths = _top_rows(scores, np.array([0, seen.size]), seen, n,
+                                       _Workspace(*scores.shape))
     return list(zip(items[0, :lengths[0]].tolist(), values[0, :lengths[0]].tolist()))
 
 
@@ -92,8 +95,10 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix, n: int,
 
     Yields ``(first_row, items, scores, lengths)``: ``items`` and ``scores``
     are (rows, min(n, |I|)) arrays in ranked order, and row r's list is
-    its first ``lengths[r]`` entries (the rest are seen items). The model
-    is checked when this is called, before any block is scored.
+    its first ``lengths[r]`` entries (the rest are seen items). The model,
+    and the capacity of the whole ranking workspace, are checked when this
+    is called, before any block is scored; the workspace itself is
+    allocated at the first block and reused by every later one.
     """
     if foldin.n_items != B.dim:
         raise ValueError(
@@ -101,28 +106,57 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix, n: int,
         )
     if not np.isfinite(B.values).all():
         raise ValueError(f"{B.kind} similarity matrix has non-finite entries")
-    # A score block is exactly the output block csr_matmul forms.
-    rows = max(1, linalg.PRODUCT_BLOCK_BYTES // (8 * max(B.dim, 1)))
-    linalg.check_capacity(rows, B.dim, "score block")
     stop = foldin.n_users if stop is None else stop
-    return (_ranked_block(foldin, B, n, first, min(first + rows, stop))
-            for first in range(start, stop, rows))
+    # A score block is exactly the output block csr_matmul forms.
+    rows = max(1, min(linalg.product_rows(B.dim), stop - start))
+    linalg.check_capacity(rows, B.dim, "ranking workspace", _Workspace.ENTRY_BYTES)
+    return _ranked_blocks(foldin, B, n, start, stop, rows)
 
 
-def _ranked_block(foldin: InteractionMatrix, B: SimilarityMatrix, n: int, first: int,
-                  stop: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    indptr = foldin.indptr[first:stop + 1]
-    indices = foldin.indices[indptr[0]:indptr[-1]]
-    indptr = indptr - indptr[0]
-    scores = linalg.csr_matmul(indptr, indices, B.values)
-    return (first, *_top_rows(scores, indptr, indices, n))
+def _ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix, n: int, start: int,
+                   stop: int, rows: int,
+                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    # A generator: the workspace exists only once a block is asked for, so
+    # write_recommendations' parent holds none for the shards its children rank.
+    work = _Workspace(rows, B.dim)
+    for first in range(start, stop, rows):
+        indptr = foldin.indptr[first:min(first + rows, stop) + 1]
+        indices = foldin.indices[indptr[0]:indptr[-1]]
+        indptr = indptr - indptr[0]
+        scores = linalg.csr_matmul(indptr, indices, B.values, out=work.scores[:len(indptr) - 1],
+                                   work=work.product)
+        yield (first, *_top_rows(scores, indptr, indices, n, work))
 
 
-def _top_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-              n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Workspace:
+    """The block-sized arrays of one ranking pass, made once and reused by every block.
+
+    Reusing them keeps a pass from faulting in fresh pages for each block,
+    so its speed does not depend on what earlier frees left in the
+    allocator.
+    """
+
+    # Bytes per score entry: three 8-byte arrays and three masks.
+    ENTRY_BYTES = 3 * 8 + 3
+
+    def __init__(self, rows: int, dim: int):
+        self.scores = np.empty((rows, dim))
+        # csr_matmul's accumulator and gather target. Scoring is done with
+        # them when _top_rows starts, so they then hold its partition copy
+        # and its cumsum counts.
+        self.product = np.empty((2, rows, dim))
+        self.partition = self.product[0]
+        self.counts = self.product[1].view(np.int64)
+        self.masks = np.empty((3, rows, dim), dtype=bool)
+
+
+def _top_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: int,
+              work: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ranked top-min(n, |I|) of each score row after masking seen items (in place).
 
-    Row r's seen items are ``indices[indptr[r]:indptr[r + 1]]``.
+    Row r's seen items are ``indices[indptr[r]:indptr[r + 1]]``. Every
+    block-sized intermediate lives in ``work``, which has at least as many
+    rows as ``scores``.
 
     The k-th largest value splits each row: every entry above it is kept,
     plus the lowest-index entries equal to it, so a tie straddling the
@@ -130,16 +164,26 @@ def _top_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
     rows, dim = scores.shape
+    above, tied, keep = work.masks[:, :rows]
+    if not np.isfinite(scores, out=keep).all():
+        raise ValueError("scores must be finite")
     k = min(n, dim)
     n_seen = np.diff(indptr)
     scores[np.repeat(np.arange(rows), n_seen), indices] = -np.inf
-    kth = np.partition(scores, dim - k, axis=1)[:, dim - k, None]
-    above = scores > kth
-    tied = scores == kth
-    keep = above | (tied & (np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)))
+    part = work.partition[:rows]
+    np.copyto(part, scores)
+    part.partition(dim - k, axis=1)
+    kth = part[:, dim - k, None]
+    np.greater(scores, kth, out=above)
+    np.equal(scores, kth, out=tied)
+    counts = work.counts[:rows]
+    # Cast first: a cumsum of the bool mask itself converts it in a fresh array.
+    np.copyto(counts, tied)
+    np.cumsum(counts, axis=1, out=counts)
+    np.less_equal(counts, k - above.sum(axis=1, keepdims=True), out=keep)
+    keep &= tied
+    keep |= above
     items = np.nonzero(keep)[1].reshape(rows, k)
     values = np.take_along_axis(scores, items, axis=1)
     order = np.argsort(-values, axis=1, kind="stable")

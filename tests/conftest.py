@@ -1,5 +1,7 @@
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,16 @@ def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance.py" in report.nodeid:
         status = "PASS" if report.passed else "FAIL"
         print(f"\n[acceptance] {status} {report.nodeid.split('::')[-1]}")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**variables):
+    """This process's environment plus ``variables``, with whiterec importable,
+    for a fresh Python child process."""
+    return {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 # The regularization weights the identity checks sweep.

@@ -12,26 +12,25 @@ LAPACK; a new digest must come with a reason.
 "Byte-identical" holds for a fixed BLAS thread count and OpenBLAS core
 (the kernel OpenBLAS picks for the CPU): the Cholesky and eigen routines
 split their work by thread, so the last bits of a model can differ
-between counts. The digests hold at two threads, OpenBLAS's default on
-a 2-core host; at one thread the ease model and its recommendations
-move. test_models_agree_across_blas_thread_counts keeps that dependence
+between counts. So the pipeline's ``train`` step, the only one that calls
+LAPACK, runs in a child process at ``OPENBLAS_NUM_THREADS=1``, and the
+digests hold whatever the host's core count.
+test_models_agree_across_blas_thread_counts keeps that dependence
 bounded: train at one and at two threads agrees to 1e-12.
 """
 
 import csv
 import hashlib
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from whiterec.cli import EXIT_OK, load_model, main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
 
 GOLDEN_SPLIT = {
     "train.txt":
@@ -71,15 +70,18 @@ GOLDEN = {
         "model_ridge.bin":
             "2f8767443efc087f45e1df3f09f692609821fdfe88520782df3922876f840ac9",
     },
+    # Re-pinned (model and recommendations): train now runs at one BLAS
+    # thread, and potrf/potri split their work by thread; 120 of 350 scores
+    # move by at most 3.9e-16 relative, and no ranked item moves.
     "ease": {
         "recommendations.csv":
-            "1ad200ffd1ca74c589bafc8abe6bb4a0de0e3cad8a80ff2cc0fcb6314bfbcd9e",
+            "0d68013a4db8c12c8014bb995849e05a271a0b52204a0d7941633fa50b491d96",
         "eval_test_ease.json":
             "225920e80175431906d1a7bcaffd3a2c3c23a3138dfc13cc36d23b025e21b7b9",
         "eval_test_ease_per_user.csv":
             "200ed95716fe38d8288bca8b68c1efed28a11bc000f5bdbbee9ae7a053504597",
         "model_ease.bin":
-            "d3d33ad6fae1409de07b209c4806118cf4ae7bacce0af41837560d99d5064b89",
+            "2d6ec12c22f528790f00b21c67e9bb1480e73b95d5e9abe4064fb159694737a0",
     },
     # Re-pinned (model and recommendations): zca is the Gram of X's whitened
     # eigenbasis rows, not of a dense W = P X, which rounds 897 of the 900
@@ -176,7 +178,11 @@ def test_golden_outputs(tmp_path, kind):
     if kind.startswith("embed_"):
         common += ["--embedding-dim", "8"]
     assert main(["preprocess", "--data", str(tmp_path / "data.csv"), *common]) == EXIT_OK
-    assert main(["train", *common]) == EXIT_OK
+    # train is the only step that calls LAPACK, whose last bits depend on the
+    # BLAS thread count; one thread makes the digests the same on any host.
+    proc = subprocess.run([sys.executable, "-m", "whiterec.cli", "train", *common],
+                          env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
     model = str(out / f"model_{kind}.bin")
     assert main(["evaluate", "--model", model, *common]) == EXIT_OK
     assert main(["recommend", "--model", model, "--users", str(tmp_path / "users.csv"),
@@ -209,9 +215,7 @@ def test_models_agree_across_blas_thread_counts(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         shutil.copytree(split, out)
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", TRAIN_BOTH, str(out)], env=env,
+        proc = subprocess.run([sys.executable, "-c", TRAIN_BOTH, str(out)], env=child_env(OPENBLAS_NUM_THREADS=threads),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         models[threads] = {kind: load_model(out / f"model_{kind}.bin")[0].values

@@ -1,15 +1,18 @@
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whiterec import linalg, recommend
 from whiterec.autoencoder import SimilarityMatrix
+from whiterec.errors import CapacityError
 from whiterec.ingest import HeldOutSet, InteractionMatrix
 from whiterec.recommend import (
     RankedList,
@@ -20,7 +23,7 @@ from whiterec.recommend import (
     write_recommendations,
 )
 
-from conftest import KERNEL_VALUES, bitwise_equal
+from conftest import KERNEL_VALUES, bitwise_equal, child_env
 
 
 def sim(values, kind="ridge"):
@@ -46,6 +49,14 @@ def naive_rank(foldin_rows, values, n):
         order = sorted(unseen, key=lambda i: (-scores[i], i))[:n]
         lists.append([(i, float(scores[i])) for i in order])
     return lists
+
+
+def falling_rows(n_items, block_rows):
+    """Rows that show a reused block buffer not reset between blocks: lengths
+    fall from one block to the next, down to a block of empty rows, and the
+    last block is short."""
+    lengths = [n_items] * block_rows + [n_items // 2] * block_rows + [0] * block_rows + [1]
+    return [list(range(n_items - length, n_items)) for length in lengths]
 
 
 def as_text(entries):
@@ -92,12 +103,14 @@ class TestScoringKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 12),
-           n_rows=st.integers(0, 9))
-    def test_blocks_match_scipy(self, seed, n_items, n_rows):
+           n_rows=st.integers(0, 9), falling=st.booleans())
+    @example(seed=1, n_items=7, n_rows=0, falling=True)
+    def test_blocks_match_scipy(self, seed, n_items, n_rows, falling):
         gen = np.random.default_rng(seed)
         values = gen.choice(KERNEL_VALUES, size=(n_items, n_items))
-        rows = [np.flatnonzero(gen.random(n_items) < gen.choice([0.0, 0.3, 1.0]))
-                for _ in range(n_rows)]
+        rows = ([np.array(r, dtype=np.int64) for r in falling_rows(n_items, 3)] if falling
+                else [np.flatnonzero(gen.random(n_items) < gen.choice([0.0, 0.3, 1.0]))
+                      for _ in range(n_rows)])
         indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int32)
         indices = np.concatenate([np.zeros(0, np.int32), *rows]).astype(np.int32)
         expected = scipy_scores(indptr, indices, values)
@@ -105,7 +118,9 @@ class TestScoringKernel:
 
         foldin = heldout([r.tolist() for r in rows], [[] for _ in rows], n_items).foldin
         with pytest.MonkeyPatch.context() as mp:
+            # Blocks of 3 rows, for csr_matmul's own loop and for ranking.
             mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n_items * 3)
+            assert bitwise_equal(linalg.csr_matmul(indptr, indices, values), expected)
             for start, items, scores, lengths in recommend.ranked_blocks(
                     foldin, sim(values), n_items):
                 for r, length in enumerate(lengths.tolist()):
@@ -124,6 +139,49 @@ class TestScoringKernel:
         y = np.array([4, 1, 4, 0, 5])
         expected = scipy_scores(np.array([0, len(y)]), y, values)[0]
         assert bitwise_equal(score_user(y, sim(values)), expected)
+
+
+# One ranked_blocks pass over BLOCKS score blocks of a 1,000-item model in a
+# fresh process; prints the minor page faults the pass took.
+PASS_FAULTS = """
+import resource, sys
+import numpy as np
+from whiterec import linalg, recommend
+from whiterec.autoencoder import SimilarityMatrix
+from whiterec.ingest import InteractionMatrix
+
+dim, blocks = 1000, int(sys.argv[1])
+# Filled in place, as a model read from disk is: a freed 8 MB temporary
+# would raise glibc's mmap threshold and hide per-block allocations.
+values = np.empty((dim, dim))
+np.random.default_rng(0).random(out=values)
+rows = blocks * (linalg.PRODUCT_BLOCK_BYTES // (8 * dim))
+gen = np.random.default_rng(1)
+lengths = gen.integers(1, 9, size=rows)
+indptr = np.concatenate(([0], np.cumsum(lengths)))
+indices = np.concatenate([np.sort(gen.choice(dim, size=k, replace=False)) for k in lengths])
+ids = [str(i) for i in range(max(rows, dim))]
+foldin = InteractionMatrix((indptr, indices, (rows, dim)), ids[:rows], ids[:dim])
+model = SimilarityMatrix(values, "ridge")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in recommend.ranked_blocks(foldin, model, 10):
+    pass
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_pass_faults_do_not_grow_with_blocks():
+    """A pass allocates its workspace once: 20 blocks fault in no more pages
+    than 2 blocks plus one block's worth, whatever the allocator's state."""
+    resource = pytest.importorskip("resource")
+    faults = {}
+    for blocks in (2, 20):
+        proc = subprocess.run([sys.executable, "-c", PASS_FAULTS, str(blocks)], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults[blocks] = int(proc.stdout)
+    block_pages = linalg.PRODUCT_BLOCK_BYTES // resource.getpagesize()
+    assert faults[20] <= faults[2] + block_pages, faults
 
 
 class TestTopN:
@@ -257,9 +315,11 @@ class TestBatchRecommend:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 12),
            n_users=st.integers(0, 9), n=st.integers(1, 15),
-           block_rows=st.integers(1, 4), block_diagonal=st.booleans())
+           block_rows=st.integers(1, 4), block_diagonal=st.booleans(), falling=st.booleans())
+    @example(seed=2, n_items=9, n_users=0, n=4, block_rows=3, block_diagonal=False,
+             falling=True)
     def test_kernel_matches_naive_oracle(self, seed, n_items, n_users, n,
-                                         block_rows, block_diagonal):
+                                         block_rows, block_diagonal, falling):
         gen = np.random.default_rng(seed)
         values = np.round(gen.normal(size=(n_items, n_items)), 1)  # rounding forces ties
         half = n_items // 2
@@ -268,8 +328,8 @@ class TestBatchRecommend:
             # disconnected item groups; their summed scores must print as 0.0.
             values[:half, half:] = -0.0
             values[half:, :half] = -0.0
-        rows = []
-        for _ in range(n_users):
+        rows = falling_rows(n_items, block_rows) if falling else []
+        for _ in range(0 if falling else n_users):
             shape = gen.integers(4)
             if shape == 0:
                 rows.append([])
@@ -283,7 +343,7 @@ class TestBatchRecommend:
             # Blocks of block_rows users, so most cases span several blocks.
             mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n_items * block_rows)
             ranked = batch_recommend(foldin, sim(values), n)
-        assert [rl.user for rl in ranked] == list(range(n_users))
+        assert [rl.user for rl in ranked] == list(range(len(rows)))
         for rl, row, expected in zip(ranked, rows, naive_rank(rows, values, n)):
             assert as_text(rl.entries) == as_text(expected)
             assert len(rl.entries) == min(n, n_items - len(row))
@@ -429,6 +489,23 @@ class TestWriteRecommendations:
         assert [recommend._worker_count(k * rows, 100) for k in (0, 1, 2, 3, 9)] == [1, 1, 2, 3, 4]
         assert recommend._worker_count(9 * rows, 2) == 2
         assert recommend._worker_count(9 * rows, 0) == 1
+
+    def test_workspace_over_cap_raises_before_scoring(self, tmp_path, monkeypatch, byte_cap):
+        foldin, values = self.case()
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * 5 * 2)  # 2-row blocks
+        workspace = recommend._Workspace(2, 5)
+        size = 2 * 5 * recommend._Workspace.ENTRY_BYTES
+        assert workspace.scores.nbytes + workspace.product.nbytes + workspace.masks.nbytes == size
+        byte_cap(size - 1)  # room for a score block, not for the workspace
+        with pytest.raises(CapacityError, match="ranking workspace"):
+            recommend.ranked_blocks(foldin, sim(values), 3)
+        forks = forced_workers(monkeypatch, 3)
+        with pytest.raises(CapacityError):
+            write_recommendations(foldin, sim(values), 3, self.ITEM_IDS, tmp_path / "r.csv")
+        assert forks == [] and list(tmp_path.iterdir()) == []
+        byte_cap(size)
+        blocks = list(recommend.ranked_blocks(foldin, sim(values), 3))
+        assert [first for first, *_ in blocks] == [0, 2, 4]
 
     def test_bad_model_raises_before_any_fork(self, tmp_path, monkeypatch):
         foldin, values = self.case()
