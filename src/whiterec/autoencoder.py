@@ -8,7 +8,9 @@ Lagrange multipliers and stays closed form. The dual ridge form
 M^T (M M^T + lam I)^{-1} M is the item Gram of the ZCA-whitened features,
 so one function (:func:`whitened_gram`) serves interactions and
 embeddings alike, for ridge and for EASE on wide M. Every lam I shift, and
-so every lam > 0 check, is in :func:`_shifted`."""
+so every lam > 0 check, is in :func:`_shifted`. Each solver works in the
+Gram it counts: EASE turns it into P_hat and then into B in place, as in
+Steck's Algorithm 1, and the primal ridge solve writes B over it."""
 
 from __future__ import annotations
 
@@ -37,28 +39,46 @@ class SimilarityMatrix:
 
 @dataclass
 class EaseSolution:
-    """EASE output: the similarity matrix, multipliers, and the inverse Gram.
+    """EASE output: the similarity matrix, multipliers, and diag of the inverse Gram.
 
     ``alpha`` holds the per-item Lagrange multipliers enforcing the zero
-    diagonal; ``p_hat`` is (M^T M + lam I)^{-1}.
+    diagonal, and ``d`` is diag(P_hat), P_hat = (M^T M + lam I)^{-1}.
+    B = I - P_hat diagMat(1 / d) holds the rest of P_hat, so ``p_hat``
+    rebuilds it from the two, within an ulp or so of the P_hat B came
+    from, rather than keeping a second |I| x |I| array.
     """
 
     B: SimilarityMatrix
     alpha: np.ndarray
-    p_hat: np.ndarray
+    d: np.ndarray
+
+    @property
+    def p_hat(self) -> np.ndarray:
+        """P_hat: d on the diagonal and -B[i, j] d[j] off it."""
+        p = self.B.values * -self.d[np.newaxis, :]
+        np.fill_diagonal(p, self.d)
+        return p
 
 
 def ridge_primal(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
-    """B = (X^T X + lam I)^{-1} X^T X via the item-side Gram."""
+    """B = (X^T X + lam I)^{-1} X^T X via the item-side Gram.
+
+    A shifted copy of the Gram is factored in place, and the solve writes
+    the result over the Gram (its transpose is the same matrix, in the
+    Fortran order potrs works in), so the two are the only |I| x |I|
+    arrays.
+    """
     g = linalg.gram(X, side="items")
-    b = linalg.spd_solve(_shifted(g, lam), g)
-    return SimilarityMatrix(linalg.symmetrize(b), "ridge", {"lambda": lam, "form": "primal"})
+    b = linalg.spd_solve(_shifted(g.copy(), lam), g.T, overwrite_a=True, overwrite_b=True).T
+    linalg.symmetrize_in_place(b)
+    return SimilarityMatrix(b, "ridge", {"lambda": lam, "form": "primal"})
 
 
 def ridge_dual(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
     """B = X^T (X X^T + lam I)^{-1} X via the user-side Gram."""
     b = whitened_gram(X, lam)
-    return SimilarityMatrix(linalg.symmetrize(b), "ridge", {"lambda": lam, "form": "dual"})
+    linalg.symmetrize_in_place(b)
+    return SimilarityMatrix(b, "ridge", {"lambda": lam, "form": "dual"})
 
 
 def ridge(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
@@ -97,8 +117,9 @@ def ease(M, lam: float) -> EaseSolution:
     """
     rows, items = M.shape
     if items <= rows:
-        # G is dropped once shifted, so at most two |I| x |I| arrays are live.
-        p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam))
+        # The Gram is shifted, factored and inverted in place: the one
+        # |I| x |I| array, which then becomes B.
+        p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam), overwrite_a=True)
     else:
         # (I - W) / lam in W's own array: 0 - W, then + 1 on the diagonal, are
         # the bits of I - W.
@@ -114,12 +135,14 @@ def ease(M, lam: float) -> EaseSolution:
         )
     alpha = 1.0 / d - lam
     # 0 - P_hat / d is I - P_hat / d off the diagonal, bit for bit (signed
-    # zeros included), without an identity matrix.
-    b = p_hat / d[np.newaxis, :]
+    # zeros included), without an identity matrix; it is formed in P_hat's
+    # own array.
+    b = p_hat
+    b /= d[np.newaxis, :]
     np.subtract(0.0, b, out=b)
     np.fill_diagonal(b, 0.0)
     sim = SimilarityMatrix(b, "ease", {"lambda": lam})
-    return EaseSolution(sim, alpha, p_hat)
+    return EaseSolution(sim, alpha, d)
 
 
 def ease_decompose(sol: EaseSolution) -> tuple[SimilarityMatrix, np.ndarray]:
@@ -130,16 +153,16 @@ def ease_decompose(sol: EaseSolution) -> tuple[SimilarityMatrix, np.ndarray]:
     P_hat diagMat(alpha), so that sol.B = whitening_term - diagonal_term.
     """
     lam = sol.B.config["lambda"]
-    w = np.eye(sol.p_hat.shape[0]) - lam * sol.p_hat
+    p_hat = sol.p_hat
+    w = np.eye(p_hat.shape[0]) - lam * p_hat
     whitening_term = SimilarityMatrix(w, "zca", {"lambda": lam, "source": "ease_decompose"})
-    diagonal_term = sol.p_hat * sol.alpha[np.newaxis, :]
+    diagonal_term = p_hat * sol.alpha[np.newaxis, :]
     return whitening_term, diagonal_term
 
 
 def _shifted(g: np.ndarray, lam: float) -> np.ndarray:
-    """g + lam I; every ridge and EASE solve goes through here."""
+    """g + lam I, in g's own array; every ridge and EASE solve goes through here."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be > 0 and finite, got {lam}")
-    out = g.copy()
-    out[np.diag_indices_from(out)] += lam
-    return out
+    g[np.diag_indices_from(g)] += lam
+    return g

@@ -67,22 +67,30 @@ class ModelKind:
     ``build(source, lam)`` gets the train matrix, or its SVD embeddings for
     kinds that read ``embedding_dim``. Builders look their solver up at
     call time, so a solver wrapped after import is the one that runs.
+
+    ``peak_arrays`` is how many |I| x |I| float64 arrays the kind holds at
+    once when it inverts the item Gram (|I| <= |U|): ridge the Gram and
+    its factored copy, ease the Gram it turns into B, zca the Gram and
+    numpy's eigensystem of it, the embedding kinds the Gram and dstemr's
+    eigenvectors. ``train`` checks that many against the capacity cap
+    before it allocates any; each array is still checked when it is made.
     """
 
     build: Callable[..., SimilarityMatrix]
+    peak_arrays: int
     uses_lambda: bool = True
     uses_embedding_dim: bool = False
 
 
 KINDS = {
-    "ridge": ModelKind(lambda X, lam: ridge(X, lam)),
-    "ease": ModelKind(lambda X, lam: ease(X, lam).B),
-    "zca": ModelKind(lambda X, lam: zca_similarity(X, lam)),
-    "embed_dot": ModelKind(lambda e, lam: embedding_mod.embed_dot(e),
+    "ridge": ModelKind(lambda X, lam: ridge(X, lam), 2),
+    "ease": ModelKind(lambda X, lam: ease(X, lam).B, 1),
+    "zca": ModelKind(lambda X, lam: zca_similarity(X, lam), 3),
+    "embed_dot": ModelKind(lambda e, lam: embedding_mod.embed_dot(e), 2,
                            uses_lambda=False, uses_embedding_dim=True),
-    "embed_ridge": ModelKind(lambda e, lam: embedding_mod.embed_ridge(e, lam),
+    "embed_ridge": ModelKind(lambda e, lam: embedding_mod.embed_ridge(e, lam), 2,
                              uses_embedding_dim=True),
-    "embed_ease": ModelKind(lambda e, lam: embedding_mod.embed_ease(e, lam),
+    "embed_ease": ModelKind(lambda e, lam: embedding_mod.embed_ease(e, lam), 2,
                             uses_embedding_dim=True),
 }
 
@@ -256,8 +264,15 @@ def cmd_preprocess(config: PipelineConfig) -> int:
 
 
 def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
-    """Build the configured similarity kind from a training matrix."""
+    """Build the configured similarity kind from a training matrix.
+
+    The kind's whole peak is checked against the capacity cap first, so a
+    cap too small for it fails before any work is done.
+    """
     kind = KINDS[config.kind]
+    linalg.check_capacity(train.n_items, train.n_items,
+                          f"{config.kind} training peak, {kind.peak_arrays} x float64",
+                          8 * kind.peak_arrays)
     if not kind.uses_embedding_dim:
         return kind.build(train, config.lam)
     # Embedding kinds share the factorization step, which has at most

@@ -9,7 +9,11 @@ Interactions enter only through the CSR arrays of an
 (:func:`gram`), and every product of a binary CSR matrix with a dense
 one, ranking's ``x @ B`` as well as ``X^T z``, is :func:`csr_matmul`.
 The Cholesky and top-k eigen routines are scipy's LAPACK wrappers, bound
-directly from its extension module (see :func:`_lapack`).
+directly from its extension module (see :func:`_lapack`). A solver handed
+an array it may overwrite (``overwrite_a``, ``overwrite_b``) works in it,
+so a Gram matrix is the workspace of its own factorization; checks of
+such arrays run a row panel at a time (:func:`all_finite`,
+:func:`symmetrize_in_place`) and make no temporary of their size.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ GRAM_BYTE_CAP: ContextVar[int] = ContextVar("GRAM_BYTE_CAP", default=1 << 30)
 GRAM_BLOCK_PAIRS = 1 << 18
 
 # Output bytes csr_matmul forms at once, and so the bytes of scores
-# ranking holds at once (recommend.ranked_blocks). A block small enough to
+# ranking holds at once (recommend.ranked_blocks); also the row panel of
+# the checks that pass over a whole array (all_finite, symmetrize_in_place). A block small enough to
 # stay in cache is three times faster than the whole X^T z at 2,500
 # items, and bounds the workspace beyond the result; larger score blocks
 # are no faster and raise peak memory. Ranking's whole workspace is 27
@@ -66,6 +71,38 @@ def check_capacity(rows: int, cols: int, what: str = "Gram matrix",
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (a + a.T) / 2, making near-symmetric products exactly symmetric."""
     return (a + a.T) / 2.0
+
+
+def symmetrize_in_place(a: np.ndarray) -> tuple[float, float]:
+    """Make square a exactly symmetric in place, with the bits of symmetrize(a).
+
+    Both entries of each pair become (a[i, j] + a[j, i]) / 2.0, as IEEE
+    addition commutes. Returns max |a - a.T| and max |a| of the input.
+    The pass takes the upper triangle a row panel at a time, with the
+    matching column panel.
+    """
+    asymmetry = magnitude = 0.0
+    for rows in _row_panels(a):
+        upper, lower = a[rows, rows.start:], a[rows.start:, rows].T
+        asymmetry = max(asymmetry, float(np.abs(upper - lower).max()))
+        magnitude = max(magnitude, float(np.abs(upper).max()), float(np.abs(lower).max()))
+        # Both views share the panel's diagonal block, which the mean fills
+        # symmetrically, so the two writes agree there.
+        mean = (upper + lower) / 2.0
+        upper[...] = mean
+        a[rows.start:, rows] = mean.T
+    return asymmetry, magnitude
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, a row panel at a time: no mask of a's size is made."""
+    return all(np.isfinite(a[rows]).all() for rows in _row_panels(a))
+
+
+def _row_panels(a: np.ndarray):
+    """Slices of a's rows, PRODUCT_BLOCK_BYTES of float64 each, at least one row."""
+    step = product_rows(math.prod(a.shape[1:]))
+    return (slice(first, first + step) for first in range(0, len(a), step))
 
 
 @dataclass
@@ -201,42 +238,34 @@ def csr_matmul(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray,
     return out
 
 
-def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
+def eigh(a: np.ndarray, k: int | None = None, overwrite_a: bool = False) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    With k < n only the k largest eigenpairs are computed: LAPACK evr on
-    an index subset, the call ``scipy.linalg.eigh(..., subset_by_index=...)``
-    makes, through :func:`_lapack`. Otherwise, and for k=None, all n come
-    from np.linalg.eigh. The descending order and the sign rule apply to
-    the columns returned either way.
+    With k < n only the k largest eigenpairs are computed (see
+    :func:`_top_eigenpairs`). Otherwise, and for k=None, all n come from
+    np.linalg.eigh. The descending order and the sign rule apply to the
+    columns returned either way. a must be symmetric within 1e-8 times
+    max(1, max |a|), and is made exactly symmetric first (the bits of
+    :func:`symmetrize`). a is not written unless ``overwrite_a`` hands it
+    over, and then it is the workspace: no copy of it is made.
     """
     a = _square_finite(a)
     if a.size == 0:
         raise ValueError("matrix is empty (shape 0x0)")
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # a is finite, so this is np.allclose(a, a.T, rtol=0, atol=...) without
-    # its extra passes.
-    if np.abs(a - a.T).max() > 1e-8 * max(1.0, np.abs(a).max()):
+    work = np.ascontiguousarray(a) if overwrite_a else a.copy()
+    asymmetry, magnitude = symmetrize_in_place(work)
+    if asymmetry > 1e-8 * max(1.0, magnitude):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     if k is None or k >= n:
         try:
-            w, v = np.linalg.eigh(symmetrize(a))
+            w, v = np.linalg.eigh(work)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     else:
-        lapack = _lapack()
-        lwork, liwork, info = lapack.dsyevr_lwork(n, lower=1)
-        if info == 0:
-            # The transpose of the exactly symmetric copy is the same matrix
-            # in the Fortran order LAPACK works in, so it is not copied again.
-            w, v, m, _, info = lapack.dsyevr(
-                symmetrize(a).T, compute_v=1, range="I", il=n - k + 1, iu=n, lower=1,
-                lwork=int(lwork), liwork=int(liwork), overwrite_a=1)
-        if info != 0:
-            raise NumericalError(f"eigendecomposition failed (LAPACK evr info {info})")
-        w, v = w[:m], v[:, :m]
+        w, v = _top_eigenpairs(work, k)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     # Sign rule: first component of each eigenvector above _SIGN_TOL is positive.
@@ -244,6 +273,49 @@ def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
     signs = np.where(v[first, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
     v *= signs
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def _top_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs of exactly symmetric, C-ordered a, ascending; a is overwritten.
+
+    dsytrd reduces a to tridiagonal form in place, dstemr (MRRR, Dhillon
+    and Parlett) finds the tridiagonal matrix's top k eigenpairs, and
+    dormqr applies the Householder reflectors dsytrd left in a to their
+    eigenvectors. LAPACK's evr uses MRRR only for the whole spectrum; for
+    an index subset it runs bisection and inverse iteration, which take
+    longer than dstemr on the same subset.
+    """
+    lapack = _lapack()
+    n = a.shape[0]
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    if info == 0:
+        # a is symmetric, so a.T is a in the Fortran order LAPACK works in.
+        _, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_info("dsytrd", info)
+    e = np.append(e, 0.0)  # dstemr takes n entries of e, the last one workspace
+    lwork, liwork, info = lapack.dstemr_lwork(d, e, 2, 0.0, 0.0, n - k + 1, n)
+    if info == 0:
+        m, w, z, info = lapack.dstemr(d, e, 2, 0.0, 0.0, n - k + 1, n,
+                                      lwork=int(lwork), liwork=int(liwork))
+    _check_info("dstemr", info)
+    # Reflector j is stored below the subdiagonal of column j of a.T, and
+    # the reflectors act on rows 1 to n - 1, as dormtr hands them to dormqr.
+    # Columns that start one element into a's buffer, n apart, are an
+    # F-contiguous (n, n - 1) view whose first n - 1 rows hold them.
+    reflectors = a.reshape(-1)[1:1 + n * (n - 1)].reshape(n - 1, n).T
+    trailing = np.asfortranarray(z[1:, :m])
+    _, work, info = lapack.dormqr("L", "N", reflectors, tau, trailing, -1)
+    if info == 0:
+        trailing, _, info = lapack.dormqr("L", "N", reflectors, tau, trailing, int(work[0]),
+                                          overwrite_c=1)
+    _check_info("dormqr", info)
+    z[1:, :m] = trailing
+    return w[:m], z[:, :m]
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise NumericalError(f"eigendecomposition failed (LAPACK {routine} info {info})")
 
 
 def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -255,7 +327,8 @@ def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray, bool
     U_k^T X = S_k V_k^T, one csr_matmul on X's transposed CSR.
     """
     items_side = X.n_items <= X.n_users
-    eig = eigh(gram(X, side="items" if items_side else "users"), k=k)
+    # The counted Gram is handed over: eigh works in it.
+    eig = eigh(gram(X, side="items" if items_side else "users"), k=k, overwrite_a=True)
     sq = np.maximum(eig.eigenvalues, 0.0)
     if items_side:
         return sq, eig.eigenvectors.T, items_side
@@ -268,7 +341,7 @@ def _square_finite(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all_finite(a):
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -279,16 +352,17 @@ def _lapack():
 
     Importing the ``scipy.linalg`` package around it costs 0.3-0.4 s,
     mostly in scipy's array-API layer, which imports ``numpy.f2py``,
-    ``numpy.testing`` and ``numpy.ma``; ``import scipy`` and the extension
-    take about 20 ms. Its routines are the very objects
-    ``scipy.linalg.lapack`` exposes, so the results are the same bits.
+    ``numpy.testing`` and ``numpy.ma``. Executing ``scipy/__init__`` too
+    made binding the extension take 12-30 ms in a fresh process, against
+    3-5 ms without, so scipy's directory comes from its import spec, and
+    the extension is the one scipy module loaded. Its routines are the
+    very objects ``scipy.linalg.lapack`` exposes, so the results are the
+    same bits.
     """
     import importlib.machinery
     import importlib.util
 
-    import scipy
-
-    directory = Path(scipy.__file__).parent / "linalg"
+    directory = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]) / "linalg"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = directory / f"_flapack{suffix}"
         if path.is_file():
@@ -299,46 +373,59 @@ def _lapack():
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
+    import importlib.metadata
+
     raise ImportError(f"no LAPACK extension _flapack in {directory} "
-                      f"(scipy {scipy.__version__})")
+                      f"(scipy {importlib.metadata.version('scipy')})")
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of symmetric positive definite a: potrf on one
-    Fortran-order copy, so a is not written. The strict upper triangle
-    keeps entries of a. spd_solve and spd_inverse share this factorization.
+def _cholesky(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of symmetric positive definite a, by potrf.
+
+    potrf works on a Fortran-order copy, so a is not written, unless
+    ``overwrite_a`` hands a over: then a C- or F-ordered a is factored in
+    place. The strict upper triangle keeps entries of a. spd_solve and
+    spd_inverse share this factorization.
     """
     a = _square_finite(a)
     # a is symmetric, so a C-ordered a is the Fortran-ordered array LAPACK
     # wants once transposed.
-    work = np.array(a.T if a.flags.c_contiguous else a, order="F")
+    fortran = a.T if a.flags.c_contiguous else a
+    work = np.asfortranarray(fortran) if overwrite_a else np.array(fortran, order="F")
     factor, info = _lapack().dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
     return factor
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ z = b for symmetric positive definite a; neither is written."""
+def spd_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False,
+              overwrite_b: bool = False) -> np.ndarray:
+    """Solve a @ z = b for symmetric positive definite a.
+
+    Neither is written unless handed over: ``overwrite_a`` factors a in
+    place, and ``overwrite_b`` solves in a Fortran-ordered b (the result
+    is then b itself).
+    """
     b = np.asarray(b, dtype=np.float64)
-    factor = _cholesky(a)
+    factor = _cholesky(a, overwrite_a)
     if b.shape[:1] != factor.shape[:1]:
         raise ValueError(f"dimension mismatch: a is {factor.shape}, b is {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not all_finite(b):
         raise ValueError("right-hand side contains non-finite entries")
-    z, info = _lapack().dpotrs(factor, b, lower=1)
+    z, info = _lapack().dpotrs(factor, b, lower=1, overwrite_b=int(overwrite_b))
     if info != 0:
         raise ValueError(f"LAPACK potrs rejected argument {-info}")
     return z
 
 
-def spd_inverse(a: np.ndarray) -> np.ndarray:
+def spd_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, exactly symmetric.
 
     potri overwrites the factor with the lower triangle of the inverse,
-    which is then mirrored. a itself is not written.
+    which is then mirrored. a itself is not written unless ``overwrite_a``
+    hands it over; a C-ordered a then holds the inverse.
     """
-    factor, info = _lapack().dpotri(_cholesky(a), lower=1, overwrite_c=1)
+    factor, info = _lapack().dpotri(_cholesky(a, overwrite_a), lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
     # potri filled factor[i, j] for i >= j, so its C-ordered transpose holds

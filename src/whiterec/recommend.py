@@ -100,13 +100,24 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix, n: int,
     is called, before any block is scored; the workspace itself is
     allocated at the first block and reused by every later one.
     """
+    _check_model(foldin, B)
+    return _shard(foldin, B, n, start, foldin.n_users if stop is None else stop)
+
+
+def _check_model(foldin: InteractionMatrix, B: SimilarityMatrix) -> None:
+    """ValueError unless B covers the fold-in items and is finite: once per
+    ranking call, however many shards it ranks."""
     if foldin.n_items != B.dim:
         raise ValueError(
             f"fold-in matrix has {foldin.n_items} items but the model covers {B.dim}"
         )
-    if not np.isfinite(B.values).all():
+    if not linalg.all_finite(B.values):
         raise ValueError(f"{B.kind} similarity matrix has non-finite entries")
-    stop = foldin.n_users if stop is None else stop
+
+
+def _shard(foldin: InteractionMatrix, B: SimilarityMatrix, n: int, start: int,
+           stop: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """ranked_blocks of a checked model: the workspace capacity is checked now."""
     # A score block is exactly the output block csr_matmul forms.
     rows = max(1, min(linalg.product_rows(B.dim), stop - start))
     linalg.check_capacity(rows, B.dim, "ranking workspace", _Workspace.ENTRY_BYTES)
@@ -252,12 +263,12 @@ def write_recommendations(foldin: InteractionMatrix, B: SimilarityMatrix, n: int
     workers. A failed worker is a ``WhiterecError``; every child is reaped
     before this returns, and killed first if anything failed.
     """
+    # Checked here, once, so a bad model raises in this process before any fork.
+    _check_model(foldin, B)
     lengths = np.minimum(n, B.dim - np.diff(foldin.indptr))
     n_workers = _worker_count(int(lengths.sum()), foldin.n_users)
     bounds = [foldin.n_users * k // n_workers for k in range(n_workers + 1)]
-    # Called here, so a bad model raises in this process before any fork.
-    shards = [ranked_blocks(foldin, B, n, start, stop)
-              for start, stop in zip(bounds, bounds[1:])]
+    shards = [_shard(foldin, B, n, start, stop) for start, stop in zip(bounds, bounds[1:])]
     users, items = _csv_fields(foldin.user_ids), _csv_fields(item_ids)
     # Each job joins its shard's rows; the generator runs only in the child.
     jobs = [(f"ranking worker for fold-in rows {start}-{stop - 1}",

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +104,19 @@ def reconstruction_objective(X: InteractionMatrix, b: np.ndarray, lam: float) ->
     xb = scipy_csr(X) @ b
     resid = xb - X.toarray()
     return float(np.sum(resid * resid) + lam * np.sum(b * b))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the bytes its traced allocations peaked at, beyond what
+    was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 def reconstruct(eig: EigenDecomposition) -> np.ndarray:

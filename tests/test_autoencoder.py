@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,7 @@ from whiterec.autoencoder import ease, ease_decompose, ridge, ridge_dual, ridge_
 from whiterec.errors import CapacityError, NumericalError
 from whiterec.ingest import InteractionMatrix
 
-from conftest import random_interactions, reconstruction_objective
+from conftest import bitwise_equal, random_interactions, reconstruction_objective, traced_peak
 
 
 def fro(a):
@@ -185,34 +184,28 @@ class TestEase:
             ease(random_interactions(rng, 3, 3), lam)
 
     def test_nan_inverse_diagonal_rejected(self, rng, monkeypatch):
-        monkeypatch.setattr(linalg, "spd_inverse", lambda a: np.full_like(a, np.nan))
+        monkeypatch.setattr(linalg, "spd_inverse", lambda a, **_: np.full_like(a, np.nan))
         with pytest.raises(NumericalError, match="NaN"):
             ease(random_interactions(rng, 4, 3), 1.0)
 
     def test_inverse_is_the_only_item_sized_workspace(self, rng):
-        self.assert_two_item_sized_arrays(rng.normal(size=(4, 1200)))  # wide
+        self.assert_one_item_sized_array(rng.normal(size=(4, 1200)))  # wide
 
     def test_tall_route_has_the_same_workspace(self, rng):
-        self.assert_two_item_sized_arrays(rng.normal(size=(1250, 1200)))
+        self.assert_one_item_sized_array(rng.normal(size=(1250, 1200)))
 
     @staticmethod
-    def assert_two_item_sized_arrays(e):
+    def assert_one_item_sized_array(e):
         n_items = e.shape[1]
         ease(e[:, :5], 1.0)  # bind the LAPACK extension outside the traced window
-        output_bytes = n_items * n_items * 8
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            sol = ease(e, 1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # B and P_hat are returned, so two |I| x |I| arrays must exist. Tall
-        # M drops the Gram once shifted, and the shifted copy once inverted;
-        # wide M turns the whitened Gram into P_hat in place. A third
-        # item-sized intermediate would push the peak to 3x.
-        assert sol.B.dim == sol.p_hat.shape[0] == n_items
-        assert peak - before < 2.5 * output_bytes
+        sol, peak = traced_peak(ease, e, 1.0)
+        # B is returned, so one |I| x |I| array must exist. Tall M shifts,
+        # factors and inverts its Gram in place; wide M turns the whitened
+        # Gram into P_hat in place. Either then divides and negates P_hat
+        # into B in the same array, so a second item-sized intermediate
+        # would push the peak to 2x.
+        assert sol.B.dim == n_items
+        assert peak < 1.3 * n_items * n_items * 8
 
 
 def exact_ease(m, lam):
@@ -277,7 +270,14 @@ class TestEaseRoutes:
             for lam in self.LAMBDAS:
                 shifted = linalg.gram(m, "items")
                 shifted[np.diag_indices_from(shifted)] += lam
-                assert np.array_equal(ease(m, lam).p_hat, linalg.spd_inverse(shifted))
+                p_hat = linalg.spd_inverse(shifted)
+                d = np.diag(p_hat)
+                b = 0.0 - p_hat / d
+                np.fill_diagonal(b, 0.0)
+                sol = ease(m, lam)
+                assert bitwise_equal(sol.B.values, b) and np.array_equal(sol.d, d)
+                # p_hat is rebuilt from B and d: each entry within two roundings.
+                np.testing.assert_allclose(sol.p_hat, p_hat, rtol=5e-16, atol=0.0)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["E", "X"])
     @pytest.mark.parametrize("shape, calls", [
@@ -290,7 +290,7 @@ class TestEaseRoutes:
         gram, spd_inverse = linalg.gram, linalg.spd_inverse
         monkeypatch.setattr(linalg, "gram", lambda M, side: seen.append(side) or gram(M, side))
         monkeypatch.setattr(linalg, "spd_inverse",
-                            lambda a: seen.append("inverse") or spd_inverse(a))
+                            lambda a, **kw: seen.append("inverse") or spd_inverse(a, **kw))
         ease(rng.normal(size=shape) if dense else random_interactions(rng, *shape), 1.0)
         assert seen == calls
 
@@ -338,3 +338,19 @@ class TestPrimalDualSweep:
             p = ridge_primal(X, lam).values
             d = ridge_dual(X, lam).values
             assert fro(p - d) <= 1e-8 * fro(p)
+
+
+class TestTrainingPeaks:
+    """tracemalloc peaks of the interaction solvers, in n^2 bytes of float64
+    (one |I| x |I| array), on a sparse tall X whose Gram counting needs
+    little beside the Gram."""
+
+    @pytest.mark.parametrize("solve, ceiling", [(ease, 1.3), (ridge_primal, 2.1)],
+                             ids=["ease", "ridge_primal"])
+    def test_peak(self, solve, ceiling):
+        X = random_interactions(np.random.default_rng(3), 2000, 1500, density=0.003)
+        solve(random_interactions(np.random.default_rng(3), 9, 5), 1.0)  # bind LAPACK first
+        # ease works in its Gram alone; ridge_primal in the Gram and one
+        # shifted copy, which it factors.
+        _, peak = traced_peak(solve, X, 1.0)
+        assert peak <= ceiling * 8 * X.n_items ** 2

@@ -477,6 +477,27 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg_file), "--kind", "ridge"])
         assert code == EXIT_CAPACITY
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_training_peak_checked_before_any_work(self, tmp_path, monkeypatch, capsys, kind):
+        # Just under the kind's whole peak, train exits 3 before it counts
+        # a Gram; at the peak it trains, every single array fitting too.
+        write_dataset(tmp_path / "data.csv")
+        assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        n_items = len((tmp_path / "out" / "items.txt").read_text().splitlines())
+        peak = KINDS[kind].peak_arrays * 8 * n_items ** 2
+        dim = ["--embedding-dim", "3"] if KINDS[kind].uses_embedding_dim else []
+        grams = []
+        gram = linalg.gram
+        monkeypatch.setattr(linalg, "gram", lambda *args, **kw: grams.append(1) or gram(*args, **kw))
+        argv = ["train", "--config", str(write_config(tmp_path, f"gram_byte_cap = {peak - 1}\n")),
+                "--kind", kind, *dim]
+        assert main(argv) == EXIT_CAPACITY
+        assert f"{kind} training peak" in capsys.readouterr().err
+        assert grams == [] and not (tmp_path / "out" / f"model_{kind}.bin").exists()
+        argv[2] = str(write_config(tmp_path, f"gram_byte_cap = {peak}\n"))
+        assert main(argv) == EXIT_OK
+        assert grams and (tmp_path / "out" / f"model_{kind}.bin").exists()
+
     def test_byte_cap_restored_after_main(self, tmp_path):
         write_dataset(tmp_path / "data.csv")
         cfg_file = write_config(tmp_path, "gram_byte_cap = 64\n")

@@ -18,7 +18,7 @@ from whiterec.errors import ParseError
 from whiterec.ingest import InteractionMatrix
 from whiterec.whitening import fit_zca, whiten
 
-from conftest import random_interactions
+from conftest import random_interactions, traced_peak
 
 
 def fro(a):
@@ -77,7 +77,7 @@ class TestSvdEmbed:
         np.testing.assert_allclose(e.values[2:], 0.0, atol=1e-12)
 
     def test_rank_deficiency_on_the_top_k_path(self):
-        # d < |I| takes the evr subset path; the rank check still holds.
+        # d < |I| takes the top-k (MRRR) path; the rank check still holds.
         dense = np.zeros((5, 4))
         dense[:, 0] = dense[:, 1] = 1.0
         dense[0, 2] = dense[0, 3] = 1.0  # rank 2
@@ -93,14 +93,25 @@ class TestSvdEmbed:
         recorded = []
         real_eigh = linalg.eigh
 
-        def spy(a, k=None):
-            recorded.append((a.shape, k))
-            return real_eigh(a, k)
+        def spy(a, k=None, overwrite_a=False):
+            recorded.append((a.shape, k, overwrite_a))
+            return real_eigh(a, k, overwrite_a)
 
         monkeypatch.setattr(linalg, "eigh", spy)
         e = svd_embed(random_interactions(rng, *shape), 3)
-        assert recorded == [(side, 3)]
+        # The counted Gram is handed over: eigh makes no copy of it.
+        assert recorded == [(side, 3, True)]
         assert e.values.shape == (3, shape[1])
+
+    def test_peak_is_about_two_gram_sized_arrays(self):
+        # The counted Gram is eigh's workspace, and dstemr's eigenvector
+        # array is the other n x n one (scipy's wrapper makes it n x n for
+        # any subset).
+        X = random_interactions(np.random.default_rng(3), 2000, 1500, density=0.003)
+        svd_embed(random_interactions(np.random.default_rng(3), 9, 5), 2)  # bind LAPACK first
+        e, peak = traced_peak(svd_embed, X, 64)
+        assert e.values.shape == (64, X.n_items)
+        assert peak <= 2.3 * 8 * X.n_items ** 2
 
     def test_dim_bounds(self, rng):
         X = random_interactions(rng, 5, 3)

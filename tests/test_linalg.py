@@ -162,6 +162,21 @@ class TestInteractionKernels:
         assert bitwise_equal(svd_embed(X, 3).values, expected)
 
 
+class TestSymmetrizeInPlace:
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_bits_of_symmetrize_over_row_panels(self, rng, monkeypatch, block_rows):
+        n = 7
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n * block_rows)
+        a = rng.normal(size=(n, n))
+        a[2, 5] = a[5, 2]  # a pair already equal
+        a[1, 4], a[4, 1] = -0.0, 0.0  # and one equal only in value
+        a[0, 6] = 4.0
+        expected = linalg.symmetrize(a)
+        asymmetry, magnitude = linalg.symmetrize_in_place(b := a.copy())
+        assert bitwise_equal(b, expected)
+        assert asymmetry == np.abs(a - a.T).max() and magnitude == np.abs(a).max()
+
+
 class TestEigh:
     def test_empty_matrix(self):
         with pytest.raises(ValueError, match="empty"):
@@ -216,7 +231,7 @@ class TestEigh:
 
 
 class TestEighTopK:
-    """eigh(a, k): the k largest eigenpairs from the evr subset path."""
+    """eigh(a, k): the k largest eigenpairs by dsytrd, dstemr (MRRR) and dormqr."""
 
     @staticmethod
     def separated(rng, n):
@@ -272,6 +287,40 @@ class TestEighTopK:
         linalg.eigh(a, k=2)
         np.testing.assert_array_equal(a, kept)
 
+    @staticmethod
+    def assert_top_pairs(a, k, expected):
+        """Eigenvalues within 1e-12 of the largest, orthonormal columns and
+        residual within 1e-10, on the top-k path and the handed-over one."""
+        scale = np.abs(expected).max()
+        for overwrite in (False, True):
+            eig = linalg.eigh(a.copy(), k, overwrite_a=overwrite)
+            v = eig.eigenvectors
+            np.testing.assert_allclose(eig.eigenvalues, expected[:k], rtol=0.0,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(v.T @ v, np.eye(k), rtol=0.0, atol=1e-10)
+            residual = a @ v - v * eig.eigenvalues
+            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_equal_eigenvalues_straddling_the_cut(self, rng, k):
+        # Eigenvalues 9, 7 and four times 5: every k here cuts the cluster
+        # or ends right after it.
+        n = 20
+        values = np.concatenate([[9.0, 7.0], np.full(4, 5.0), np.linspace(3.0, 0.5, n - 6)])
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        self.assert_top_pairs(linalg.symmetrize((q * values) @ q.T), k, values)
+
+    @pytest.mark.parametrize("k", [4, 7, 10])
+    def test_rank_deficient_interactions(self, rng, k):
+        # Repeated and empty columns, repeated rows and an empty row: the
+        # 12-item Gram has rank 6, so k = 7 and 10 cut into its six zeros.
+        base = (rng.random((12, 6)) < 0.5).astype(np.float64)
+        base[np.arange(6), np.arange(6)] = 1.0
+        dense = np.hstack([base, base[:, :4], np.zeros((12, 2))])[:, rng.permutation(12)]
+        dense = np.vstack([dense, dense[:3], np.zeros((1, 12))])
+        g = linalg.gram(InteractionMatrix.from_dense(dense), "items")
+        self.assert_top_pairs(g, k, np.linalg.eigvalsh(g)[::-1])
+
 
 class TestSpectrum:
     """spectrum(X, k): X's singular directions from the smaller Gram."""
@@ -300,48 +349,53 @@ class TestSpectrum:
 class TestLapackBinding:
     """_lapack(): scipy's LAPACK extension, bound without scipy.linalg."""
 
-    @pytest.mark.parametrize("name", ["dpotrf", "dpotrs", "dpotri", "dsyevr"])
+    @pytest.mark.parametrize("name", ["dpotrf", "dpotrs", "dpotri", "dsytrd", "dstemr",
+                                      "dormqr"])
     def test_routines_are_scipys(self, name):
         import scipy.linalg.lapack
 
         assert getattr(linalg._lapack(), name) is getattr(scipy.linalg.lapack, name)
 
-    @pytest.mark.parametrize("rank", [None, 5])
-    def test_top_k_bitwise_equal_to_scipy_eigh(self, rng, rank):
+    @pytest.mark.parametrize("n", [2, 12, 40])
+    def test_tridiagonal_step_bitwise_equal_to_stemr(self, rng, n):
+        # On a tridiagonal matrix dsytrd's reflectors are the identity, so
+        # eigh's top k are dstemr's, as scipy's eigh_tridiagonal returns them.
         import scipy.linalg
 
-        n = 12
-        b = rng.normal(size=(n if rank is None else rank, n))
-        a = linalg.symmetrize(b.T @ b)
-        for k in (1, n // 2, n - 1):
-            w, v = scipy.linalg.eigh(linalg.symmetrize(a).T, subset_by_index=[n - k, n - 1])
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        for k in sorted({1, n // 2, n - 1}):
+            w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - k, n - 1),
+                                                 lapack_driver="stemr")
             w, v = w[::-1], v[:, ::-1]
             first = (np.abs(v) > linalg._SIGN_TOL).argmax(axis=0)
             v = v * np.where(v[first, np.arange(k)] < 0.0, -1.0, 1.0)
-            eig = linalg.eigh(a, k)
+            eig = linalg.eigh(t, k)
             assert bitwise_equal(eig.eigenvalues, w)
-            assert bitwise_equal(eig.eigenvectors, v)
+            assert np.array_equal(eig.eigenvectors, v)
 
-    def test_evr_failure_is_numerical_error(self, rng, monkeypatch):
+    @pytest.mark.parametrize("routine", ["dsytrd", "dstemr", "dormqr"])
+    def test_lapack_failure_is_numerical_error(self, rng, monkeypatch, routine):
         real = linalg._lapack()
-        n, k = 6, 2
+
+        def failing(*args, **kwargs):
+            *out, _ = getattr(real, routine)(*args, **kwargs)
+            return (*out, 3)
 
         class Failing:
-            dsyevr_lwork = real.dsyevr_lwork
-
-            @staticmethod
-            def dsyevr(a, **kwargs):
-                return np.zeros(n), np.zeros((n, k)), 0, np.zeros(0, np.int32), 3
+            def __getattr__(self, name):
+                return failing if name == routine else getattr(real, name)
 
         monkeypatch.setattr(linalg, "_lapack", Failing)
-        with pytest.raises(NumericalError, match="evr info 3"):
-            linalg.eigh(linalg.symmetrize(rng.normal(size=(n, n))), k)
+        with pytest.raises(NumericalError, match=f"{routine} info 3"):
+            linalg.eigh(linalg.symmetrize(rng.normal(size=(6, 6))), 2)
 
     def test_missing_extension_is_import_error(self, tmp_path, monkeypatch):
         import scipy
 
         (tmp_path / "scipy" / "linalg").mkdir(parents=True)
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        monkeypatch.setattr(scipy.__spec__, "submodule_search_locations",
+                            [str(tmp_path / "scipy")])
         with pytest.raises(ImportError) as info:
             linalg._lapack.__wrapped__()
         assert str(tmp_path / "scipy" / "linalg") in str(info.value)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from whiterec import linalg, recommend
 from whiterec.autoencoder import SimilarityMatrix
 from whiterec.errors import CapacityError
+from whiterec.evalmetrics import evaluate
 from whiterec.ingest import HeldOutSet, InteractionMatrix
 from whiterec.recommend import (
     RankedList,
@@ -514,6 +515,22 @@ class TestWriteRecommendations:
         with pytest.raises(ValueError, match="non-finite"):
             write_recommendations(foldin, sim(values), 3, self.ITEM_IDS, tmp_path / "r.csv")
         assert forks == [] and list(tmp_path.iterdir()) == []
+
+    def test_model_is_checked_once_per_call(self, tmp_path, monkeypatch):
+        # write_recommendations ranks three shards and evaluate one pass;
+        # each checks the model's finiteness once, not once per shard.
+        foldin, values = self.case()
+        model = sim(values)
+        checked = []
+        all_finite = linalg.all_finite
+        monkeypatch.setattr(linalg, "all_finite",
+                            lambda a: checked.append(a is model.values) or all_finite(a))
+        forks = forced_workers(monkeypatch, 3)
+        write_recommendations(foldin, model, 3, self.ITEM_IDS, tmp_path / "r.csv")
+        assert len(forks) == 2 and checked == [True]
+        checked.clear()
+        evaluate(heldout([[0], [1, 3]], [[2], [4]], 5), model, [1, 3])
+        assert checked == [True]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 8), n_users=st.integers(0, 7),
