@@ -72,8 +72,8 @@ class ModelKind:
     once when it inverts the item Gram (|I| <= |U|): ridge the Gram and
     its factored copy, ease the Gram it turns into B, zca the Gram and
     numpy's eigensystem of it, the embedding kinds the Gram and dstemr's
-    eigenvectors. ``train`` checks that many against the capacity cap
-    before it allocates any; each array is still checked when it is made.
+    eigenvectors, and two D x |I| arrays as eigh sorts and signs D of them.
+    ``train`` checks the whole peak before it allocates any array.
     """
 
     build: Callable[..., SimilarityMatrix]
@@ -155,22 +155,30 @@ def parse_config_file(path: str | Path) -> dict:
     """Parse flat 'key = value' lines; '#' starts a comment, blanks ignored.
 
     Returns canonical PipelineConfig field names (aliases like "lambda",
-    "seed", and "output" are resolved here) with values already typed.
+    "seed" and "output" resolved) with typed values. An unknown key, or
+    one set twice (by any of its names), is an error naming its line.
     """
     try:
         lines = read_lines(path)
     except ParseError as exc:  # bytes that are not UTF-8
         raise ConfigError(str(exc)) from exc
     values: dict = {}
+    line_of: dict = {}
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}: line {lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = _KEY_ALIASES.get(key.strip(), key.strip())
-        values[key] = _parse_config_value(key, value.strip(), f"{path}: line {lineno}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        name, value = (part.strip() for part in line.split("=", 1))
+        key = _KEY_ALIASES.get(name, name)
+        if key not in {f.name for f in fields(PipelineConfig)}:
+            raise ConfigError(f"{where}: unknown config key {name!r}")
+        if key in line_of:
+            raise ConfigError(f"{where}: {name!r} sets {key} again (line {line_of[key]} set it)")
+        line_of[key] = lineno
+        values[key] = _parse_config_value(key, value, where)
     return values
 
 
@@ -191,12 +199,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, then config file entries, then command-line overrides."""
     config = PipelineConfig()
     if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
-        known = {f.name for f in fields(PipelineConfig)}
-        for key in file_values:
-            if key not in known:
-                raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        config = replace(config, **file_values)
+        config = replace(config, **parse_config_file(args.config))
     # Flags share their dest with the PipelineConfig field they set.
     overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
                  if getattr(args, f.name, None) is not None}
@@ -270,14 +273,13 @@ def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
     cap too small for it fails before any work is done.
     """
     kind = KINDS[config.kind]
-    linalg.check_capacity(train.n_items, train.n_items,
-                          f"{config.kind} training peak, {kind.peak_arrays} x float64",
-                          8 * kind.peak_arrays)
-    if not kind.uses_embedding_dim:
-        return kind.build(train, config.lam)
     # Embedding kinds share the factorization step, which has at most
     # min(|U|, |I|) dimensions.
-    d = min(config.embedding_dim, train.n_users, train.n_items)
+    d = min(config.embedding_dim, train.n_users, train.n_items) if kind.uses_embedding_dim else 0
+    linalg.check_capacity(kind.peak_arrays * train.n_items + 2 * d, train.n_items,
+                          f"{config.kind} training peak ({kind.peak_arrays}|I| + 2D rows, D={d})")
+    if not kind.uses_embedding_dim:
+        return kind.build(train, config.lam)
     if d < config.embedding_dim:
         print(f"warning: embedding_dim {config.embedding_dim} exceeds min(|U|, |I|) = {d} "
               f"of the train split; training with {d}", file=sys.stderr)

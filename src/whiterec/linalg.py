@@ -35,18 +35,19 @@ from .ingest import InteractionMatrix
 # dual-form call from exhausting memory. ``cli.main`` sets it for one run.
 GRAM_BYTE_CAP: ContextVar[int] = ContextVar("GRAM_BYTE_CAP", default=1 << 30)
 
-# Pairs counted at once by the interaction Gram (see _pair_counts); a
-# block holds about 20 bytes of index arrays per pair.
-GRAM_BLOCK_PAIRS = 1 << 18
-
-# Output bytes csr_matmul forms at once, and so the bytes of scores
-# ranking holds at once (recommend.ranked_blocks); also the row panel of
-# the checks that pass over a whole array (all_finite, symmetrize_in_place). A block small enough to
-# stay in cache is three times faster than the whole X^T z at 2,500
-# items, and bounds the workspace beyond the result; larger score blocks
-# are no faster and raise peak memory. Ranking's whole workspace is 27
-# bytes per score entry (recommend._Workspace), 3.4 MiB per pass at this
-# size, and evaluate's target mask adds 1 byte more.
+# The working set of every blocked pass here: the output block csr_matmul
+# forms at once, and so the scores ranking holds at once
+# (recommend.ranked_blocks); the row panel of the checks that pass over a
+# whole array (all_finite, symmetrize_in_place); and the pairs the
+# interaction Gram counts at once (_pair_counts), whose index arrays take
+# 16 bytes a pair (tracemalloc reads 16-18 with the block's per-entry
+# arrays). A block small enough to stay in cache is three times faster
+# than the whole X^T z at 2,500 items, and bounds the workspace beyond the
+# result; larger score blocks are no faster and raise peak memory. Pair
+# blocks of 2^18 pairs set a 1,000-item ease's training peak at 1.97
+# Gram-sized arrays, where blocks of this size give 1.31. Ranking's whole
+# workspace is 27 bytes per score entry (recommend._Workspace), 3.4 MiB
+# per pass at this size, and evaluate's target mask adds 1 byte more.
 PRODUCT_BLOCK_BYTES = 1 << 20
 
 # Eigenvalues below RANK_RTOL * largest are treated as zero rank.
@@ -117,10 +118,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def gram(M, side: str = "items") -> np.ndarray:
     """Dense Gram matrix of a feature matrix whose columns are items.
@@ -153,28 +150,32 @@ def _pair_counts(a: InteractionMatrix, b: InteractionMatrix) -> np.ndarray:
 
     Entry (r, c) of a meets each item j of b's row c once, and each such
     pair adds 1 to out[r, j]. Pairs are made for a block of a's entries
-    at a time, GRAM_BLOCK_PAIRS at most unless one entry alone has more
-    (an entry has at most b.n_items partners), and added in place by
-    np.add.at, so the result is the only array of its size. Blocks follow
-    a's rows, which keeps each block's additions in a band of out. The
-    counts are integers, so their float64 sums are exact in any order.
+    at a time, PRODUCT_BLOCK_BYTES of index arrays (16 bytes a pair) at
+    most unless one entry alone has more (an entry has at most b.n_items
+    partners), and added in place by np.add.at. Beside the result, one
+    block and three index arrays over a's entries are held. Blocks
+    follow a's rows, which keeps each block's additions in a band of out.
+    The counts are integers, so their float64 sums are exact in any order.
     """
     n = b.n_items
     out = np.zeros((a.n_users, n))
     partners = np.diff(b.indptr)[a.indices]
     ends = np.cumsum(partners)
     row_start = a._entry_rows() * n
+    block = PRODUCT_BLOCK_BYTES // 16  # pairs
     start = 0
     while start < a.nnz:
         done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + GRAM_BLOCK_PAIRS, "right")))
+        stop = max(start + 1, int(np.searchsorted(ends, done + block, "right")))
         k = partners[start:stop]
         # Pair p of entry e is item (p - first pair of e) of b's row c(e).
-        pos = np.repeat(b.indptr[a.indices[start:stop]] - (ends[start:stop] - k - done), k)
-        pos += np.arange(ends[stop - 1] - done)
-        keys = np.repeat(row_start[start:stop], k)
-        keys += b.indices[pos]
-        np.add.at(out.reshape(-1), keys, 1.0)
+        # One array holds the pairs' positions in b.indices, then their
+        # items, then their keys in out.
+        pairs = np.repeat(b.indptr[a.indices[start:stop]] - (ends[start:stop] - k - done), k)
+        pairs += np.arange(len(pairs))
+        pairs = b.indices[pairs]
+        pairs += np.repeat(row_start[start:stop], k)
+        np.add.at(out.reshape(-1), pairs, 1.0)
         start = stop
     return out
 

@@ -89,9 +89,8 @@ def top_n(scores: np.ndarray, seen: np.ndarray, n: int) -> list[tuple[int, float
 
 
 def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix, n: int,
-                  start: int = 0, stop: int | None = None,
                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Top-n unseen items of fold-in rows start to stop (default: all), a block at a time.
+    """Top-n unseen items of every fold-in row, a block at a time.
 
     Yields ``(first_row, items, scores, lengths)``: ``items`` and ``scores``
     are (rows, min(n, |I|)) arrays in ranked order, and row r's list is
@@ -101,7 +100,7 @@ def ranked_blocks(foldin: InteractionMatrix, B: SimilarityMatrix, n: int,
     allocated at the first block and reused by every later one.
     """
     _check_model(foldin, B)
-    return _shard(foldin, B, n, start, foldin.n_users if stop is None else stop)
+    return _shard(foldin, B, n, 0, foldin.n_users)
 
 
 def _check_model(foldin: InteractionMatrix, B: SimilarityMatrix) -> None:

@@ -155,6 +155,22 @@ class TestConfig:
                      "10,10,3", "--output", str(tmp_path)]) == EXIT_GENERIC
         assert "cutoffs must not repeat, got [10, 10, 3]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, again, key", [
+        ("kind = ridge", "kind = ease", "kind"),
+        ("lambda = 1", "lam = 500", "lam"),
+        ("seed = 1", "rng_seed = 2", "rng_seed"),
+        ("output = a", "output_dir = b", "output_dir"),
+    ], ids=["kind", "lambda-lam", "seed-rng_seed", "output-output_dir"])
+    def test_repeated_key_rejected_before_reading(self, tmp_path, capsys, first, again, key):
+        # The data file does not exist: a late check would exit 2 on it, and
+        # with no check the later line won without a word.
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{first}\ndata_path = {tmp_path / 'missing.csv'}\n{again}\n")
+        with pytest.raises(ConfigError, match=f"line 3: .* sets {key} again \\(line 1 set it\\)"):
+            parse_config_file(p)
+        assert main(["preprocess", "--config", str(p)]) == EXIT_GENERIC
+        assert f"error: {p}: line 3: {again.split()[0]!r} sets {key} again" in capsys.readouterr().err
+
     def test_every_flag_sets_its_field(self):
         args = build_parser().parse_args([
             "recommend", "--model", "m.bin", "--users", "u.csv", "--format", "tsv",
@@ -481,11 +497,14 @@ class TestTrainCommand:
     def test_training_peak_checked_before_any_work(self, tmp_path, monkeypatch, capsys, kind):
         # Just under the kind's whole peak, train exits 3 before it counts
         # a Gram; at the peak it trains, every single array fitting too.
+        # The embedding kinds' peak holds two D x |I| arrays beside the
+        # |I| x |I| ones.
         write_dataset(tmp_path / "data.csv")
         assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_OK
         n_items = len((tmp_path / "out" / "items.txt").read_text().splitlines())
-        peak = KINDS[kind].peak_arrays * 8 * n_items ** 2
-        dim = ["--embedding-dim", "3"] if KINDS[kind].uses_embedding_dim else []
+        d = 3 if KINDS[kind].uses_embedding_dim else 0
+        peak = (KINDS[kind].peak_arrays * n_items + 2 * d) * 8 * n_items
+        dim = ["--embedding-dim", str(d)] if d else []
         grams = []
         gram = linalg.gram
         monkeypatch.setattr(linalg, "gram", lambda *args, **kw: grams.append(1) or gram(*args, **kw))

@@ -12,7 +12,7 @@ from whiterec.errors import CapacityError, NotSPDError, NumericalError, Singular
 from whiterec.ingest import InteractionMatrix
 
 from conftest import (KERNEL_VALUES, bitwise_equal, random_interactions, reconstruct,
-                      scipy_csr)
+                      scipy_csr, traced_peak)
 
 
 def naive_gram_items(dense):
@@ -72,6 +72,36 @@ class TestGram:
             linalg.gram(random_interactions(rng, 3, 3), "rows")
 
 
+def uniform_interactions(n_users, n_items, per_user, seed=0):
+    """Each user holds per_user distinct items drawn uniformly."""
+    gen = np.random.default_rng(seed)
+    items = np.concatenate([gen.choice(n_items, per_user, replace=False)
+                            for _ in range(n_users)])
+    return InteractionMatrix.from_pairs(np.repeat(np.arange(n_users), per_user), items,
+                                        n_users, n_items)
+
+
+class TestGramWorkspace:
+    """Beside its result, counting a Gram holds one PRODUCT_BLOCK_BYTES block
+    of pair indices and a few index arrays over X's entries (tracemalloc)."""
+
+    def test_peak_at_a_thousand_items(self):
+        X = uniform_interactions(4400, 1000, 9)
+        _, peak = traced_peak(linalg.gram, X, "items")
+        # 1.30 n^2 bytes; blocks of 2^18 pairs (356k pairs here) read 1.95.
+        assert peak <= 1.4 * 8 * X.n_items ** 2
+
+    @pytest.mark.parametrize("n_items", [500, 1000, 2000])
+    def test_scratch_is_one_block_whatever_the_items(self, n_items):
+        X = uniform_interactions(4400, n_items, 9)
+        g, peak = traced_peak(linalg.gram, X, "items")
+        # One block of pair indices, and about 1.4 MB of int64 arrays over
+        # X's 39,600 entries (the kept transpose, the partner counts, their
+        # running sums and each entry's row offset): 2.4 MB whatever the
+        # items, and 7.6 MB with blocks of 2^18 pairs.
+        assert peak - g.nbytes <= 3 * linalg.PRODUCT_BLOCK_BYTES
+
+
 @st.composite
 def interactions(draw):
     """Up to 7 x 7, either side may be 0, empty rows and columns likely,
@@ -93,11 +123,12 @@ class TestInteractionKernels:
     bit for bit (scipy is the oracle only)."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(X=interactions(), budget=st.sampled_from([1, 2, 5, linalg.GRAM_BLOCK_PAIRS]))
-    def test_gram_matches_scipy(self, X, budget):
+    @given(X=interactions(), pairs=st.sampled_from([1, 2, 5, 13, None]))
+    def test_gram_matches_scipy(self, X, pairs):
         a = scipy_csr(X)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "GRAM_BLOCK_PAIRS", budget)
+            if pairs:  # else one block of the default size
+                mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 16 * pairs)  # 16 bytes a pair
             items, users = linalg.gram(X, "items"), linalg.gram(X, "users")
         assert bitwise_equal(items, (a.T @ a).toarray())
         assert bitwise_equal(users, (a @ a.T).toarray())
@@ -107,7 +138,7 @@ class TestInteractionKernels:
         dense[7] = True
         X = InteractionMatrix.from_dense(dense)
         a = scipy_csr(X)
-        monkeypatch.setattr(linalg, "GRAM_BLOCK_PAIRS", 13)
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 16 * 13)  # 13 pairs a block
         assert bitwise_equal(linalg.gram(X, "items"), (a.T @ a).toarray())
         assert bitwise_equal(linalg.gram(X, "users"), (a @ a.T).toarray())
 
