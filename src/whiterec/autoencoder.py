@@ -69,7 +69,7 @@ def ridge_primal(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
     arrays.
     """
     g = linalg.gram(X, side="items")
-    b = linalg.spd_solve(_shifted(g.copy(), lam), g.T, overwrite_a=True, overwrite_b=True).T
+    b = linalg.spd_solve(_shifted(g.copy(), lam), g.T).T
     linalg.symmetrize_in_place(b)
     return SimilarityMatrix(b, "ridge", {"lambda": lam, "form": "primal"})
 
@@ -91,10 +91,10 @@ def whitened_gram(M, lam: float) -> np.ndarray:
 
     This is the item Gram of the ZCA-whitened features and the dual ridge
     closed form, for interactions X as for D x |I| embeddings E. Only the
-    row-side Gram is inverted; the one |I| x |I| array created is the
-    result, which is not symmetrized. For X the final product X^T z is
-    linalg.csr_matmul on X's transposed CSR, the one the Gram was
-    counted with.
+    row-side Gram is inverted, in place, against M in Fortran order; the
+    one |I| x |I| array created is the result, which is not symmetrized.
+    For X the final product X^T z is linalg.csr_matmul on X's transposed
+    CSR, the one the Gram was counted with.
     """
     m = M if isinstance(M, InteractionMatrix) else np.asarray(M, dtype=np.float64)
     rows, items = m.shape
@@ -102,9 +102,9 @@ def whitened_gram(M, lam: float) -> np.ndarray:
     linalg.check_capacity(items, items, "item similarity matrix")
     shifted = _shifted(linalg.gram(m, side="users"), lam)
     if not isinstance(m, InteractionMatrix):
-        return m.T @ linalg.spd_solve(shifted, m)
+        return m.T @ linalg.spd_solve(shifted, np.array(m, order="F"))
     t = m.transpose()
-    return linalg.csr_matmul(t.indptr, t.indices, linalg.spd_solve(shifted, m.toarray()))
+    return linalg.csr_matmul(t.indptr, t.indices, linalg.spd_solve(shifted, t.toarray().T))
 
 
 def ease(M, lam: float) -> EaseSolution:
@@ -119,7 +119,7 @@ def ease(M, lam: float) -> EaseSolution:
     if items <= rows:
         # The Gram is shifted, factored and inverted in place: the one
         # |I| x |I| array, which then becomes B.
-        p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam), overwrite_a=True)
+        p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam))
     else:
         # (I - W) / lam in W's own array: 0 - W, then + 1 on the diagonal, are
         # the bits of I - W.

@@ -73,6 +73,7 @@ class ModelKind:
     its factored copy, ease the Gram it turns into B, zca the Gram and
     numpy's eigensystem of it, the embedding kinds the Gram and dstemr's
     eigenvectors, and two D x |I| arrays as eigh sorts and signs D of them.
+    A ``dual_route`` kind holds |I|^2 + |U||I| + |U|^2 entries if |U| < |I|.
     ``train`` checks the whole peak before it allocates any array.
     """
 
@@ -80,11 +81,12 @@ class ModelKind:
     peak_arrays: int
     uses_lambda: bool = True
     uses_embedding_dim: bool = False
+    dual_route: bool = False
 
 
 KINDS = {
-    "ridge": ModelKind(lambda X, lam: ridge(X, lam), 2),
-    "ease": ModelKind(lambda X, lam: ease(X, lam).B, 1),
+    "ridge": ModelKind(lambda X, lam: ridge(X, lam), 2, dual_route=True),
+    "ease": ModelKind(lambda X, lam: ease(X, lam).B, 1, dual_route=True),
     "zca": ModelKind(lambda X, lam: zca_similarity(X, lam), 3),
     "embed_dot": ModelKind(lambda e, lam: embedding_mod.embed_dot(e), 2,
                            uses_lambda=False, uses_embedding_dim=True),
@@ -273,11 +275,13 @@ def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
     cap too small for it fails before any work is done.
     """
     kind = KINDS[config.kind]
+    users, items = train.shape
     # Embedding kinds share the factorization step, which has at most
     # min(|U|, |I|) dimensions.
-    d = min(config.embedding_dim, train.n_users, train.n_items) if kind.uses_embedding_dim else 0
-    linalg.check_capacity(kind.peak_arrays * train.n_items + 2 * d, train.n_items,
-                          f"{config.kind} training peak ({kind.peak_arrays}|I| + 2D rows, D={d})")
+    d = min(config.embedding_dim, users, items) if kind.uses_embedding_dim else 0
+    peak = ((items + users) * items + users * users if kind.dual_route and users < items
+            else (kind.peak_arrays * items + 2 * d) * items)
+    linalg.check_capacity(peak, 1, f"{config.kind} training peak (|U|={users}, |I|={items}, D={d})")
     if not kind.uses_embedding_dim:
         return kind.build(train, config.lam)
     if d < config.embedding_dim:

@@ -9,11 +9,12 @@ Interactions enter only through the CSR arrays of an
 (:func:`gram`), and every product of a binary CSR matrix with a dense
 one, ranking's ``x @ B`` as well as ``X^T z``, is :func:`csr_matmul`.
 The Cholesky and top-k eigen routines are scipy's LAPACK wrappers, bound
-directly from its extension module (see :func:`_lapack`). A solver handed
-an array it may overwrite (``overwrite_a``, ``overwrite_b``) works in it,
-so a Gram matrix is the workspace of its own factorization; checks of
-such arrays run a row panel at a time (:func:`all_finite`,
-:func:`symmetrize_in_place`) and make no temporary of their size.
+directly from its extension module (see :func:`_lapack`). Every solver
+works in the arrays it is handed, as LAPACK does, and a caller that needs
+one afterwards passes a copy: a Gram matrix is the workspace of its own
+factorization. Checks of such arrays run a row panel at a time
+(:func:`all_finite`, :func:`symmetrize_in_place`), with no temporary of
+their size.
 """
 
 from __future__ import annotations
@@ -239,34 +240,33 @@ def csr_matmul(indptr: np.ndarray, indices: np.ndarray, b: np.ndarray,
     return out
 
 
-def eigh(a: np.ndarray, k: int | None = None, overwrite_a: bool = False) -> EigenDecomposition:
+def eigh(a: np.ndarray, k: int | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     With k < n only the k largest eigenpairs are computed (see
-    :func:`_top_eigenpairs`). Otherwise, and for k=None, all n come from
-    np.linalg.eigh. The descending order and the sign rule apply to the
-    columns returned either way. a must be symmetric within 1e-8 times
-    max(1, max |a|), and is made exactly symmetric first (the bits of
-    :func:`symmetrize`). a is not written unless ``overwrite_a`` hands it
-    over, and then it is the workspace: no copy of it is made.
+    :func:`_top_eigenpairs`), and a C-ordered a is their workspace.
+    Otherwise, and for k=None, all n come from np.linalg.eigh. The
+    descending order and the sign rule apply to the columns returned
+    either way. a must be symmetric within 1e-8 times max(1, max |a|),
+    and is made exactly symmetric in place first (the bits of
+    :func:`symmetrize`).
     """
-    a = _square_finite(a)
+    a = np.ascontiguousarray(_square_finite(a))
     if a.size == 0:
         raise ValueError("matrix is empty (shape 0x0)")
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    work = np.ascontiguousarray(a) if overwrite_a else a.copy()
-    asymmetry, magnitude = symmetrize_in_place(work)
+    asymmetry, magnitude = symmetrize_in_place(a)
     if asymmetry > 1e-8 * max(1.0, magnitude):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     if k is None or k >= n:
         try:
-            w, v = np.linalg.eigh(work)
+            w, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     else:
-        w, v = _top_eigenpairs(work, k)
+        w, v = _top_eigenpairs(a, k)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     # Sign rule: first component of each eigenvector above _SIGN_TOL is positive.
@@ -328,8 +328,7 @@ def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray, bool
     U_k^T X = S_k V_k^T, one csr_matmul on X's transposed CSR.
     """
     items_side = X.n_items <= X.n_users
-    # The counted Gram is handed over: eigh works in it.
-    eig = eigh(gram(X, side="items" if items_side else "users"), k=k, overwrite_a=True)
+    eig = eigh(gram(X, side="items" if items_side else "users"), k=k)
     sq = np.maximum(eig.eigenvalues, 0.0)
     if items_side:
         return sq, eig.eigenvectors.T, items_side
@@ -380,53 +379,47 @@ def _lapack():
                       f"(scipy {importlib.metadata.version('scipy')})")
 
 
-def _cholesky(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of symmetric positive definite a, by potrf.
 
-    potrf works on a Fortran-order copy, so a is not written, unless
-    ``overwrite_a`` hands a over: then a C- or F-ordered a is factored in
-    place. The strict upper triangle keeps entries of a. spd_solve and
-    spd_inverse share this factorization.
+    A C- or F-ordered a is factored in place; the strict upper triangle
+    keeps entries of a. spd_solve and spd_inverse share it.
     """
     a = _square_finite(a)
     # a is symmetric, so a C-ordered a is the Fortran-ordered array LAPACK
     # wants once transposed.
-    fortran = a.T if a.flags.c_contiguous else a
-    work = np.asfortranarray(fortran) if overwrite_a else np.array(fortran, order="F")
-    factor, info = _lapack().dpotrf(work, lower=1, clean=0, overwrite_a=1)
+    factor, info = _lapack().dpotrf(a.T if a.flags.c_contiguous else a, lower=1, clean=0,
+                                    overwrite_a=1)
     if info != 0:
         raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
     return factor
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False,
-              overwrite_b: bool = False) -> np.ndarray:
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ z = b for symmetric positive definite a.
 
-    Neither is written unless handed over: ``overwrite_a`` factors a in
-    place, and ``overwrite_b`` solves in a Fortran-ordered b (the result
-    is then b itself).
+    a is factored in place, and a Fortran-ordered b is solved in place:
+    the result is then b itself.
     """
     b = np.asarray(b, dtype=np.float64)
-    factor = _cholesky(a, overwrite_a)
+    factor = _cholesky(a)
     if b.shape[:1] != factor.shape[:1]:
         raise ValueError(f"dimension mismatch: a is {factor.shape}, b is {b.shape}")
     if not all_finite(b):
         raise ValueError("right-hand side contains non-finite entries")
-    z, info = _lapack().dpotrs(factor, b, lower=1, overwrite_b=int(overwrite_b))
+    z, info = _lapack().dpotrs(factor, b, lower=1, overwrite_b=1)
     if info != 0:
         raise ValueError(f"LAPACK potrs rejected argument {-info}")
     return z
 
 
-def spd_inverse(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, exactly symmetric.
 
     potri overwrites the factor with the lower triangle of the inverse,
-    which is then mirrored. a itself is not written unless ``overwrite_a``
-    hands it over; a C-ordered a then holds the inverse.
+    which is then mirrored; a C-ordered a holds the inverse.
     """
-    factor, info = _lapack().dpotri(_cholesky(a, overwrite_a), lower=1, overwrite_c=1)
+    factor, info = _lapack().dpotri(_cholesky(a), lower=1, overwrite_c=1)
     if info != 0:
         raise NotSPDError(f"matrix is not positive definite (LAPACK info {info})")
     # potri filled factor[i, j] for i >= j, so its C-ordered transpose holds
@@ -442,11 +435,12 @@ def inv_sqrt(a: np.ndarray, eps: float = 0.0) -> np.ndarray:
 
     Eigenvalues are clamped at zero before the eps shift so that tiny
     negative rounding noise from PSD inputs cannot poison the square root.
-    With eps=0 the matrix must have full rank up to RANK_RTOL.
+    With eps=0 the matrix must have full rank up to RANK_RTOL. eigh works
+    in a copy of a.
     """
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be >= 0 and finite, got {eps}")
-    eig = eigh(a)
+    eig = eigh(np.array(a, dtype=np.float64))
     w = np.maximum(eig.eigenvalues, 0.0)
     if eps == 0.0:
         tol = RANK_RTOL * w[0]

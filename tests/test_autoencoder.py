@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from whiterec import linalg
-from whiterec.autoencoder import ease, ease_decompose, ridge, ridge_dual, ridge_primal
+from whiterec.autoencoder import (ease, ease_decompose, ridge, ridge_dual, ridge_primal,
+                                  whitened_gram)
 from whiterec.errors import CapacityError, NumericalError
 from whiterec.ingest import InteractionMatrix
 
@@ -184,7 +185,7 @@ class TestEase:
             ease(random_interactions(rng, 3, 3), lam)
 
     def test_nan_inverse_diagonal_rejected(self, rng, monkeypatch):
-        monkeypatch.setattr(linalg, "spd_inverse", lambda a, **_: np.full_like(a, np.nan))
+        monkeypatch.setattr(linalg, "spd_inverse", lambda a: np.full_like(a, np.nan))
         with pytest.raises(NumericalError, match="NaN"):
             ease(random_interactions(rng, 4, 3), 1.0)
 
@@ -290,7 +291,7 @@ class TestEaseRoutes:
         gram, spd_inverse = linalg.gram, linalg.spd_inverse
         monkeypatch.setattr(linalg, "gram", lambda M, side: seen.append(side) or gram(M, side))
         monkeypatch.setattr(linalg, "spd_inverse",
-                            lambda a, **kw: seen.append("inverse") or spd_inverse(a, **kw))
+                            lambda a: seen.append("inverse") or spd_inverse(a))
         ease(rng.normal(size=shape) if dense else random_interactions(rng, *shape), 1.0)
         assert seen == calls
 
@@ -354,3 +355,30 @@ class TestTrainingPeaks:
         # shifted copy, which it factors.
         _, peak = traced_peak(solve, X, 1.0)
         assert peak <= ceiling * 8 * X.n_items ** 2
+
+    @pytest.mark.parametrize("solve", [ease, ridge], ids=["ease", "ridge"])
+    def test_dual_route_peak_is_the_counted_one(self, solve):
+        # |U| < |I|: train counts the |I| x |I| result, one |U| x |I| array
+        # and the |U| x |U| factor. The product step holds them, the second
+        # as csr_matmul's C-ordered copy of the solution, beside its two
+        # blocks and their int64 index arrays, under 64 bytes a block row.
+        X = random_interactions(np.random.default_rng(3), 1000, 1500, density=0.006)
+        # A first call binds LAPACK and keeps X's transposed CSR, an input
+        # like X itself; numpy's first blocked pass also caches a few KB.
+        solve(X, 200.0)
+        _, peak = traced_peak(solve, X, 200.0)
+        users, items = X.shape
+        counted = 8 * (items * items + users * items + users * users)
+        blocks = 2 * linalg.PRODUCT_BLOCK_BYTES
+        assert peak <= counted + blocks + 64 * linalg.product_rows(items)
+
+    def test_dual_route_solves_in_its_own_temporaries(self, monkeypatch):
+        # Before the product, whitened_gram holds the shifted |U| x |U| Gram,
+        # factored in place, and X densified in Fortran order, solved in
+        # place: no copy of either.
+        X = random_interactions(np.random.default_rng(3), 1000, 1500, density=0.006)
+        whitened_gram(X, 200.0)
+        monkeypatch.setattr(linalg, "csr_matmul", lambda indptr, indices, z: z)
+        _, peak = traced_peak(whitened_gram, X, 200.0)
+        users, items = X.shape
+        assert peak <= 8 * (users * users + users * items) + linalg.PRODUCT_BLOCK_BYTES

@@ -504,6 +504,28 @@ class TestTrainCommand:
         n_items = len((tmp_path / "out" / "items.txt").read_text().splitlines())
         d = 3 if KINDS[kind].uses_embedding_dim else 0
         peak = (KINDS[kind].peak_arrays * n_items + 2 * d) * 8 * n_items
+        self.assert_peak_checked(tmp_path, monkeypatch, capsys, kind, d, peak)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_wide_split_peak_checked_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                     kind):
+        # With fewer train users than items, ridge and ease take the dual
+        # route: the |I| x |I| result, X densified and solved in place, and
+        # the |U| x |U| factor. The other kinds count as on a tall split.
+        write_dataset(tmp_path / "data.csv", n_users=12, n_items=40)
+        assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        n_users = len((tmp_path / "out" / "train_users.txt").read_text().splitlines())
+        n_items = len((tmp_path / "out" / "items.txt").read_text().splitlines())
+        assert n_users < n_items
+        d = 3 if KINDS[kind].uses_embedding_dim else 0
+        if KINDS[kind].dual_route:
+            peak = (n_items * n_items + n_users * n_items + n_users * n_users) * 8
+        else:
+            peak = (KINDS[kind].peak_arrays * n_items + 2 * d) * 8 * n_items
+        self.assert_peak_checked(tmp_path, monkeypatch, capsys, kind, d, peak)
+
+    @staticmethod
+    def assert_peak_checked(tmp_path, monkeypatch, capsys, kind, d, peak):
         dim = ["--embedding-dim", str(d)] if d else []
         grams = []
         gram = linalg.gram

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from whiterec import linalg
 from whiterec.autoencoder import _shifted, whitened_gram
-from whiterec.embedding import svd_embed
+from whiterec.embedding import EmbeddingMatrix, embed_ease, embed_ridge, svd_embed
 from whiterec.errors import CapacityError, NotSPDError, NumericalError, SingularMatrixError
 from whiterec.ingest import InteractionMatrix
+from whiterec.whitening import fit_zca
 
 from conftest import (KERNEL_VALUES, bitwise_equal, random_interactions, reconstruct,
                       scipy_csr, traced_peak)
@@ -312,25 +313,26 @@ class TestEighTopK:
         with pytest.raises(ValueError, match="not symmetric"):
             linalg.eigh(a, k=1)
 
-    def test_caller_array_not_written(self, rng):
+    def test_works_in_its_input(self, rng):
+        # dsytrd reduces a C-ordered a in place: its diagonal becomes the
+        # tridiagonal one, whose sum is still the trace.
         a = linalg.symmetrize(rng.normal(size=(8, 8)))
         kept = a.copy()
         linalg.eigh(a, k=2)
-        np.testing.assert_array_equal(a, kept)
+        assert not np.array_equal(np.diag(a), np.diag(kept))
+        assert np.trace(a) == pytest.approx(np.trace(kept), abs=1e-12)
 
     @staticmethod
     def assert_top_pairs(a, k, expected):
         """Eigenvalues within 1e-12 of the largest, orthonormal columns and
-        residual within 1e-10, on the top-k path and the handed-over one."""
+        residual within 1e-10 on the top-k path, which works in a copy of a."""
         scale = np.abs(expected).max()
-        for overwrite in (False, True):
-            eig = linalg.eigh(a.copy(), k, overwrite_a=overwrite)
-            v = eig.eigenvectors
-            np.testing.assert_allclose(eig.eigenvalues, expected[:k], rtol=0.0,
-                                       atol=1e-12 * scale)
-            np.testing.assert_allclose(v.T @ v, np.eye(k), rtol=0.0, atol=1e-10)
-            residual = a @ v - v * eig.eigenvalues
-            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a)
+        eig = linalg.eigh(a.copy(), k)
+        v = eig.eigenvectors
+        np.testing.assert_allclose(eig.eigenvalues, expected[:k], rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(v.T @ v, np.eye(k), rtol=0.0, atol=1e-10)
+        residual = a @ v - v * eig.eigenvalues
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_equal_eigenvalues_straddling_the_cut(self, rng, k):
@@ -448,7 +450,7 @@ class TestSpdSolve:
         q = np.linalg.qr(rng.normal(size=(10, 10)))[0]
         a = linalg.symmetrize(q @ np.diag(rng.uniform(0.5, 5.0, size=10)) @ q.T)
         b = rng.normal(size=(10, 3))
-        z = linalg.spd_solve(a, b)
+        z = linalg.spd_solve(a.copy(), b)
         assert np.linalg.norm(a @ z - b) / np.linalg.norm(b) < 1e-10
 
     def test_not_spd(self):
@@ -469,13 +471,26 @@ class TestSpdSolve:
         from scipy.linalg import cho_factor, cho_solve
 
         a, b = (np.array(m, order=order) for m in self.ridge_system(rng, k=k))
-        kept = a.copy(), b.copy()
         expected = cho_solve(cho_factor(a, lower=True), b)
         got = linalg.spd_solve(a, b)
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
-        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+        assert not np.shares_memory(got, a)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_factor_shares_a(self, rng, order):
+        # A C-ordered a is factored as its Fortran-ordered transpose.
+        a = np.array(self.ridge_system(rng, n=20)[0], order=order)
+        assert np.shares_memory(linalg._cholesky(a), a)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_fortran_b_is_the_solution(self, rng, k):
+        # A vector and a single column are Fortran-ordered too.
+        a, b = self.ridge_system(rng, n=20, k=k)
+        b = np.asfortranarray(b)
+        expected = np.linalg.solve(a, b)
+        assert linalg.spd_solve(a, b) is b
+        np.testing.assert_allclose(b, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -505,7 +520,7 @@ class TestSpdInverse:
 
     def test_exactly_symmetric_inverse(self, rng):
         a = self.spd(rng, 40)
-        inv = linalg.spd_inverse(a)
+        inv = linalg.spd_inverse(a.copy())
         assert np.array_equal(inv, inv.T)
         np.testing.assert_allclose(inv @ a, np.eye(40), atol=1e-10)
 
@@ -519,12 +534,14 @@ class TestSpdInverse:
             linalg.spd_inverse(a)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_caller_array_not_written(self, rng, order):
+    def test_works_in_its_input(self, rng, order):
+        # a is the factor's workspace and, as it is symmetric, holds the
+        # inverse in either order.
         a = np.array(self.spd(rng, 12), order=order)
-        kept = a.copy()
+        expected = linalg.spd_inverse(a.copy())
         inv = linalg.spd_inverse(a)
-        np.testing.assert_array_equal(a, kept)
-        assert not np.shares_memory(inv, a)
+        assert np.shares_memory(inv, a)
+        assert np.array_equal(a, expected) and np.array_equal(inv, expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -574,3 +591,37 @@ class TestInvSqrt:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             linalg.inv_sqrt(np.eye(2), eps=-1.0)
+
+
+class TestCallerArraysNotWritten:
+    """The solvers work in what they are handed, so whatever production hands
+    them from a caller is a copy: these inputs stay bitwise unchanged."""
+
+    CALLS = {
+        "embed_ridge": lambda e: embed_ridge(EmbeddingMatrix(e), 2.0),
+        "embed_ease": lambda e: embed_ease(EmbeddingMatrix(e), 2.0),
+        "whitened_gram": lambda e: whitened_gram(e, 2.0),
+        "fit_zca": lambda e: fit_zca(e, 0.5),
+    }
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_embeddings(self, rng, call, order):
+        # svd_embed's items-side E is Fortran-ordered, the order dpotrs
+        # would solve in without the copy.
+        e = svd_embed(random_interactions(rng, 12, 7), 4).values
+        assert e.flags.f_contiguous
+        e = np.array(e, order=order)
+        kept = e.copy()
+        self.CALLS[call](e)
+        assert bitwise_equal(e, kept)
+
+    def test_inv_sqrt(self, rng):
+        # Within eigh's symmetry tolerance but not exactly symmetric, so
+        # symmetrizing it in place would show.
+        b = rng.normal(size=(5, 8))
+        a = b @ b.T
+        a[0, 1] += 1e-12
+        kept = a.copy()
+        linalg.inv_sqrt(a, 0.1)
+        assert bitwise_equal(a, kept)
