@@ -44,16 +44,16 @@ class EmbeddingMatrix:
 def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
     """Top-d singular triplets of X folded into E = S_d^{1/2} V_d^T.
 
-    The triplets come from linalg.spectrum. If d exceeds the numerical
-    rank (judged against the top squared singular value) the trailing
-    rows of E are zeroed and a warning is emitted.
+    linalg.spectrum gives sigma_d^2 and V_d^T, scaled here in place. If d
+    exceeds the numerical rank (judged against the top squared singular
+    value) the trailing rows of E are zeroed and a warning is emitted.
     """
     if not 1 <= d <= min(X.n_users, X.n_items):
         raise ValueError(
             f"embedding dim must be in [1, min(|U|, |I|)] = "
             f"[1, {min(X.n_users, X.n_items)}], got {d}"
         )
-    sq, rows, items_side = linalg.spectrum(X, d)
+    sq, rows = linalg.spectrum(X, d)
     deficient = sq <= linalg.RANK_RTOL * sq[0]
     if np.any(deficient):
         warnings.warn(
@@ -62,14 +62,9 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
             stacklevel=2,
         )
     sigma = np.sqrt(sq)
-    # rows is V_d^T, or U_d^T X = S_d V_d^T on the users side, so E scales
-    # it by sigma^{1/2} or by sigma^{-1/2}.
-    scale = np.sqrt(sigma)
-    if not items_side:
-        np.divide(1.0, scale, out=scale, where=~deficient)
-    e = scale[:, np.newaxis] * rows
-    e[deficient, :] = 0.0
-    return EmbeddingMatrix(values=e, singular_values=sigma)
+    rows *= np.sqrt(sigma)[:, np.newaxis]
+    rows[deficient, :] = 0.0
+    return EmbeddingMatrix(values=rows, singular_values=sigma)
 
 
 def embed_dot(e: EmbeddingMatrix) -> SimilarityMatrix:

@@ -319,21 +319,26 @@ def _check_info(routine: str, info: int) -> None:
         raise NumericalError(f"eigendecomposition failed (LAPACK {routine} info {info})")
 
 
-def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray, bool]:
+def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The one eigen step on X = U S V^T: its top k singular directions.
 
-    Returns (sq, rows, items_side): the k largest eigenvalues of the
-    smaller Gram, X^T X or X X^T (no others are computed), clamped at 0;
-    and the k x |I| rows, V_k^T on the items side, or on the users side
-    U_k^T X = S_k V_k^T, one csr_matmul on X's transposed CSR.
+    Returns (sq, rows): sigma_k^2 clamped at 0, and the k x |I| rows V_k^T.
+    They come from the smaller Gram, X^T X or X X^T, with no other
+    eigenpairs; from X X^T the rows are U_k^T X (one csr_matmul) divided
+    by sigma in place, and zero where sigma^2 <= RANK_RTOL * sigma_1^2.
     """
     items_side = X.n_items <= X.n_users
     eig = eigh(gram(X, side="items" if items_side else "users"), k=k)
     sq = np.maximum(eig.eigenvalues, 0.0)
     if items_side:
-        return sq, eig.eigenvectors.T, items_side
+        return sq, eig.eigenvectors.T
     t = X.transpose()
-    return sq, csr_matmul(t.indptr, t.indices, eig.eigenvectors).T, items_side
+    rows = csr_matmul(t.indptr, t.indices, eig.eigenvectors).T
+    # sq descends, so the rows of rank are a prefix.
+    rank = np.count_nonzero(sq > RANK_RTOL * sq[0])
+    rows[:rank] /= np.sqrt(sq[:rank, np.newaxis])
+    rows[rank:] = 0.0
+    return sq, rows
 
 
 def _square_finite(a) -> np.ndarray:

@@ -9,8 +9,8 @@ exactly the ridge autoencoder's similarity matrix with eps playing the
 role of the regularization weight.
 
 fit_zca and whiten form P and W as the paper writes them; zca_similarity,
-the zca kind, works in X's eigenbasis (linalg.spectrum), where P is
-diagonal and W^T W = V diag(sigma^2 / (sigma^2 + eps)) V^T.
+the zca kind, takes W^T W = V diag(sigma^2 / (sigma^2 + eps)) V^T, which
+every whitening of X shares, from X's right singular vectors (linalg.spectrum).
 """
 
 from __future__ import annotations
@@ -59,17 +59,17 @@ def whiten(t: WhiteningTransform, m: np.ndarray) -> np.ndarray:
 def zca_similarity(X: InteractionMatrix, eps: float) -> SimilarityMatrix:
     """Item similarity of the ZCA-whitened interactions, W^T W for W = P X.
 
-    U^T W = diag(s) rows for linalg.spectrum's rows at full rank, with s =
-    sigma / sqrt(sigma^2 + eps) on the items side (rows = V^T) and
-    1 / sqrt(sigma^2 + eps) on the users side (rows = S V^T); W^T W is
-    their Gram. Numerically identical to the ridge solution at lam = eps.
+    At full rank U^T W = diag(sigma / sqrt(sigma^2 + eps)) V^T, V^T being
+    linalg.spectrum's rows, and W^T W is its Gram. Numerically identical
+    to the ridge solution at lam = eps.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be > 0 and finite for interaction data, got {eps}")
     linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")
-    sq, rows, items_side = linalg.spectrum(X, min(X.n_users, X.n_items))
-    s = 1.0 / np.sqrt(sq + eps)
-    if items_side:
-        s *= np.sqrt(sq)
-    b = linalg.gram(s[:, np.newaxis] * rows, side="items")
+    sq, rows = linalg.spectrum(X, min(X.n_users, X.n_items))
+    # In this order, not sqrt(sq) / sqrt(sq + eps), s keeps the bits the
+    # golden zca model was pinned with.
+    s = 1.0 / np.sqrt(sq + eps) * np.sqrt(sq)
+    rows *= s[:, np.newaxis]
+    b = linalg.gram(rows, side="items")
     return SimilarityMatrix(b, "zca", {"lambda": eps})

@@ -8,6 +8,7 @@ from whiterec.autoencoder import (ease, ease_decompose, ridge, ridge_dual, ridge
                                   whitened_gram)
 from whiterec.errors import CapacityError, NumericalError
 from whiterec.ingest import InteractionMatrix
+from whiterec.whitening import zca_similarity
 
 from conftest import bitwise_equal, random_interactions, reconstruction_objective, traced_peak
 
@@ -371,6 +372,14 @@ class TestTrainingPeaks:
         counted = 8 * (items * items + users * items + users * users)
         blocks = 2 * linalg.PRODUCT_BLOCK_BYTES
         assert peak <= counted + blocks + 64 * linalg.product_rows(items)
+
+    def test_zca_wide_route_peak(self):
+        # |U| < |I|: spectrum's |U| x |I| rows, divided by sigma and scaled
+        # in place, and the |I| x |I| Gram of them.
+        X = random_interactions(np.random.default_rng(3), 1000, 1500, density=0.006)
+        zca_similarity(X, 200.0)  # bind LAPACK and keep X's transposed CSR
+        _, peak = traced_peak(zca_similarity, X, 200.0)
+        assert peak <= 1.7 * 8 * X.n_items ** 2 + 2 * linalg.PRODUCT_BLOCK_BYTES
 
     def test_dual_route_solves_in_its_own_temporaries(self, monkeypatch):
         # Before the product, whitened_gram holds the shifted |U| x |U| Gram,

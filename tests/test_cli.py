@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import time
 import warnings
@@ -971,6 +972,67 @@ class TestBadInput:
         assert main(argv) == EXIT_GENERIC
         assert "output directory must not be empty" in self.error(capsys)
         assert list(work.iterdir()) == []
+
+
+class TestErrorBranches:
+    """Each config and input error ends with its exit code and one error
+    line through main, never a traceback."""
+
+    @staticmethod
+    def one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kind", "embed_ridge", "--embedding-dim", "0"], "embedding_dim must be >= 1, got 0"),
+        (["--cutoffs", "0,5"], "cutoffs must be positive, got [0, 5]"),
+    ], ids=["embedding_dim", "cutoffs"])
+    def test_bad_flag_exit_1(self, tmp_path, capsys, flags, message):
+        assert main(["train", "--output", str(tmp_path), *flags]) == EXIT_GENERIC
+        assert message in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize("line, message", [
+        ("data_format = xml", "data_format must be csv or tsv, got 'xml'"),
+        ("heldout_user_fraction = 1.5", "heldout_user_fraction must be in (0, 1)"),
+        ("foldin_fraction = 0", "foldin_fraction must be in (0, 1)"),
+    ], ids=["data_format", "heldout_user_fraction", "foldin_fraction"])
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, line, message):
+        write_dataset(tmp_path / "data.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\noutput = {tmp_path / 'out'}\n"
+                       f"{line}\n")
+        assert main(["preprocess", "--config", str(cfg)]) == EXIT_GENERIC
+        assert message in self.one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_line_without_equals_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = ridge\nlambda 5\n")
+        assert main(["train", "--config", str(cfg), "--output", str(tmp_path)]) == EXIT_GENERIC
+        assert (f"{cfg}: line 2: expected 'key = value', got 'lambda 5'"
+                in self.one_error_line(capsys))
+
+    def test_preprocess_without_data_path_exit_1(self, tmp_path, capsys):
+        assert main(["preprocess", "--output", str(tmp_path / "out")]) == EXIT_GENERIC
+        assert "preprocess needs a data path" in self.one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_model_of_unknown_kind_exit_2(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        model = tmp_path / "model.bin"
+        cli.MODEL_FILE.write(model, ("random", 2, math.nan, 0), np.eye(2), ["a", "b"])
+        code = main(["evaluate", "--model", str(model), "--output", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert f"{model}: unknown model kind 'random'" in self.one_error_line(capsys)
+
+    def test_empty_train_split_exit_2(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        train = tmp_path / "out" / "train.txt"
+        train.write_text("")
+        assert main(["train", "--output", str(tmp_path / "out")]) == EXIT_IO
+        assert f"{train}: empty triplet file" in self.one_error_line(capsys)
+        assert not (tmp_path / "out" / "model_ridge.bin").exists()
 
 
 class TestPlainLogFastPath:

@@ -121,6 +121,11 @@ class TestEvaluate:
         assert report.mean("recall", 2) == 1.0
         assert report.mean("ndcg", 2) == 1.0
 
+    def test_no_user_with_targets_raises(self):
+        H = heldout([[0], [1]], [[], []], 3)
+        with pytest.raises(EvaluationError, match="no users with non-empty target sets"):
+            evaluate(H, sim(np.eye(3)), [1])
+
     def test_mean_of_zero_and_one(self):
         b = sim(np.eye(4))
         # User 0's target is scored by the identity (never ranked above

@@ -236,6 +236,10 @@ class TestLoadInteractions:
         with pytest.raises(EmptyDatasetError):
             self.load(tmp_path, "")
 
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="format must be 'csv' or 'tsv', got 'xml'"):
+            self.load(tmp_path, "u1,i1,5\n", fmt="xml")
+
     def test_malformed_rating(self, tmp_path):
         with pytest.raises(ParseError, match="line 1"):
             self.load(tmp_path, "u1,i1,abc\n")

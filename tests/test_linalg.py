@@ -161,6 +161,12 @@ class TestInteractionKernels:
             got = linalg.csr_matmul(t.indptr, t.indices, z)
         assert bitwise_equal(got, scipy_csr(X).T @ z)
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_b_raises(self, index):
+        indptr, indices = np.array([0, 1, 2]), np.array([0, index])
+        with pytest.raises(IndexError, match="outside the 3 rows of b"):
+            linalg.csr_matmul(indptr, indices, np.ones((3, 2)))
+
     def test_whitened_gram_matches_scipy_product(self, rng):
         X = random_interactions(rng, 6, 9)
         z = linalg.spd_solve(_shifted(linalg.gram(X, "users"), 2.0), X.toarray())
@@ -172,9 +178,9 @@ class TestInteractionKernels:
         z = linalg.spd_solve(_shifted(linalg.gram(X, "users"), 2.0), X.toarray())
         ridge = linalg.csr_matmul(t.indptr, t.indices, z)
         eig = linalg.eigh(linalg.gram(X, "users"), k=3)
-        scale = 1.0 / np.sqrt(np.sqrt(eig.eigenvalues))
-        embedding = scale[:, np.newaxis] * linalg.csr_matmul(t.indptr, t.indices,
-                                                             eig.eigenvectors).T
+        sigma = np.sqrt(eig.eigenvalues)[:, np.newaxis]
+        embedding = linalg.csr_matmul(t.indptr, t.indices, eig.eigenvectors).T / sigma
+        embedding *= np.sqrt(sigma)
         # Count the transposes made, on a copy of X with none made yet.
         made = []
         make = InteractionMatrix.__dict__["_transposed"].func
@@ -187,11 +193,16 @@ class TestInteractionKernels:
         assert len(made) == 1 and made[0] is Y
 
     def test_users_side_svd_embed_matches_scipy_product(self, rng):
+        # E = S^{1/2} V^T, with V^T = S^{-1} U^T X from X X^T's eigenpairs.
         X = random_interactions(rng, 6, 9, density=0.5)
         eig = linalg.eigh(linalg.gram(X, "users"), k=3)
-        scale = 1.0 / np.sqrt(np.sqrt(eig.eigenvalues))
-        expected = scale[:, np.newaxis] * (scipy_csr(X).T @ eig.eigenvectors).T
-        assert bitwise_equal(svd_embed(X, 3).values, expected)
+        sigma = np.sqrt(eig.eigenvalues)[:, np.newaxis]
+        product = (scipy_csr(X).T @ eig.eigenvectors).T
+        got = svd_embed(X, 3).values
+        assert bitwise_equal(got, product / sigma * np.sqrt(sigma))
+        # U^T X scaled once by sigma^{-1/2} rounds differently, by < 1e-12.
+        once = product / np.sqrt(sigma)
+        assert np.abs(got - once).max() <= 1e-12 * np.abs(once).max()
 
 
 class TestSymmetrizeInPlace:
@@ -356,27 +367,34 @@ class TestEighTopK:
 
 
 class TestSpectrum:
-    """spectrum(X, k): X's singular directions from the smaller Gram."""
+    """spectrum(X, k): X's top k sigma^2 and V_k^T, from the smaller Gram."""
 
     @pytest.mark.parametrize("shape", [(9, 5), (5, 9), (6, 6)])
     def test_full_rank_rebuilds_the_gram(self, rng, shape):
-        # X^T X = V S^2 V^T = (S V^T)^T (S V^T), on either side.
+        # X^T X = V S^2 V^T, whichever Gram was factored.
         X = random_interactions(rng, *shape)
         k = min(shape)
-        sq, rows, items_side = linalg.spectrum(X, k)
-        assert items_side == (shape[1] <= shape[0])
+        sq, rows = linalg.spectrum(X, k)
         assert rows.shape == (k, shape[1])
         singular = np.linalg.svd(X.toarray(), compute_uv=False)
         np.testing.assert_allclose(sq, singular ** 2, rtol=0.0, atol=1e-10 * sq[0])
-        weights = sq if items_side else np.ones(k)
+        assert sq[-1] > linalg.RANK_RTOL * sq[0]
+        np.testing.assert_allclose(rows @ rows.T, np.eye(k), rtol=0.0, atol=1e-10)
         g = linalg.gram(X, "items")
-        np.testing.assert_allclose((rows.T * weights) @ rows, g, rtol=0.0, atol=1e-10 * g.max())
+        np.testing.assert_allclose((rows.T * sq) @ rows, g, rtol=0.0, atol=1e-10 * g.max())
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
     def test_rank_one_clamps_at_zero(self, shape):
-        sq, _, _ = linalg.spectrum(InteractionMatrix.from_dense(np.ones(shape)), 3)
+        sq, rows = linalg.spectrum(InteractionMatrix.from_dense(np.ones(shape)), 3)
         assert sq[0] == pytest.approx(12.0) and np.all(sq[1:] >= 0.0)
         assert np.all(sq[1:] <= 1e-12)
+        np.testing.assert_allclose(rows[0], np.full(shape[1], shape[1] ** -0.5), rtol=1e-12)
+        if shape[0] >= shape[1]:
+            # X^T X has an orthonormal basis for X's null space too.
+            np.testing.assert_allclose(rows @ rows.T, np.eye(3), rtol=0.0, atol=1e-12)
+        else:
+            # X X^T knows no direction of V for sigma = 0: those rows are zero.
+            assert bitwise_equal(rows[1:], np.zeros((2, shape[1])))
 
 
 class TestLapackBinding:

@@ -10,7 +10,7 @@ from whiterec.errors import CapacityError, SingularMatrixError
 from whiterec.ingest import InteractionMatrix
 from whiterec.whitening import fit_zca, whiten, zca_similarity
 
-from conftest import LAMBDAS, random_interactions
+from conftest import LAMBDAS, random_interactions, scipy_csr
 
 
 def fro(a):
@@ -126,6 +126,16 @@ class TestZcaSimilarity:
                 d = ridge_dual(X, eps).values
                 assert fro(z - p) <= 1e-8 * fro(p)
                 assert fro(z - d) <= 1e-8 * fro(p)
+
+    def test_wide_matches_the_gram_of_scaled_s_v_t(self, rng):
+        # From X X^T, W^T W is also the Gram of U^T X = S V^T scaled by
+        # 1 / sqrt(sigma^2 + eps), with no division by sigma.
+        X = random_interactions(rng, 6, 9, density=0.5)
+        eig = linalg.eigh(linalg.gram(X, "users"))
+        rows = (scipy_csr(X).T @ eig.eigenvectors).T / np.sqrt(eig.eigenvalues + 2.0)[:, None]
+        expected = rows.T @ rows
+        got = zca_similarity(X, 2.0).values
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_eps_must_be_positive(self, rng):
         with pytest.raises(ValueError):
