@@ -66,8 +66,9 @@ def ridge_primal(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
     A shifted copy of the Gram is factored in place, and the solve writes
     the result over the Gram (its transpose is the same matrix, in the
     Fortran order potrs works in), so the two are the only |I| x |I|
-    arrays.
+    arrays, checked against the cap before the Gram is counted.
     """
+    linalg.check_capacity(2 * X.n_items ** 2, f"primal ridge (|U|={X.n_users}, |I|={X.n_items})")
     g = linalg.gram(X, side="items")
     b = linalg.spd_solve(_shifted(g.copy(), lam), g.T).T
     linalg.symmetrize_in_place(b)
@@ -94,14 +95,16 @@ def whitened_gram(M, lam: float) -> np.ndarray:
     row-side Gram is inverted, in place, against M in Fortran order; the
     one |I| x |I| array created is the result, which is not symmetrized.
     For X the final product X^T z is linalg.csr_matmul on X's transposed
-    CSR, the one the Gram was counted with.
+    CSR, the one the Gram was counted with. The result, M in Fortran order
+    and the row-side factor are checked against the cap before the Gram is.
     """
-    m = M if isinstance(M, InteractionMatrix) else np.asarray(M, dtype=np.float64)
+    interactions = isinstance(M, InteractionMatrix)
+    m = M if interactions else np.asarray(M, dtype=np.float64)
     rows, items = m.shape
-    linalg.check_capacity(rows, items, "dense feature matrix")
-    linalg.check_capacity(items, items, "item similarity matrix")
+    linalg.check_capacity((items + rows) * items + rows * rows,
+                          f"whitened Gram ({'|U|' if interactions else 'D'}={rows}, |I|={items})")
     shifted = _shifted(linalg.gram(m, side="users"), lam)
-    if not isinstance(m, InteractionMatrix):
+    if not interactions:
         return m.T @ linalg.spd_solve(shifted, np.array(m, order="F"))
     t = m.transpose()
     return linalg.csr_matmul(t.indptr, t.indices, linalg.spd_solve(shifted, t.toarray().T))
@@ -118,7 +121,8 @@ def ease(M, lam: float) -> EaseSolution:
     rows, items = M.shape
     if items <= rows:
         # The Gram is shifted, factored and inverted in place: the one
-        # |I| x |I| array, which then becomes B.
+        # |I| x |I| array, which then becomes B, so gram's own capacity
+        # check covers the whole route.
         p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam))
     else:
         # (I - W) / lam in W's own array: 0 - W, then + 1 on the diagonal, are

@@ -67,32 +67,22 @@ class ModelKind:
     ``build(source, lam)`` gets the train matrix, or its SVD embeddings for
     kinds that read ``embedding_dim``. Builders look their solver up at
     call time, so a solver wrapped after import is the one that runs.
-
-    ``peak_arrays`` is how many |I| x |I| float64 arrays the kind holds at
-    once when it inverts the item Gram (|I| <= |U|): ridge the Gram and
-    its factored copy, ease the Gram it turns into B, zca the Gram and
-    numpy's eigensystem of it, the embedding kinds the Gram and dstemr's
-    eigenvectors, and two D x |I| arrays as eigh sorts and signs D of them.
-    A ``dual_route`` kind holds |I|^2 + |U||I| + |U|^2 entries if |U| < |I|.
-    ``train`` checks the whole peak before it allocates any array.
     """
 
     build: Callable[..., SimilarityMatrix]
-    peak_arrays: int
     uses_lambda: bool = True
     uses_embedding_dim: bool = False
-    dual_route: bool = False
 
 
 KINDS = {
-    "ridge": ModelKind(lambda X, lam: ridge(X, lam), 2, dual_route=True),
-    "ease": ModelKind(lambda X, lam: ease(X, lam).B, 1, dual_route=True),
-    "zca": ModelKind(lambda X, lam: zca_similarity(X, lam), 3),
-    "embed_dot": ModelKind(lambda e, lam: embedding_mod.embed_dot(e), 2,
+    "ridge": ModelKind(lambda X, lam: ridge(X, lam)),
+    "ease": ModelKind(lambda X, lam: ease(X, lam).B),
+    "zca": ModelKind(lambda X, lam: zca_similarity(X, lam)),
+    "embed_dot": ModelKind(lambda e, lam: embedding_mod.embed_dot(e),
                            uses_lambda=False, uses_embedding_dim=True),
-    "embed_ridge": ModelKind(lambda e, lam: embedding_mod.embed_ridge(e, lam), 2,
+    "embed_ridge": ModelKind(lambda e, lam: embedding_mod.embed_ridge(e, lam),
                              uses_embedding_dim=True),
-    "embed_ease": ModelKind(lambda e, lam: embedding_mod.embed_ease(e, lam), 2,
+    "embed_ease": ModelKind(lambda e, lam: embedding_mod.embed_ease(e, lam),
                             uses_embedding_dim=True),
 }
 
@@ -271,26 +261,25 @@ def cmd_preprocess(config: PipelineConfig) -> int:
 def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
     """Build the configured similarity kind from a training matrix.
 
-    The kind's whole peak is checked against the capacity cap first, so a
-    cap too small for it fails before any work is done.
+    Each solver checks the whole memory of its route against the capacity
+    cap before it allocates. The embedding kinds' step on E runs after
+    svd_embed, so it is checked here first: a cap too small for any step
+    fails before a Gram is counted.
     """
     kind = KINDS[config.kind]
-    users, items = train.shape
-    # Embedding kinds share the factorization step, which has at most
-    # min(|U|, |I|) dimensions.
-    d = min(config.embedding_dim, users, items) if kind.uses_embedding_dim else 0
-    peak = ((items + users) * items + users * users if kind.dual_route and users < items
-            else (kind.peak_arrays * items + 2 * d) * items)
-    linalg.check_capacity(peak, 1, f"{config.kind} training peak (|U|={users}, |I|={items}, D={d})")
     if not kind.uses_embedding_dim:
         return kind.build(train, config.lam)
+    users, items = train.shape
+    # The factorization step has at most min(|U|, |I|) dimensions.
+    d = min(config.embedding_dim, users, items)
+    # E beside the step's result, E in Fortran order and the D x D factor.
+    linalg.check_capacity((items + 2 * d) * items + d * d,
+                          f"{config.kind} (|U|={users}, |I|={items}, D={d})")
     if d < config.embedding_dim:
         print(f"warning: embedding_dim {config.embedding_dim} exceeds min(|U|, |I|) = {d} "
               f"of the train split; training with {d}", file=sys.stderr)
     emb = embedding_mod.svd_embed(train, d)
-    embedding_mod.save_embeddings(
-        emb, train.item_ids, Path(config.output_dir) / "embeddings.bin"
-    )
+    embedding_mod.save_embeddings(emb, train.item_ids, Path(config.output_dir) / "embeddings.bin")
     return kind.build(emb, config.lam)
 
 

@@ -30,10 +30,13 @@ import numpy as np
 from .errors import CapacityError, NotSPDError, NumericalError, SingularMatrixError
 from .ingest import InteractionMatrix
 
-# Dense arrays (Gram matrices, densified interactions, similarity matrices)
-# larger than this many bytes are refused. The user-side Gram is |U| x |U|
-# and real datasets have |U| >> |I|, so this cap is what keeps an accidental
-# dual-form call from exhausting memory. ``cli.main`` sets it for one run.
+# The bytes of dense arrays one training route, or one ranking pass, may
+# hold at once. Each solver checks its whole route against it at entry,
+# before it allocates (check_capacity), and gram checks its own result;
+# ranking checks its workspace (recommend). The user-side Gram is
+# |U| x |U| and real datasets have |U| >> |I|, so this cap is what keeps an
+# accidental dual-form call from exhausting memory. ``cli.main`` sets it
+# for one run.
 GRAM_BYTE_CAP: ContextVar[int] = ContextVar("GRAM_BYTE_CAP", default=1 << 30)
 
 # The working set of every blocked pass here: the output block csr_matmul
@@ -57,17 +60,12 @@ RANK_RTOL = 1e-10
 _SIGN_TOL = 1e-12
 
 
-def check_capacity(rows: int, cols: int, what: str = "Gram matrix",
-                   entry_bytes: int = 8) -> None:
-    """Raise CapacityError if rows x cols entries of ``entry_bytes`` each
-    (a float64 array by default) exceed the cap."""
-    needed = rows * cols * entry_bytes
+def check_capacity(entries: int, what: str, entry_bytes: int = 8) -> None:
+    """Raise CapacityError if ``entries`` of ``entry_bytes`` each exceed the cap."""
+    needed = entries * entry_bytes
     cap = GRAM_BYTE_CAP.get()
     if needed > cap:
-        raise CapacityError(
-            f"{what} of shape {rows}x{cols} needs {needed} bytes, "
-            f"exceeding the cap of {cap} bytes"
-        )
+        raise CapacityError(f"{what} needs {needed} bytes, exceeding the cap of {cap} bytes")
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -135,8 +133,10 @@ def gram(M, side: str = "items") -> np.ndarray:
         raise ValueError(f"side must be 'items' or 'users', got {side!r}")
     interactions = isinstance(M, InteractionMatrix)
     m = M if interactions else np.asarray(M, dtype=np.float64)
-    dim = m.shape[1] if side == "items" else m.shape[0]
-    check_capacity(dim, dim, f"{side}-side Gram matrix")
+    rows, items = m.shape
+    dim = items if side == "items" else rows
+    check_capacity(dim * dim,
+                   f"{side}-side Gram ({'|U|' if interactions else 'D'}={rows}, |I|={items})")
     if interactions:
         t = m.transpose()
         return _pair_counts(t, m) if side == "items" else _pair_counts(m, t)
@@ -326,8 +326,18 @@ def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     They come from the smaller Gram, X^T X or X X^T, with no other
     eigenpairs; from X X^T the rows are U_k^T X (one csr_matmul) divided
     by sigma in place, and zero where sigma^2 <= RANK_RTOL * sigma_1^2.
+    The whole step is checked against the cap before the Gram is counted.
     """
-    items_side = X.n_items <= X.n_users
+    users, items = X.shape
+    items_side = items <= users
+    n = min(users, items)
+    # All n pairs hold the Gram, numpy's eigensystem and eigh's sorted copy
+    # of it; the top k the Gram, dstemr's n x n eigenvectors and two k x n
+    # arrays as eigh sorts and signs them. From X X^T the product then holds
+    # the k eigenvectors and the k x |I| rows.
+    eigen = 3 * n * n if k >= n else (2 * n + 2 * k) * n
+    check_capacity(eigen if items_side else max(eigen, min(k, n) * (n + items)),
+                   f"top-{k} spectrum (|U|={users}, |I|={items})")
     eig = eigh(gram(X, side="items" if items_side else "users"), k=k)
     sq = np.maximum(eig.eigenvalues, 0.0)
     if items_side:

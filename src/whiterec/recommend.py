@@ -119,7 +119,8 @@ def _shard(foldin: InteractionMatrix, B: SimilarityMatrix, n: int, start: int,
     """ranked_blocks of a checked model: the workspace capacity is checked now."""
     # A score block is exactly the output block csr_matmul forms.
     rows = max(1, min(linalg.product_rows(B.dim), stop - start))
-    linalg.check_capacity(rows, B.dim, "ranking workspace", _Workspace.ENTRY_BYTES)
+    linalg.check_capacity(rows * B.dim, f"ranking workspace ({rows} x {B.dim})",
+                          _Workspace.ENTRY_BYTES)
     return _ranked_blocks(foldin, B, n, start, stop, rows)
 
 

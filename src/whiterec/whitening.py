@@ -61,12 +61,13 @@ def zca_similarity(X: InteractionMatrix, eps: float) -> SimilarityMatrix:
 
     At full rank U^T W = diag(sigma / sqrt(sigma^2 + eps)) V^T, V^T being
     linalg.spectrum's rows, and W^T W is its Gram. Numerically identical
-    to the ridge solution at lam = eps.
+    to the ridge solution at lam = eps. Its rows and result are checked first.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be > 0 and finite for interaction data, got {eps}")
-    linalg.check_capacity(X.n_items, X.n_items, "item similarity matrix")
-    sq, rows = linalg.spectrum(X, min(X.n_users, X.n_items))
+    k = min(X.shape)
+    linalg.check_capacity((X.n_items + k) * X.n_items, f"zca (|U|={X.n_users}, |I|={X.n_items})")
+    sq, rows = linalg.spectrum(X, k)
     # In this order, not sqrt(sq) / sqrt(sq + eps), s keeps the bits the
     # golden zca model was pinned with.
     s = 1.0 / np.sqrt(sq + eps) * np.sqrt(sq)

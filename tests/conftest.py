@@ -59,6 +59,21 @@ def byte_cap():
         linalg.GRAM_BYTE_CAP.reset(token)
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """The bytes every linalg.check_capacity call counts for the rest of the
+    test, in call order; the checks still run."""
+    needed = []
+    check = linalg.check_capacity
+
+    def spy(entries, what, entry_bytes=8):
+        needed.append(entries * entry_bytes)
+        check(entries, what, entry_bytes)
+
+    monkeypatch.setattr(linalg, "check_capacity", spy)
+    return needed
+
+
 # Magnitudes far apart make a sum depend on its order; signed zeros make
 # +0.0 + -0.0 show. Every partial sum stays finite.
 KERNEL_VALUES = np.array([1e16, -1e16, 1.0, 0.1, -0.3, 0.0, -0.0, -0.0])

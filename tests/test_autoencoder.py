@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from whiterec import linalg
 from whiterec.autoencoder import (ease, ease_decompose, ridge, ridge_dual, ridge_primal,
                                   whitened_gram)
+from whiterec.cli import KINDS, PipelineConfig, train_similarity
 from whiterec.errors import CapacityError, NumericalError
 from whiterec.ingest import InteractionMatrix
 from whiterec.whitening import zca_similarity
@@ -342,6 +344,17 @@ class TestPrimalDualSweep:
             assert fro(p - d) <= 1e-8 * fro(p)
 
 
+@functools.cache
+def _route_interactions(wide: bool) -> InteractionMatrix:
+    """A random wide 1,000 x 1,500 or tall 3,000 x 1,000 X, with its
+    transposed CSR made and LAPACK bound, so neither shows in a traced peak."""
+    linalg._lapack()
+    shape, density = ((1000, 1500), 0.006) if wide else ((3000, 1000), 0.01)
+    X = random_interactions(np.random.default_rng(3), *shape, density=density)
+    X.transpose()
+    return X
+
+
 class TestTrainingPeaks:
     """tracemalloc peaks of the interaction solvers, in n^2 bytes of float64
     (one |I| x |I| array), on a sparse tall X whose Gram counting needs
@@ -359,8 +372,8 @@ class TestTrainingPeaks:
 
     @pytest.mark.parametrize("solve", [ease, ridge], ids=["ease", "ridge"])
     def test_dual_route_peak_is_the_counted_one(self, solve):
-        # |U| < |I|: train counts the |I| x |I| result, one |U| x |I| array
-        # and the |U| x |U| factor. The product step holds them, the second
+        # |U| < |I|: whitened_gram counts the |I| x |I| result, one |U| x |I|
+        # array and the |U| x |U| factor. The product step holds them, the second
         # as csr_matmul's C-ordered copy of the solution, beside its two
         # blocks and their int64 index arrays, under 64 bytes a block row.
         X = random_interactions(np.random.default_rng(3), 1000, 1500, density=0.006)
@@ -380,6 +393,29 @@ class TestTrainingPeaks:
         zca_similarity(X, 200.0)  # bind LAPACK and keep X's transposed CSR
         _, peak = traced_peak(zca_similarity, X, 200.0)
         assert peak <= 1.7 * 8 * X.n_items ** 2 + 2 * linalg.PRODUCT_BLOCK_BYTES
+
+    @pytest.mark.parametrize("kind, wide", [pytest.param(kind, wide, id=kind + "-wide" * wide)
+                                            for wide in (False, True) for kind in sorted(KINDS)])
+    def test_route_count_covers_its_traced_peak(self, tmp_path, counted, kind, wide):
+        # The largest count of a train run, against its traced peak: beside
+        # what is counted, the Gram's pair blocks and per-entry arrays (24
+        # bytes an entry) and csr_matmul's two blocks. Tall counts are as
+        # they were when train counted every kind itself; on the wide X zca
+        # and the embedding step (D = 256) count only what their routes hold.
+        X = _route_interactions(wide)
+        d = 256 if KINDS[kind].uses_embedding_dim else None
+        config = PipelineConfig(kind=kind, lam=200.0, embedding_dim=d, output_dir=str(tmp_path))
+        _, peak = traced_peak(train_similarity, config, X)
+        n2 = 8 * X.n_items ** 2
+        count = max(counted)
+        assert count >= peak - 2 * linalg.PRODUCT_BLOCK_BYTES - 24 * X.nnz
+        if not wide:
+            tall = {"ridge": 2 * n2, "ease": n2, "zca": 3 * n2}
+            assert count == (2 * n2 + 16 * d * X.n_items if d else tall[kind])
+        elif kind == "zca":
+            assert count <= 1.7 * n2
+        elif d:
+            assert count <= 1.4 * n2
 
     def test_dual_route_solves_in_its_own_temporaries(self, monkeypatch):
         # Before the product, whitened_gram holds the shifted |U| x |U| Gram,

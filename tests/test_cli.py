@@ -494,51 +494,48 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg_file), "--kind", "ridge"])
         assert code == EXIT_CAPACITY
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_training_peak_checked_before_any_work(self, tmp_path, monkeypatch, capsys, kind):
-        # Just under the kind's whole peak, train exits 3 before it counts
-        # a Gram; at the peak it trains, every single array fitting too.
-        # The embedding kinds' peak holds two D x |I| arrays beside the
-        # |I| x |I| ones.
-        write_dataset(tmp_path / "data.csv")
-        assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_OK
-        n_items = len((tmp_path / "out" / "items.txt").read_text().splitlines())
-        d = 3 if KINDS[kind].uses_embedding_dim else 0
-        peak = (KINDS[kind].peak_arrays * n_items + 2 * d) * 8 * n_items
-        self.assert_peak_checked(tmp_path, monkeypatch, capsys, kind, d, peak)
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_wide_split_peak_checked_before_any_work(self, tmp_path, monkeypatch, capsys,
-                                                     kind):
-        # With fewer train users than items, ridge and ease take the dual
-        # route: the |I| x |I| result, X densified and solved in place, and
-        # the |U| x |U| factor. The other kinds count as on a tall split.
-        write_dataset(tmp_path / "data.csv", n_users=12, n_items=40)
+    @pytest.mark.parametrize("kind, wide", [pytest.param(kind, wide, id=kind + "-wide" * wide)
+                                            for wide in (False, True) for kind in sorted(KINDS)])
+    def test_training_peak_checked_before_any_work(self, tmp_path, monkeypatch, capsys, counted,
+                                                   kind, wide):
+        # Each route checks its whole peak before it allocates, and train
+        # checks the embedding step before svd_embed: one byte under the
+        # largest count of an uncapped run, train exits 3 before a Gram is
+        # counted; at that count it trains. A wide split (fewer train users
+        # than items) takes the dual routes.
+        write_dataset(tmp_path / "data.csv", **({"n_users": 12, "n_items": 40} if wide else {}))
         assert main(["preprocess", "--config", str(write_config(tmp_path))]) == EXIT_OK
         n_users = len((tmp_path / "out" / "train_users.txt").read_text().splitlines())
         n_items = len((tmp_path / "out" / "items.txt").read_text().splitlines())
-        assert n_users < n_items
-        d = 3 if KINDS[kind].uses_embedding_dim else 0
-        if KINDS[kind].dual_route:
-            peak = (n_items * n_items + n_users * n_items + n_users * n_users) * 8
-        else:
-            peak = (KINDS[kind].peak_arrays * n_items + 2 * d) * 8 * n_items
-        self.assert_peak_checked(tmp_path, monkeypatch, capsys, kind, d, peak)
-
-    @staticmethod
-    def assert_peak_checked(tmp_path, monkeypatch, capsys, kind, d, peak):
-        dim = ["--embedding-dim", str(d)] if d else []
+        assert (n_users < n_items) == wide
+        dim = ["--embedding-dim", "3"] if KINDS[kind].uses_embedding_dim else []
+        argv = ["train", "--config", str(write_config(tmp_path)), "--kind", kind, *dim]
+        assert main(argv) == EXIT_OK
+        peak = max(counted)
+        model = tmp_path / "out" / f"model_{kind}.bin"
+        model.unlink()
+        capsys.readouterr()
+        # A Gram counts once gram has returned: ease's tall route is
+        # checked by gram alone.
         grams = []
         gram = linalg.gram
-        monkeypatch.setattr(linalg, "gram", lambda *args, **kw: grams.append(1) or gram(*args, **kw))
-        argv = ["train", "--config", str(write_config(tmp_path, f"gram_byte_cap = {peak - 1}\n")),
-                "--kind", kind, *dim]
+
+        def recorded_gram(*args, **kw):
+            g = gram(*args, **kw)
+            grams.append(g.shape)
+            return g
+
+        monkeypatch.setattr(linalg, "gram", recorded_gram)
+        argv[2] = str(write_config(tmp_path, f"gram_byte_cap = {peak - 1}\n"))
         assert main(argv) == EXIT_CAPACITY
-        assert f"{kind} training peak" in capsys.readouterr().err
-        assert grams == [] and not (tmp_path / "out" / f"model_{kind}.bin").exists()
+        err = capsys.readouterr().err
+        # The message names the route, |U| and |I|, not an array shape.
+        assert err.count("error:") == 1 and f"needs {peak} bytes" in err
+        assert f"(|U|={n_users}, |I|={n_items}" in err and "shape" not in err
+        assert grams == [] and not model.exists()
         argv[2] = str(write_config(tmp_path, f"gram_byte_cap = {peak}\n"))
         assert main(argv) == EXIT_OK
-        assert grams and (tmp_path / "out" / f"model_{kind}.bin").exists()
+        assert grams and model.exists()
 
     def test_byte_cap_restored_after_main(self, tmp_path):
         write_dataset(tmp_path / "data.csv")
@@ -1025,6 +1022,16 @@ class TestErrorBranches:
         code = main(["evaluate", "--model", str(model), "--output", str(tmp_path / "out")])
         assert code == EXIT_IO
         assert f"{model}: unknown model kind 'random'" in self.one_error_line(capsys)
+
+    def test_no_train_users_left_exit_1(self, tmp_path, capsys):
+        # Half of two users is one held out for validation and one for test.
+        (tmp_path / "data.csv").write_text("u0,a,5\nu0,b,5\nu1,a,5\nu1,b,5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data_path = {tmp_path / 'data.csv'}\noutput = {tmp_path / 'out'}\n"
+                       "min_user_interactions = 2\nheldout_user_fraction = 0.5\n")
+        assert main(["preprocess", "--config", str(cfg)]) == EXIT_GENERIC
+        assert "no users left for training" in self.one_error_line(capsys)
+        assert not (tmp_path / "out" / "train.txt").exists()
 
     def test_empty_train_split_exit_2(self, pipeline, capsys):
         tmp_path, config = pipeline

@@ -217,6 +217,14 @@ def _log_columns(log):
             log.user_ids, log.item_ids)
 
 
+class TestInteractionLog:
+    @pytest.mark.parametrize("users, items, ratings", [([0, 1], [0], [5.0, 5.0]),
+                                                       ([0], [0], [5.0, 4.0])])
+    def test_columns_of_unequal_length_rejected(self, users, items, ratings):
+        with pytest.raises(ValueError, match="one entry per event"):
+            InteractionLog(np.array(users), np.array(items), np.array(ratings), ["u", "v"], ["a"])
+
+
 class TestLoadInteractions:
     @staticmethod
     def load(tmp_path, text, fmt="csv"):
@@ -975,6 +983,12 @@ class TestInteractionMatrix:
             InteractionMatrix((np.array(indptr), np.array(indices, dtype=np.int64), (2, 3)),
                               ["u", "v"], ["a", "b", "c"])
 
+    @pytest.mark.parametrize("user_ids, item_ids", [(["u"], ["a", "b", "c"]),
+                                                    (["u", "v"], ["a", "b"])])
+    def test_shape_must_match_vocabularies(self, user_ids, item_ids):
+        with pytest.raises(ValueError, match=r"shape \(2, 3\) does not match vocab sizes"):
+            InteractionMatrix((np.array([0, 1, 2]), np.array([0, 1]), (2, 3)), user_ids, item_ids)
+
     @pytest.mark.parametrize("rows, cols", [([0, 2], [0, 0]), ([0, -1], [0, 0]),
                                             ([0, 0], [3, 0]), ([1, 0], [-1, 0]),
                                             ([0, 1], [0])])
@@ -993,6 +1007,12 @@ class TestHeldOutSetInvariants:
         fold = InteractionMatrix.from_dense([[1, 0]])
         targ = InteractionMatrix.from_dense([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
+            HeldOutSet(fold, targ)
+
+    def test_item_vocabulary_mismatch_rejected(self):
+        fold = InteractionMatrix.from_pairs([0], [0], 1, 2, ["u"], ["a", "b"])
+        targ = InteractionMatrix.from_pairs([0], [1], 1, 2, ["u"], ["a", "c"])
+        with pytest.raises(ValueError, match="item vocabularies differ"):
             HeldOutSet(fold, targ)
 
 
