@@ -69,7 +69,7 @@ def ridge_primal(X: InteractionMatrix, lam: float) -> SimilarityMatrix:
     arrays, checked against the cap before the Gram is counted.
     """
     linalg.check_capacity(2 * X.n_items ** 2, f"primal ridge (|U|={X.n_users}, |I|={X.n_items})")
-    g = linalg.gram(X, side="items")
+    g = linalg.gram(X)
     b = linalg.spd_solve(_shifted(g.copy(), lam), g.T).T
     linalg.symmetrize_in_place(b)
     return SimilarityMatrix(b, "ridge", {"lambda": lam, "form": "primal"})
@@ -92,22 +92,21 @@ def whitened_gram(M, lam: float) -> np.ndarray:
 
     This is the item Gram of the ZCA-whitened features and the dual ridge
     closed form, for interactions X as for D x |I| embeddings E. Only the
-    row-side Gram is inverted, in place, against M in Fortran order; the
-    one |I| x |I| array created is the result, which is not symmetrized.
-    For X the final product X^T z is linalg.csr_matmul on X's transposed
-    CSR, the one the Gram was counted with. The result, M in Fortran order
-    and the row-side factor are checked against the cap before the Gram is.
+    Gram of M.T, M M^T, is inverted, in place, against M in Fortran order;
+    the one |I| x |I| array created is the result, which is not
+    symmetrized. For X the final product X^T z is linalg.csr_matmul on
+    X.T, the CSR the Gram was counted with. The result, M in Fortran order
+    and the factor are checked against the cap before the Gram is.
     """
     interactions = isinstance(M, InteractionMatrix)
     m = M if interactions else np.asarray(M, dtype=np.float64)
     rows, items = m.shape
     linalg.check_capacity((items + rows) * items + rows * rows,
                           f"whitened Gram ({'|U|' if interactions else 'D'}={rows}, |I|={items})")
-    shifted = _shifted(linalg.gram(m, side="users"), lam)
+    shifted = _shifted(linalg.gram(m.T), lam)
     if not interactions:
         return m.T @ linalg.spd_solve(shifted, np.array(m, order="F"))
-    t = m.transpose()
-    return linalg.csr_matmul(t.indptr, t.indices, linalg.spd_solve(shifted, t.toarray().T))
+    return linalg.csr_matmul(m.T.indptr, m.T.indices, linalg.spd_solve(shifted, m.T.toarray().T))
 
 
 def ease(M, lam: float) -> EaseSolution:
@@ -121,9 +120,10 @@ def ease(M, lam: float) -> EaseSolution:
     rows, items = M.shape
     if items <= rows:
         # The Gram is shifted, factored and inverted in place: the one
-        # |I| x |I| array, which then becomes B, so gram's own capacity
-        # check covers the whole route.
-        p_hat = linalg.spd_inverse(_shifted(linalg.gram(M, side="items"), lam))
+        # |I| x |I| array, which then becomes B.
+        who = "|U|" if isinstance(M, InteractionMatrix) else "D"
+        linalg.check_capacity(items * items, f"ease ({who}={rows}, |I|={items})")
+        p_hat = linalg.spd_inverse(_shifted(linalg.gram(M), lam))
     else:
         # (I - W) / lam in W's own array: 0 - W, then + 1 on the diagonal, are
         # the bits of I - W.

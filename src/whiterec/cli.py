@@ -272,9 +272,10 @@ def train_similarity(config: PipelineConfig, train) -> SimilarityMatrix:
     users, items = train.shape
     # The factorization step has at most min(|U|, |I|) dimensions.
     d = min(config.embedding_dim, users, items)
-    # E beside the step's result, E in Fortran order and the D x D factor.
-    linalg.check_capacity((items + 2 * d) * items + d * d,
-                          f"{config.kind} (|U|={users}, |I|={items}, D={d})")
+    # E beside the step's result; a kind that uses lambda also holds E in
+    # Fortran order and the D x D factor.
+    step = (items + d) * items + (d * items + d * d if kind.uses_lambda else 0)
+    linalg.check_capacity(step, f"{config.kind} (|U|={users}, |I|={items}, D={d})")
     if d < config.embedding_dim:
         print(f"warning: embedding_dim {config.embedding_dim} exceeds min(|U|, |I|) = {d} "
               f"of the train split; training with {d}", file=sys.stderr)

@@ -69,7 +69,7 @@ def svd_embed(X: InteractionMatrix, d: int) -> EmbeddingMatrix:
 
 def embed_dot(e: EmbeddingMatrix) -> SimilarityMatrix:
     """Plain inner-product similarity E^T E, the no-whitening baseline."""
-    b = linalg.gram(e.values, side="items")
+    b = linalg.gram(e.values)
     return SimilarityMatrix(b, "embed_dot", {"embedding_dim": e.dim})
 
 

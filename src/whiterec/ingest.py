@@ -174,8 +174,8 @@ class InteractionMatrix:
 
     ``csr`` is the arrays ``(indptr, indices, shape)``. They are copied,
     and a row whose columns are not strictly ascending is rejected. A
-    matrix is not modified after it is built, so its transpose is made
-    once and kept (see :meth:`transpose`).
+    matrix is not modified after it is built, so its transpose ``T`` is
+    made once and kept, as dense arrays spell it.
     """
 
     def __init__(self, csr, user_ids: list[str], item_ids: list[str]):
@@ -218,17 +218,16 @@ class InteractionMatrix:
     def nnz(self) -> int:
         return len(self.indices)
 
-    def transpose(self) -> "InteractionMatrix":
-        """The items x users matrix, made on the first call and kept."""
-        return self._transposed
-
     @functools.cached_property
-    def _transposed(self) -> "InteractionMatrix":
+    def T(self) -> "InteractionMatrix":
+        """The items x users matrix, made on first use and kept; its own T is self."""
         # A stable sort by item keeps each item's users ascending: canonical.
         order = np.argsort(self.indices, kind="stable")
-        return InteractionMatrix(
+        t = InteractionMatrix(
             _csr(self.indices[order], self._entry_rows()[order], self.n_items, self.n_users),
             self.item_ids, self.user_ids)
+        t.T = self
+        return t
 
     def _entry_rows(self) -> np.ndarray:
         """The row of every stored entry, in storage order."""
@@ -802,13 +801,15 @@ def _parse_triplets(path: Path) -> tuple[np.ndarray, int, int]:
 
 
 def _bad_pair(path: Path, lines: list[str]) -> ParseError:
-    """The error for the first body line that is not two integers."""
+    """The error for the first body line np.loadtxt, which rejected the body, rejects alone."""
     for k, line in enumerate(lines[1:], start=2):
         try:
-            _, _ = map(int, line.split())
+            # A blank line reads as no data, with a warning, so it is not parsed.
+            if line.split() and np.loadtxt([line], dtype=np.int64, comments=None).shape == (2,):
+                continue
         except ValueError:
-            return ParseError(f"{path}: line {k}: bad pair {line!r}")
-    return ParseError(f"{path}: pairs are not two int64 columns")
+            pass
+        return ParseError(f"{path}: line {k}: bad pair {line!r}")
 
 
 def _write_lines(path: Path, lines) -> None:

@@ -4,10 +4,13 @@ Symmetric matrices are plain float64 ndarrays kept exactly symmetric by
 construction (see :func:`symmetrize`); every routine here returns arrays
 that satisfy ``a.T == a`` bit-for-bit where symmetry is promised.
 
-Interactions enter only through the CSR arrays of an
-:class:`~whiterec.ingest.InteractionMatrix`: their Grams are counted
-(:func:`gram`), and every product of a binary CSR matrix with a dense
-one, ranking's ``x @ B`` as well as ``X^T z``, is :func:`csr_matmul`.
+:func:`gram` forms M^T M and nothing else: the primal Gram of X is
+``gram(X)``, the dual one ``gram(X.T)``, for an interaction matrix as for
+a dense array. Interactions enter only through the CSR arrays of an
+:class:`~whiterec.ingest.InteractionMatrix` and of its kept transpose
+``X.T``: their Grams are counted, and every product of a binary CSR
+matrix with a dense one, ranking's ``x @ B`` as well as ``X^T z``, is
+:func:`csr_matmul`.
 The Cholesky and top-k eigen routines are scipy's LAPACK wrappers, bound
 directly from its extension module (see :func:`_lapack`). Every solver
 works in the arrays it is handed, as LAPACK does, and a caller that needs
@@ -33,7 +36,7 @@ from .ingest import InteractionMatrix
 # The bytes of dense arrays one training route, or one ranking pass, may
 # hold at once. Each solver checks its whole route against it at entry,
 # before it allocates (check_capacity), and gram checks its own result;
-# ranking checks its workspace (recommend). The user-side Gram is
+# ranking checks its workspace (recommend). The dual Gram, gram(X.T), is
 # |U| x |U| and real datasets have |U| >> |I|, so this cap is what keeps an
 # accidental dual-form call from exhausting memory. ``cli.main`` sets it
 # for one run.
@@ -118,63 +121,57 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def gram(M, side: str = "items") -> np.ndarray:
-    """Dense Gram matrix of a feature matrix whose columns are items.
+def gram(M) -> np.ndarray:
+    """The dense Gram matrix M^T M of M's columns.
 
     M is an InteractionMatrix, or a dense float64 array such as D x |I|
-    item embeddings. side="items" returns M^T M (|I| x |I|); side="users"
-    returns M M^T, the Gram of the rows (|U| x |U| for interactions, D x D
-    for embeddings). This is the one place a Gram matrix is formed.
-    Interactions are never densified: their Gram is X^T X or X X^T
-    counted by :func:`_pair_counts` from X and its kept transpose, exact
-    integers, so it equals any exact sparse product bit for bit.
+    item embeddings. The Gram of M's rows is that of its transpose,
+    ``gram(M.T)`` (|U| x |U| for interactions, D x D for embeddings). This
+    is the one place a Gram matrix is formed. Interactions are never
+    densified: their Gram is counted by :func:`_pair_counts` from M and
+    its kept transpose, exact integers, so it equals any exact sparse
+    product bit for bit.
     """
-    if side not in ("items", "users"):
-        raise ValueError(f"side must be 'items' or 'users', got {side!r}")
     interactions = isinstance(M, InteractionMatrix)
     m = M if interactions else np.asarray(M, dtype=np.float64)
-    rows, items = m.shape
-    dim = items if side == "items" else rows
-    check_capacity(dim * dim,
-                   f"{side}-side Gram ({'|U|' if interactions else 'D'}={rows}, |I|={items})")
-    if interactions:
-        t = m.transpose()
-        return _pair_counts(t, m) if side == "items" else _pair_counts(m, t)
+    rows, cols = m.shape
+    check_capacity(cols * cols, f"{cols} x {cols} Gram of a {rows} x {cols} matrix")
     # A dense A^T A pairs the same products in the same order for (i, j)
     # and (j, i) (BLAS syrk fills one triangle and copies it), so it is
     # already exactly symmetric.
-    return m.T @ m if side == "items" else m @ m.T
+    return _pair_counts(m) if interactions else m.T @ m
 
 
-def _pair_counts(a: InteractionMatrix, b: InteractionMatrix) -> np.ndarray:
-    """The dense product a @ b of binary matrices, a's columns being b's rows.
+def _pair_counts(m: InteractionMatrix) -> np.ndarray:
+    """The dense Gram m^T m of binary m, counted from m and its kept transpose.
 
-    Entry (r, c) of a meets each item j of b's row c once, and each such
-    pair adds 1 to out[r, j]. Pairs are made for a block of a's entries
-    at a time, PRODUCT_BLOCK_BYTES of index arrays (16 bytes a pair) at
-    most unless one entry alone has more (an entry has at most b.n_items
-    partners), and added in place by np.add.at. Beside the result, one
-    block and three index arrays over a's entries are held. Blocks
-    follow a's rows, which keeps each block's additions in a band of out.
-    The counts are integers, so their float64 sums are exact in any order.
+    Entry (r, u) of m^T, which is m's entry (u, r), meets each column j
+    of m's row u once, and each such pair adds 1 to out[r, j]. Pairs are
+    made for a block of m^T's entries at a time, PRODUCT_BLOCK_BYTES of
+    index arrays (16 bytes a pair) at most unless one entry alone has
+    more (an entry has at most m.n_items partners), and added in place by
+    np.add.at. Beside the result, one block and three index arrays over
+    the entries are held. Blocks follow m^T's rows, which keeps each
+    block's additions in a band of out. The counts are integers, so their
+    float64 sums are exact in any order.
     """
-    n = b.n_items
-    out = np.zeros((a.n_users, n))
-    partners = np.diff(b.indptr)[a.indices]
+    t, n = m.T, m.n_items
+    out = np.zeros((n, n))
+    partners = np.diff(m.indptr)[t.indices]
     ends = np.cumsum(partners)
-    row_start = a._entry_rows() * n
+    row_start = t._entry_rows() * n
     block = PRODUCT_BLOCK_BYTES // 16  # pairs
     start = 0
-    while start < a.nnz:
+    while start < t.nnz:
         done = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, done + block, "right")))
         k = partners[start:stop]
-        # Pair p of entry e is item (p - first pair of e) of b's row c(e).
-        # One array holds the pairs' positions in b.indices, then their
-        # items, then their keys in out.
-        pairs = np.repeat(b.indptr[a.indices[start:stop]] - (ends[start:stop] - k - done), k)
+        # Pair p of entry e is column (p - first pair of e) of m's row u(e).
+        # One array holds the pairs' positions in m.indices, then their
+        # columns, then their keys in out.
+        pairs = np.repeat(m.indptr[t.indices[start:stop]] - (ends[start:stop] - k - done), k)
         pairs += np.arange(len(pairs))
-        pairs = b.indices[pairs]
+        pairs = m.indices[pairs]
         pairs += np.repeat(row_start[start:stop], k)
         np.add.at(out.reshape(-1), pairs, 1.0)
         start = stop
@@ -338,12 +335,11 @@ def spectrum(X: InteractionMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     eigen = 3 * n * n if k >= n else (2 * n + 2 * k) * n
     check_capacity(eigen if items_side else max(eigen, min(k, n) * (n + items)),
                    f"top-{k} spectrum (|U|={users}, |I|={items})")
-    eig = eigh(gram(X, side="items" if items_side else "users"), k=k)
+    eig = eigh(gram(X if items_side else X.T), k=k)
     sq = np.maximum(eig.eigenvalues, 0.0)
     if items_side:
         return sq, eig.eigenvectors.T
-    t = X.transpose()
-    rows = csr_matmul(t.indptr, t.indices, eig.eigenvectors).T
+    rows = csr_matmul(X.T.indptr, X.T.indices, eig.eigenvectors).T
     # sq descends, so the rows of rank are a prefix.
     rank = np.count_nonzero(sq > RANK_RTOL * sq[0])
     rows[:rank] /= np.sqrt(sq[:rank, np.newaxis])

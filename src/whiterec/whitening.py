@@ -35,13 +35,13 @@ class WhiteningTransform:
 
 
 def fit_zca(m: np.ndarray, eps: float) -> WhiteningTransform:
-    """Fit P = U (S + eps I)^{-1/2} U^T from the eigensystem of m m^T.
+    """Fit P = U (S + eps I)^{-1/2} U^T from the eigensystem of m m^T, gram(m.T).
 
     The covariance here is raw (no 1/N factor), which is what makes the
     whitened Gram coincide exactly with the ridge closed forms. With eps=0
     the rows of m must be linearly independent.
     """
-    p = linalg.inv_sqrt(linalg.gram(m, side="users"), eps)
+    p = linalg.inv_sqrt(linalg.gram(m.T), eps)
     return WhiteningTransform(P=p, eps=eps, source_dim=p.shape[0])
 
 
@@ -72,5 +72,5 @@ def zca_similarity(X: InteractionMatrix, eps: float) -> SimilarityMatrix:
     # golden zca model was pinned with.
     s = 1.0 / np.sqrt(sq + eps) * np.sqrt(sq)
     rows *= s[:, np.newaxis]
-    b = linalg.gram(rows, side="items")
+    b = linalg.gram(rows)
     return SimilarityMatrix(b, "zca", {"lambda": eps})

@@ -71,7 +71,7 @@ def test_criterion_02_zca_identity_chain():
         d = ridge_dual(X, eps).values
         # The paper's explicit route: W = P X with P fitted on dense X.
         dense = X.toarray()
-        w = linalg.gram(whiten(fit_zca(dense, eps), dense), side="items")
+        w = linalg.gram(whiten(fit_zca(dense, eps), dense))
         scale = max(fro(p), 1e-30)
         assert fro(z - p) <= 1e-8 * scale
         assert fro(z - d) <= 1e-8 * scale
@@ -184,7 +184,7 @@ def test_criterion_07_ridge_spectrum():
         X = InteractionMatrix.from_dense(dense)
         lam = float(rng.choice(LAMBDAS))
         b = ridge_primal(X, lam).values
-        sigma = linalg.eigh(linalg.gram(X, "items")).eigenvalues
+        sigma = linalg.eigh(linalg.gram(X)).eigenvalues
         expected = np.sort(sigma / (sigma + lam))
         got = np.sort(np.linalg.eigvalsh(b))
         assert np.abs(got - expected).max() <= 1e-8

@@ -44,7 +44,7 @@ class TestRidgePrimal:
         X = random_interactions(rng, 7, 4)
         lam = 1.5
         b = ridge_primal(X, lam)
-        sigma = linalg.eigh(linalg.gram(X, "items")).eigenvalues
+        sigma = linalg.eigh(linalg.gram(X)).eigenvalues
         expected = np.sort(sigma / (sigma + lam))[::-1]
         got = np.sort(np.linalg.eigvalsh(b.values))[::-1]
         np.testing.assert_allclose(got, expected, atol=1e-8)
@@ -117,7 +117,7 @@ class TestRidgeDispatch:
 class TestRidgeLimits:
     def test_shrinks_to_zero_as_lambda_grows(self, rng):
         X = random_interactions(rng, 8, 5)
-        g = linalg.gram(X, "items")
+        g = linalg.gram(X)
         b = ridge_primal(X, 1e6).values
         assert fro(b) <= fro(g) / 1e6 + 1e-15
         assert fro(b) < 1e-3
@@ -174,7 +174,7 @@ class TestEase:
         X = random_interactions(rng, 8, 5)
         lam = 2.5
         sol = ease(X, lam)
-        g = linalg.gram(X, "items")
+        g = linalg.gram(X)
         other = np.linalg.solve(g + lam * np.eye(5), g - np.diag(sol.alpha))
         assert fro(sol.B.values - other) < 1e-10
 
@@ -272,7 +272,7 @@ class TestEaseRoutes:
                  InteractionMatrix.from_dense(tall)]
         for m in cases:
             for lam in self.LAMBDAS:
-                shifted = linalg.gram(m, "items")
+                shifted = linalg.gram(m)
                 shifted[np.diag_indices_from(shifted)] += lam
                 p_hat = linalg.spd_inverse(shifted)
                 d = np.diag(p_hat)
@@ -285,14 +285,20 @@ class TestEaseRoutes:
 
     @pytest.mark.parametrize("dense", [True, False], ids=["E", "X"])
     @pytest.mark.parametrize("shape, calls", [
-        ((4, 9), ["users"]),
-        ((9, 4), ["items", "inverse"]),
-        ((5, 5), ["items", "inverse"]),
+        ((4, 9), [(4, 4)]),
+        ((9, 4), [(4, 4), "inverse"]),
+        ((5, 5), [(5, 5), "inverse"]),
     ], ids=["wide", "tall", "square"])
     def test_inverts_the_smaller_gram(self, rng, monkeypatch, dense, shape, calls):
         seen = []
         gram, spd_inverse = linalg.gram, linalg.spd_inverse
-        monkeypatch.setattr(linalg, "gram", lambda M, side: seen.append(side) or gram(M, side))
+
+        def spy_gram(M):
+            g = gram(M)
+            seen.append(g.shape)
+            return g
+
+        monkeypatch.setattr(linalg, "gram", spy_gram)
         monkeypatch.setattr(linalg, "spd_inverse",
                             lambda a: seen.append("inverse") or spd_inverse(a))
         ease(rng.normal(size=shape) if dense else random_interactions(rng, *shape), 1.0)
@@ -351,7 +357,7 @@ def _route_interactions(wide: bool) -> InteractionMatrix:
     linalg._lapack()
     shape, density = ((1000, 1500), 0.006) if wide else ((3000, 1000), 0.01)
     X = random_interactions(np.random.default_rng(3), *shape, density=density)
-    X.transpose()
+    X.T
     return X
 
 
@@ -416,6 +422,19 @@ class TestTrainingPeaks:
             assert count <= 1.7 * n2
         elif d:
             assert count <= 1.4 * n2
+
+    def test_embed_dot_step_holds_no_factor(self, tmp_path, byte_cap):
+        # embed_dot holds E beside its Gram, and no Fortran copy of E or
+        # D x D factor: under a cap of (|I| + D)|I| it trains, within the
+        # allowance of the test above.
+        X = _route_interactions(True)
+        d = 256
+        count = 8 * (X.n_items + d) * X.n_items
+        byte_cap(count)
+        config = PipelineConfig(kind="embed_dot", embedding_dim=d, output_dir=str(tmp_path))
+        sim, peak = traced_peak(train_similarity, config, X)
+        assert sim.dim == X.n_items
+        assert peak <= count + 2 * linalg.PRODUCT_BLOCK_BYTES + 24 * X.nnz
 
     def test_dual_route_solves_in_its_own_temporaries(self, monkeypatch):
         # Before the product, whitened_gram holds the shifted |U| x |U| Gram,

@@ -51,14 +51,14 @@ class TestSvdEmbed:
     def test_gram_sqrt_oracle_full_rank(self, rng):
         X = random_interactions(rng, 8, 5)
         e = svd_embed(X, 5)
-        expected = psd_sqrt(linalg.gram(X, "items"))
+        expected = psd_sqrt(linalg.gram(X))
         np.testing.assert_allclose(e.values.T @ e.values, expected, atol=1e-8)
 
     def test_gram_sqrt_oracle_wide_matrix(self, rng):
         # |U| < |I| exercises the user-side Gram path.
         X = random_interactions(rng, 4, 7)
         e = svd_embed(X, 4)
-        expected = psd_sqrt(linalg.gram(X, "items"))
+        expected = psd_sqrt(linalg.gram(X))
         np.testing.assert_allclose(e.values.T @ e.values, expected, atol=1e-8)
 
     def test_singular_values_descending(self, rng):
@@ -85,7 +85,7 @@ class TestSvdEmbed:
         with pytest.warns(UserWarning, match="numerical rank is 2"):
             e = svd_embed(X, 3)
         np.testing.assert_array_equal(e.values[2], 0.0)
-        expected = psd_sqrt(linalg.gram(X, "items"))
+        expected = psd_sqrt(linalg.gram(X))
         np.testing.assert_allclose(e.values.T @ e.values, expected, atol=1e-8)
 
     @pytest.mark.parametrize("shape, side", [((9, 6), (6, 6)), ((5, 8), (5, 5))])
@@ -255,7 +255,7 @@ class TestSpectrumProperty:
         rank = np.linalg.matrix_rank(X.toarray())
         e = svd_embed(X, int(rank))
         got = np.sort(np.linalg.eigvalsh(embed_dot(e).values))[::-1]
-        expected = np.sort(np.linalg.eigvalsh(psd_sqrt(linalg.gram(X, "items"))))[::-1]
+        expected = np.sort(np.linalg.eigvalsh(psd_sqrt(linalg.gram(X))))[::-1]
         np.testing.assert_allclose(got[:rank], expected[:rank], atol=1e-8)
 
 

@@ -951,10 +951,15 @@ class TestInteractionMatrix:
         n_users, n_items, pairs = case
         X = InteractionMatrix.from_pairs([u for u, _ in pairs], [i for _, i in pairs],
                                          n_users, n_items)
-        t = X.transpose()
+        t = X.T
         assert_same_csr(t, scipy_csr(X).T.tocsr())
         assert (t.user_ids, t.item_ids) == (X.item_ids, X.user_ids)
-        assert t.transpose() == X
+        assert t.T is X
+
+    @pytest.mark.parametrize("other", [None, 0, "X", (2, 3)])
+    def test_never_equals_a_non_matrix(self, other):
+        X = InteractionMatrix.from_pairs([0, 1], [2, 0], 2, 3)
+        assert (X == other) is False and (X != other) is True
 
     def test_repeated_column_rejected(self):
         with pytest.raises(ValueError, match="row 1 holds column 2 more than once"):
@@ -1055,6 +1060,9 @@ class TestTripletFiles:
         ("0 0\n1 1 1\n", 3, "bad pair"),
         ("0 0\n\n1 1\n", 3, "bad pair"),
         ("0 0\n1.0 1\n", 3, "bad pair"),
+        ("0 0\n1_0 1\n", 3, "bad pair"),
+        ("0 0\n1 \u0661\n", 3, "bad pair"),
+        ("99999999999999999999 1\n0 0\n", 2, "bad pair"),
     ])
     def test_corrupt_body_rejected(self, tmp_path, body, line, what):
         p = tmp_path / "bad.txt"

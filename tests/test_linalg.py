@@ -30,26 +30,26 @@ def naive_gram_items(dense):
 class TestGram:
     def test_hand_example_items(self):
         X = InteractionMatrix.from_dense([[1, 0], [0, 1], [1, 1]])
-        np.testing.assert_array_equal(linalg.gram(X, "items"), [[2, 1], [1, 2]])
+        np.testing.assert_array_equal(linalg.gram(X), [[2, 1], [1, 2]])
 
     def test_identity(self):
         X = InteractionMatrix.from_dense(np.eye(2))
-        np.testing.assert_array_equal(linalg.gram(X, "items"), np.eye(2))
+        np.testing.assert_array_equal(linalg.gram(X), np.eye(2))
 
     def test_users_side(self):
         X = InteractionMatrix.from_dense([[1, 0], [0, 1], [1, 1]])
         dense = X.toarray()
-        np.testing.assert_array_equal(linalg.gram(X, "users"), dense @ dense.T)
+        np.testing.assert_array_equal(linalg.gram(X.T), dense @ dense.T)
 
     def test_matches_naive_oracle(self, rng):
         X = random_interactions(rng, 6, 4)
-        np.testing.assert_array_equal(linalg.gram(X, "items"),
+        np.testing.assert_array_equal(linalg.gram(X),
                                       naive_gram_items(X.toarray()))
 
     def test_exactly_symmetric_and_psd(self, rng):
         for _ in range(5):
             X = random_interactions(rng, 9, 6)
-            g = linalg.gram(X, "items")
+            g = linalg.gram(X)
             assert np.array_equal(g, g.T)
             evals = np.linalg.eigvalsh(g)
             assert evals.min() >= -1e-10 * np.trace(g)
@@ -57,20 +57,18 @@ class TestGram:
     def test_dense_features_exactly_symmetric(self, rng):
         base = rng.normal(size=(7, 24))
         for m in (base, np.asfortranarray(base), base[:, ::2], base[::2, :]):
-            for side, expected in (("items", m.T @ m), ("users", m @ m.T)):
-                g = linalg.gram(m, side)
+            for gram_of, expected in ((m, m.T @ m), (m.T, m @ m.T)):
+                g = linalg.gram(gram_of)
                 assert np.array_equal(g, g.T)
                 np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12)
 
     def test_capacity_error(self, rng, byte_cap):
         byte_cap(100)
-        X = random_interactions(rng, 8, 8)
-        with pytest.raises(CapacityError):
-            linalg.gram(X, "items")
-
-    def test_bad_side(self, rng):
-        with pytest.raises(ValueError):
-            linalg.gram(random_interactions(rng, 3, 3), "rows")
+        X = random_interactions(rng, 12, 8)
+        with pytest.raises(CapacityError, match="8 x 8 Gram of a 12 x 8 matrix"):
+            linalg.gram(X)
+        with pytest.raises(CapacityError, match="12 x 12 Gram of a 8 x 12 matrix"):
+            linalg.gram(X.T)
 
 
 def uniform_interactions(n_users, n_items, per_user, seed=0):
@@ -88,14 +86,14 @@ class TestGramWorkspace:
 
     def test_peak_at_a_thousand_items(self):
         X = uniform_interactions(4400, 1000, 9)
-        _, peak = traced_peak(linalg.gram, X, "items")
+        _, peak = traced_peak(linalg.gram, X)
         # 1.30 n^2 bytes; blocks of 2^18 pairs (356k pairs here) read 1.95.
         assert peak <= 1.4 * 8 * X.n_items ** 2
 
     @pytest.mark.parametrize("n_items", [500, 1000, 2000])
     def test_scratch_is_one_block_whatever_the_items(self, n_items):
         X = uniform_interactions(4400, n_items, 9)
-        g, peak = traced_peak(linalg.gram, X, "items")
+        g, peak = traced_peak(linalg.gram, X)
         # One block of pair indices, and about 1.4 MB of int64 arrays over
         # X's 39,600 entries (the kept transpose, the partner counts, their
         # running sums and each entry's row offset): 2.4 MB whatever the
@@ -130,7 +128,7 @@ class TestInteractionKernels:
         with pytest.MonkeyPatch.context() as mp:
             if pairs:  # else one block of the default size
                 mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 16 * pairs)  # 16 bytes a pair
-            items, users = linalg.gram(X, "items"), linalg.gram(X, "users")
+            items, users = linalg.gram(X), linalg.gram(X.T)
         assert bitwise_equal(items, (a.T @ a).toarray())
         assert bitwise_equal(users, (a @ a.T).toarray())
 
@@ -140,13 +138,13 @@ class TestInteractionKernels:
         X = InteractionMatrix.from_dense(dense)
         a = scipy_csr(X)
         monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 16 * 13)  # 13 pairs a block
-        assert bitwise_equal(linalg.gram(X, "items"), (a.T @ a).toarray())
-        assert bitwise_equal(linalg.gram(X, "users"), (a @ a.T).toarray())
+        assert bitwise_equal(linalg.gram(X), (a.T @ a).toarray())
+        assert bitwise_equal(linalg.gram(X.T), (a @ a.T).toarray())
 
     def test_empty_matrix_gram_is_zero(self):
         X = InteractionMatrix.from_pairs([], [], 3, 4)
-        assert bitwise_equal(linalg.gram(X, "items"), np.zeros((4, 4)))
-        assert bitwise_equal(linalg.gram(X, "users"), np.zeros((3, 3)))
+        assert bitwise_equal(linalg.gram(X), np.zeros((4, 4)))
+        assert bitwise_equal(linalg.gram(X.T), np.zeros((3, 3)))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(X=interactions(), seed=st.integers(0, 10**6), cols=st.integers(1, 4),
@@ -154,7 +152,7 @@ class TestInteractionKernels:
     def test_transpose_product_matches_scipy(self, X, seed, cols, block_rows, fortran):
         z = np.random.default_rng(seed).choice(KERNEL_VALUES, size=(X.n_users, cols))
         z = np.asfortranarray(z) if fortran else z
-        t = X.transpose()
+        t = X.T
         with pytest.MonkeyPatch.context() as mp:
             if block_rows:
                 mp.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * cols * block_rows)
@@ -169,33 +167,34 @@ class TestInteractionKernels:
 
     def test_whitened_gram_matches_scipy_product(self, rng):
         X = random_interactions(rng, 6, 9)
-        z = linalg.spd_solve(_shifted(linalg.gram(X, "users"), 2.0), X.toarray())
+        z = linalg.spd_solve(_shifted(linalg.gram(X.T), 2.0), X.toarray())
         assert bitwise_equal(whitened_gram(X, 2.0), scipy_csr(X).T @ z)
 
     def test_users_side_paths_transpose_x_once(self, rng, monkeypatch):
         X = random_interactions(rng, 6, 9, density=0.5)
-        t = X.transpose()
-        z = linalg.spd_solve(_shifted(linalg.gram(X, "users"), 2.0), X.toarray())
+        t = X.T
+        z = linalg.spd_solve(_shifted(linalg.gram(X.T), 2.0), X.toarray())
         ridge = linalg.csr_matmul(t.indptr, t.indices, z)
-        eig = linalg.eigh(linalg.gram(X, "users"), k=3)
+        eig = linalg.eigh(linalg.gram(X.T), k=3)
         sigma = np.sqrt(eig.eigenvalues)[:, np.newaxis]
         embedding = linalg.csr_matmul(t.indptr, t.indices, eig.eigenvectors).T / sigma
         embedding *= np.sqrt(sigma)
-        # Count the transposes made, on a copy of X with none made yet.
+        # Count the transposes made, on a copy of X with none made yet: the
+        # dual Gram counts from Y.T and Y.T.T, which is Y, so one argsort runs.
         made = []
-        make = InteractionMatrix.__dict__["_transposed"].func
+        make = InteractionMatrix.__dict__["T"].func
         spy = functools.cached_property(lambda m: made.append(m) or make(m))
-        spy.__set_name__(InteractionMatrix, "_transposed")
-        monkeypatch.setattr(InteractionMatrix, "_transposed", spy)
+        spy.__set_name__(InteractionMatrix, "T")
+        monkeypatch.setattr(InteractionMatrix, "T", spy)
         Y = InteractionMatrix((X.indptr, X.indices, X.shape), X.user_ids, X.item_ids)
         assert bitwise_equal(whitened_gram(Y, 2.0), ridge)
         assert bitwise_equal(svd_embed(Y, 3).values, embedding)
-        assert len(made) == 1 and made[0] is Y
+        assert len(made) == 1 and made[0] is Y and Y.T.T is Y
 
     def test_users_side_svd_embed_matches_scipy_product(self, rng):
         # E = S^{1/2} V^T, with V^T = S^{-1} U^T X from X X^T's eigenpairs.
         X = random_interactions(rng, 6, 9, density=0.5)
-        eig = linalg.eigh(linalg.gram(X, "users"), k=3)
+        eig = linalg.eigh(linalg.gram(X.T), k=3)
         sigma = np.sqrt(eig.eigenvalues)[:, np.newaxis]
         product = (scipy_csr(X).T @ eig.eigenvectors).T
         got = svd_embed(X, 3).values
@@ -362,7 +361,7 @@ class TestEighTopK:
         base[np.arange(6), np.arange(6)] = 1.0
         dense = np.hstack([base, base[:, :4], np.zeros((12, 2))])[:, rng.permutation(12)]
         dense = np.vstack([dense, dense[:3], np.zeros((1, 12))])
-        g = linalg.gram(InteractionMatrix.from_dense(dense), "items")
+        g = linalg.gram(InteractionMatrix.from_dense(dense))
         self.assert_top_pairs(g, k, np.linalg.eigvalsh(g)[::-1])
 
 
@@ -380,7 +379,7 @@ class TestSpectrum:
         np.testing.assert_allclose(sq, singular ** 2, rtol=0.0, atol=1e-10 * sq[0])
         assert sq[-1] > linalg.RANK_RTOL * sq[0]
         np.testing.assert_allclose(rows @ rows.T, np.eye(k), rtol=0.0, atol=1e-10)
-        g = linalg.gram(X, "items")
+        g = linalg.gram(X)
         np.testing.assert_allclose((rows.T * sq) @ rows, g, rtol=0.0, atol=1e-10 * g.max())
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 4)])

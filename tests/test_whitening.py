@@ -18,15 +18,15 @@ def fro(a):
 
 
 class TestCovariance:
-    """The raw covariance M M^T that fit_zca whitens is gram(M, "users")."""
+    """The raw covariance M M^T that fit_zca whitens is gram(M.T)."""
 
     def test_hand_raw(self):
         m = np.array([[1.0, 1.0], [1.0, -1.0]])
-        np.testing.assert_allclose(linalg.gram(m, "users"), 2.0 * np.eye(2))
+        np.testing.assert_allclose(linalg.gram(m.T), 2.0 * np.eye(2))
 
     def test_psd(self, rng):
         m = rng.normal(size=(5, 9))
-        c = linalg.gram(m, "users")
+        c = linalg.gram(m.T)
         assert np.array_equal(c, c.T)
         evals = np.linalg.eigvalsh(c)
         assert evals.min() >= -1e-10 * max(evals.max(), 1.0)
@@ -131,7 +131,7 @@ class TestZcaSimilarity:
         # From X X^T, W^T W is also the Gram of U^T X = S V^T scaled by
         # 1 / sqrt(sigma^2 + eps), with no division by sigma.
         X = random_interactions(rng, 6, 9, density=0.5)
-        eig = linalg.eigh(linalg.gram(X, "users"))
+        eig = linalg.eigh(linalg.gram(X.T))
         rows = (scipy_csr(X).T @ eig.eigenvectors).T / np.sqrt(eig.eigenvalues + 2.0)[:, None]
         expected = rows.T @ rows
         got = zca_similarity(X, 2.0).values
