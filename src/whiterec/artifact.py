@@ -25,6 +25,11 @@ import numpy as np
 
 from .errors import ParseError
 
+# Bytes of payload read and checked at once: the row panel of linalg's
+# whole-array checks (linalg.PRODUCT_BLOCK_BYTES), which this module cannot
+# import.
+READ_PANEL_BYTES = 1 << 20
+
 
 @contextmanager
 def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
@@ -68,7 +73,9 @@ class Layout:
 
     def read(self, path: str | Path) -> tuple[tuple, np.ndarray, list[str]]:
         """Return (header, values, vocab); the payload is read straight into
-        its array, the one copy of it that is made."""
+        its array, the one copy of it that is made, a row panel at a time,
+        and each panel's finiteness is checked as it arrives: no mask of the
+        payload's size is made."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             magic = fh.read(8)
@@ -105,11 +112,14 @@ class Layout:
             if offset + n > size:  # checked before the array is made
                 raise truncated(n)
             values = np.empty((rows, cols), dtype="<f8")
-            if fh.readinto(values.reshape(-1).view(np.uint8)) < n:
-                raise truncated(n)
+            step = max(1, READ_PANEL_BYTES // (8 * max(cols, 1)))
+            for first in range(0, rows, step):
+                panel = values[first:first + step]
+                if fh.readinto(panel.reshape(-1).view(np.uint8)) < panel.nbytes:
+                    raise truncated(n)
+                if not np.isfinite(panel).all():
+                    raise ParseError(f"{path}: payload contains non-finite values")
             offset += n
-            if not np.isfinite(values).all():
-                raise ParseError(f"{path}: payload contains non-finite values")
             vocab = [unpack("s") for _ in range(cols)]
         if offset != size:
             raise ParseError(f"{path}: {size - offset} trailing bytes after the vocabulary")

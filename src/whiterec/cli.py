@@ -356,7 +356,9 @@ def cmd_recommend(config: PipelineConfig, model_path: str | Path,
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "recommendations.csv"
     lengths = write_recommendations(foldin, sim, n, item_ids, out_path)
-    all_unknown = len(log.user_ids) - len(np.unique(log.users[known]))
+    # A bincount, not np.unique: its first call without return_index loads numpy.ma.
+    all_unknown = int(np.count_nonzero(
+        np.bincount(log.users[known], minlength=len(log.user_ids)) == 0))
     empty = int((lengths == 0).sum()) + len(log.user_ids) - len(row_users)
     if empty:
         print(f"warning: {empty} users have no recommendations "

@@ -7,18 +7,22 @@ straight from their CSR arrays (:func:`whiterec.linalg.csr_matmul`, the
 kernel that also forms X^T products for the solvers; it is bitwise equal
 to scipy's CSR x dense product, and loads no scipy module), their seen
 items masked, and the top ``min(n, |I|)`` entries of each row picked with
-exact ties (score descending, then item index ascending). A pass makes
-its block-sized arrays once, at its first block, and every block reuses
-them (:class:`_Workspace`), so it faults in no fresh pages per block.
+exact ties (score descending, then item index ascending): every entry at
+or above a row's k-th value is kept, and only the rows where a tie at that
+value straddles the cut are counted to drop its surplus. A pass makes its
+block-sized arrays once, at its first block, and every block reuses them
+(:class:`_Workspace`), so it faults in no fresh pages per block.
 ``evaluate`` consumes the blocks directly; ``batch_recommend``,
 ``score_user`` and ``top_n`` wrap them as Python lists.
 
-``write_recommendations`` turns the blocks straight into CSV rows. It cuts
-the fold-in rows into contiguous shards, one per worker: as many workers
-as usable cores, but at most one per ``FORK_MIN_ROWS`` output rows, and
-one where ``os.fork`` is missing. Each shard after the first is ranked
-and formatted in a forked child, which returns its rows as one bytes
-value; written in shard order, the file has the bytes one process writes.
+``write_recommendations`` turns the blocks straight into CSV rows: each
+block's rows are interleaved columns of strings, joined once, with one
+``repr`` per score. It cuts the fold-in rows into contiguous shards, one
+per worker: as many workers as usable cores, but at most one per
+``FORK_MIN_ROWS`` output rows, and one where ``os.fork`` is missing. Each
+shard after the first is ranked and formatted in a forked child, which
+returns its rows as one bytes value; written in shard order, the file has
+the bytes one process writes.
 """
 
 from __future__ import annotations
@@ -39,10 +43,12 @@ from .ingest import InteractionMatrix
 
 # Output rows each worker of write_recommendations must have: a worker
 # with fewer costs more to fork and collect than it saves. Fresh
-# ``recommend`` processes on a 2-core VM, one process against two (medians
-# of 10 to 20 alternating runs): 20k rows 0.36 against 0.37 s, 30k rows
-# 0.51 against 0.51 s, 40k rows 0.41 against 0.36 s, 60k rows 0.52 against
-# 0.44 s, 150k rows 0.62 against 0.54 s.
+# ``recommend`` processes on a 2-core VM, one process against two, medians
+# of 30 alternating runs on the tall-log fold-in (2,000 users x 1,000
+# items, N = 5, 10, 20, 30): 10k rows 0.32 against 0.34 s, 20k rows 0.37
+# against 0.35 s, 40k rows 0.34 against 0.33 s, 60k rows 0.52 against
+# 0.46 s. The break-even lies between 10k and 20k rows; a constant that
+# forked at 20k rows would also fork at 10k, so it stays here.
 FORK_MIN_ROWS = 20_000
 
 CSV_HEADER = b"user_id,rank,item_id,score\r\n"
@@ -153,11 +159,13 @@ class _Workspace:
     def __init__(self, rows: int, dim: int):
         self.scores = np.empty((rows, dim))
         # csr_matmul's accumulator and gather target. Scoring is done with
-        # them when _top_rows starts, so they then hold its partition copy
-        # and its cumsum counts.
+        # them when _top_rows starts, so they then hold its partition copy,
+        # and then the scores and running tie counts of the rows whose tie
+        # straddles the cut (_cut_ties).
         self.product = np.empty((2, rows, dim))
         self.partition = self.product[0]
         self.counts = self.product[1].view(np.int64)
+        # The block's kept entries; the straddling rows' tied and dropped entries.
         self.masks = np.empty((3, rows, dim), dtype=bool)
 
 
@@ -169,14 +177,17 @@ def _top_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: in
     block-sized intermediate lives in ``work``, which has at least as many
     rows as ``scores``.
 
-    The k-th largest value splits each row: every entry above it is kept,
-    plus the lowest-index entries equal to it, so a tie straddling the
-    cut resolves exactly as a stable sort of the whole row would.
+    The k-th largest value splits each row: every entry at or above it is
+    kept. A row that keeps more than k entries has a tie straddling the
+    cut, and on those rows alone :func:`_cut_ties` drops all but the
+    lowest-index tied entries, so the tie resolves exactly as a stable sort
+    of the whole row would. The k kept entries, in index order, are ranked
+    by the default argsort, and by a stable one where their values repeat.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rows, dim = scores.shape
-    above, tied, keep = work.masks[:, :rows]
+    keep = work.masks[0, :rows]
     if not np.isfinite(scores, out=keep).all():
         raise ValueError("scores must be finite")
     k = min(n, dim)
@@ -185,22 +196,47 @@ def _top_rows(scores: np.ndarray, indptr: np.ndarray, indices: np.ndarray, n: in
     part = work.partition[:rows]
     np.copyto(part, scores)
     part.partition(dim - k, axis=1)
-    kth = part[:, dim - k, None]
-    np.greater(scores, kth, out=above)
-    np.equal(scores, kth, out=tied)
-    counts = work.counts[:rows]
+    kth = part[:, dim - k, None].copy()  # _cut_ties reuses the partition copy
+    np.greater_equal(scores, kth, out=keep)
+    n_keep = np.count_nonzero(keep, axis=1)
+    straddling = np.flatnonzero(n_keep > k)
+    if straddling.size:
+        _cut_ties(scores, kth, keep, n_keep, straddling, k, work)
+    flat = np.flatnonzero(keep)
+    values = scores.reshape(-1)[flat].reshape(rows, k)
+    items = flat.reshape(rows, k)
+    items -= np.arange(0, rows * dim, dim)[:, None]
+    order = np.argsort(-values, axis=1)
+    ranked = np.take_along_axis(values, order, axis=1)
+    repeats = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if repeats.size:
+        repeated = values[repeats]
+        order[repeats] = np.argsort(-repeated, axis=1, kind="stable")
+        ranked[repeats] = np.take_along_axis(repeated, order[repeats], axis=1)
+    return np.take_along_axis(items, order, axis=1), ranked, np.minimum(k, dim - n_seen)
+
+
+def _cut_ties(scores: np.ndarray, kth: np.ndarray, keep: np.ndarray, n_keep: np.ndarray,
+              straddling: np.ndarray, k: int, work: _Workspace) -> None:
+    """Unmark in ``keep`` the tied entries past the cut of each straddling row.
+
+    Of a row's entries equal to its k-th value, the first k - (entries
+    above it) by index make the cut. Only these rows are counted, in the
+    workspace's partition copy, counts and spare masks.
+    """
+    m = len(straddling)
+    # mode="clip" takes straight into out; the indices are all in range.
+    sub = np.take(scores, straddling, axis=0, out=work.partition[:m], mode="clip")
+    tied = np.equal(sub, kth[straddling], out=work.masks[1, :m])
+    counts = work.counts[:m]
     # Cast first: a cumsum of the bool mask itself converts it in a fresh array.
     np.copyto(counts, tied)
     np.cumsum(counts, axis=1, out=counts)
-    np.less_equal(counts, k - above.sum(axis=1, keepdims=True), out=keep)
-    keep &= tied
-    keep |= above
-    items = np.nonzero(keep)[1].reshape(rows, k)
-    values = np.take_along_axis(scores, items, axis=1)
-    order = np.argsort(-values, axis=1, kind="stable")
-    return (np.take_along_axis(items, order, axis=1),
-            np.take_along_axis(values, order, axis=1),
-            np.minimum(k, dim - n_seen))
+    # Kept entries above the k-th value are n_keep - n_tied; the rest of k are tied.
+    room = k - n_keep[straddling] + counts[:, -1]
+    drop = np.greater(counts, room[:, None], out=work.masks[2, :m])
+    drop &= tied
+    keep[straddling] ^= drop
 
 
 def batch_recommend(foldin: InteractionMatrix, B: SimilarityMatrix,
@@ -291,10 +327,25 @@ def _worker_count(rows: int, users: int) -> int:
 
 def _format_shard(blocks: Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
                   users: list[str], items: list[str]) -> Iterator[bytes]:
-    """The CSV rows of ranked blocks, one UTF-8 chunk per block."""
+    """The CSV rows of ranked blocks, one UTF-8 chunk per block.
+
+    A listed entry is five strings: the quoted user, ``",{rank},"``, the
+    quoted item and its comma, the score's ``repr`` and ``"\r\n"``. The
+    first three are taken from object arrays made once per shard, by the
+    block's list lengths, ranks and ranked items. A block's strings are
+    interleaved in one list, 5 pointers per listed entry, and joined once;
+    each column takes at most two more pointers per entry while it is
+    filled in.
+    """
+    users = np.array(users, dtype=object)
+    items = np.array([f"{item}," for item in items], dtype=object)
+    ranks = np.array([f",{rank}," for rank in range(1, len(items) + 1)], dtype=object)
     for first, ranked, scores, lengths in blocks:
-        yield "".join(
-            _user_rows(user, items, zip(row_items[:length], row_scores[:length]))
-            for user, row_items, row_scores, length in zip(
-                users[first:first + len(lengths)], ranked.tolist(), scores.tolist(),
-                lengths.tolist())).encode("utf-8")
+        rows, k = ranked.shape
+        listed = np.arange(k) < lengths[:, None]
+        parts = ["\r\n"] * (5 * int(lengths.sum()))
+        parts[0::5] = np.repeat(users[first:first + rows], lengths).tolist()
+        parts[1::5] = np.broadcast_to(ranks[:k], (rows, k))[listed].tolist()
+        parts[2::5] = items[ranked[listed]].tolist()
+        parts[3::5] = map(float.__repr__, scores[listed].tolist())
+        yield "".join(parts).encode("utf-8")

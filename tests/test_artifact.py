@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from whiterec import artifact
 from whiterec.artifact import Layout, atomic_open
 from whiterec.autoencoder import SimilarityMatrix
 from whiterec.cli import (EXIT_IO, EXIT_OK, PipelineConfig, cmd_preprocess, cmd_train,
@@ -49,6 +50,20 @@ def test_wrong_version(tmp_path):
         Layout(b"TOY-FILE", 4, "sdI", TOY.shape).read(path)
 
 
+@pytest.mark.parametrize("row", [0, 4, 9])
+def test_nonfinite_in_any_read_panel_rejected(tmp_path, monkeypatch, row):
+    # Panels of 3 rows: 0-2, 3-5, 6-8 and a last, short one of row 9.
+    monkeypatch.setattr(artifact, "READ_PANEL_BYTES", 3 * 2 * 8)
+    values = np.arange(20, dtype=float).reshape(10, 2)
+    path = tmp_path / "toy.bin"
+    TOY.write(path, ("k", 1.0, 10), values, ["a", "b"])
+    np.testing.assert_array_equal(TOY.read(path)[1], values)
+    values[row, 1] = math.nan
+    TOY.write(path, ("k", 1.0, 10), values, ["a", "b"])
+    with pytest.raises(ParseError, match="non-finite"):
+        TOY.read(path)
+
+
 def test_load_model_peaks_near_one_payload(tmp_path):
     # The payload is read into its array, not read whole and then copied.
     n = 300
@@ -64,6 +79,23 @@ def test_load_model_peaks_near_one_payload(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(sim.values, values)
     assert values.nbytes <= peak < 1.3 * values.nbytes
+
+
+def test_load_model_checks_finiteness_without_a_payload_mask(tmp_path, monkeypatch):
+    # A bool mask of the whole payload would add 1/8 of its size to the peak.
+    monkeypatch.setattr(artifact, "READ_PANEL_BYTES", 1 << 16)
+    n = 300
+    values = np.random.default_rng(0).normal(size=(n, n))
+    path = tmp_path / "model.bin"
+    save_model(SimilarityMatrix(values, "ridge", {"lambda": 1.0}), [f"i{j}" for j in range(n)],
+               path)
+    tracemalloc.start()
+    try:
+        load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.06 * values.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,10 @@ kernel, so those three must run without any scipy module. Each check
 runs in a fresh interpreter, because this test process has scipy loaded
 already (pytest's ``filterwarnings`` imports ``scipy.sparse``).
 
+``evaluate`` and ``recommend`` load no ``numpy.ma`` either: numpy
+imports it on the first ``np.unique`` call without ``return_index``, and
+no command needs it.
+
 ``preprocess`` parses its log, and ``recommend`` writes its rows, over
 workers made with a bare ``os.fork``; forced to fork, neither may pull in
 ``multiprocessing``, ``concurrent`` or ``subprocess``, whose imports would
@@ -148,3 +152,21 @@ def test_forking_recommend_loads_no_process_pool_or_scipy(workdir, config):
     assert code == 0
     assert process_modules == []
     assert scipy_loaded == []
+
+
+NUMPY_MA_SCRIPT = """
+import json, sys
+from whiterec.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_evaluate_and_recommend_load_no_numpy_ma(workdir, config):
+    if not (workdir / "out" / "model_ridge.bin").exists():
+        scipy_modules("train", "--config", config)
+    model = str(workdir / "out" / "model_ridge.bin")
+    for argv in (["evaluate", "--config", config, "--model", model],
+                 ["recommend", "--config", config, "--model", model,
+                  "--users", str(workdir / "users.csv")]):
+        assert run_fresh(NUMPY_MA_SCRIPT, *argv) == [0, False], argv[0]

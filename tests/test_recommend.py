@@ -313,6 +313,36 @@ class TestBatchRecommend:
         H = heldout([[1]], [[0]], 4)
         assert batch_recommend(H.foldin, sim(values), 2)[0].items() == [0, 2]
 
+    def test_every_top_rows_branch_in_one_block(self, monkeypatch):
+        """One score block whose rows take every path of _top_rows: a tie
+        straddling the cut, ties inside the list only (the stable sort),
+        fewer unseen items than n (the k-th value is -inf), distinct values
+        (the default sort), every item seen, and no item seen."""
+        gen = np.random.default_rng(5)
+        n_items, n = 50, 40
+        values = np.zeros((n_items, n_items))
+        # Row 0: 30 distinct scores above 19 tied at 0.5, of which 10 make the cut.
+        values[0, 1:31] = np.linspace(2.0, 1.0, 30)
+        values[0, 31:] = 0.5
+        # Row 1: three levels repeated through the list, distinct values past it.
+        values[1, :40] = gen.choice([3.0, 2.0, 1.0], size=40)
+        values[1, 40:] = -np.arange(1.0, 11.0)
+        values[2] = gen.permutation(n_items) / 7.0
+        rows = [[0], [1], [2], list(range(3, 18)), list(range(n_items)), []]
+        foldin = heldout(rows, [[] for _ in rows], n_items).foldin
+        cut = []
+        cut_ties = recommend._cut_ties
+        monkeypatch.setattr(recommend, "_cut_ties",
+                            lambda *args: cut.append(args[4].tolist()) or cut_ties(*args))
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 8 * n_items * len(rows))
+        ranked = batch_recommend(foldin, sim(values), n)
+        # Rows 4 and 5 straddle too: every entry of a fully seen row is -inf,
+        # and every score of an empty history is 0.0.
+        assert cut == [[0, 3, 4, 5]]
+        for rl, expected in zip(ranked, naive_rank(rows, values, n)):
+            assert as_text(rl.entries) == as_text(expected)
+        assert [len(rl.entries) for rl in ranked] == [40, 40, 40, 35, 0, 40]
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 12),
            n_users=st.integers(0, 9), n=st.integers(1, 15),
@@ -531,6 +561,28 @@ class TestWriteRecommendations:
         checked.clear()
         evaluate(heldout([[0], [1, 3]], [[2], [4]], 5), model, [1, 3])
         assert checked == [True]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_unusual_score_reprs_match_export(self, tmp_path, workers):
+        # A single-item history scores 0.0 + one row of values, so user j's
+        # scores are these, rotated so that -2.5 falls on the seen item j;
+        # -0.0 sums to 0.0.
+        # Items 8 and 9 sum to 0.1 + 0.2.
+        reprs = [1e16, 1e-05, 2.0, 5e-324, 0.30000000000000004, 1.7976931348623157e308,
+                 -0.0, -2.5]
+        values = np.zeros((10, 10))
+        for j in range(8):
+            values[j, :8] = np.roll(reprs, j + 1)
+        values[8], values[9] = 0.1, 0.2
+        rows = [[j] for j in range(8)] + [[8, 9]]
+        foldin = heldout(rows, [[] for _ in rows], 10).foldin
+        item_ids = [f"i{j}" for j in range(10)]
+        assert_writer_matches_export(foldin, values, 10, item_ids, workers, tmp_path)
+        text = (tmp_path / "got.csv").read_bytes()
+        for score in (b"1e+16", b"1e-05", b"2.0", b"5e-324", b"0.30000000000000004",
+                      b"1.7976931348623157e+308", b"0.0"):
+            assert b"," + score + b"\r\n" in text
+        assert b"-0.0" not in text
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n_items=st.integers(1, 8), n_users=st.integers(0, 7),
